@@ -12,26 +12,14 @@ Machine report grammar (frozen):
   OVERALL CONSISTENT|INCONSISTENT
 
 Exit codes: 0 consistent-pass, 1 consistent-fail, 2 inconsistent,
-3 input error.  The only environment variable read is WARPCURV_THREADS
-(thread count for numerical kernels).
+3 input error.
 """
 
 import argparse
 import os
 import sys
 
-
-def _apply_thread_env():
-    n = os.environ.get("WARPCURV_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
-_apply_thread_env()
-
-from .certify import (SpecError, TripleSpec, certify, run_distance,  # noqa: E402
-                      run_sample)
+from .certify import SpecError, TripleSpec, certify, run_distance, run_sample
 
 
 def _parse_point(text):
@@ -50,12 +38,7 @@ def _print_report(report, fmt):
 
 
 def cmd_certify(args):
-    report = certify(_load_spec(args.spec))
-    _print_report(report, args.format)
-    return report.exit_code()
-
-
-def cmd_report(args):
+    """certify and report: only their default --format differs."""
     report = certify(_load_spec(args.spec))
     _print_report(report, args.format)
     return report.exit_code()
@@ -104,7 +87,7 @@ def build_parser():
     p = sub.add_parser("report", help="certify and render a report")
     p.add_argument("spec")
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("distance", help="distance between two product points")
     p.add_argument("spec")

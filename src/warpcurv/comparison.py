@@ -149,6 +149,8 @@ def shrink_witness(space, pts, kappa, kind, slack, max_rounds=20):
         moved = False
         for i in range(1, 4):
             cand = space.interpolate(cur[i], cur[0], 0.5)
+            if cand is None:
+                continue
             trial = list(cur)
             trial[i] = cand
             if _quadruple_margin(space, trial, kappa, kind) < floor:
@@ -194,7 +196,8 @@ def sample_comparisons(space, kappa, kind, n, seed, slack=1e-9, adversarial_frac
             us = 0.45 + 0.1 * rng(seed + 2).random(k)
             for t in range(k):
                 mid = space.interpolate(adv[t][0], adv[t][1], float(us[t]))
-                adv[t][2] = space._batch([mid])[0]
+                if mid is not None:
+                    adv[t][2] = space._batch([mid])[0]
         groups.append(adv)
 
     groups = np.concatenate(groups, axis=0) if len(groups) > 1 else groups[0]

@@ -5,13 +5,14 @@ engine agrees with them within grid error); doubling produces explicit
 catalog spaces for 1-D bases and a two-sheet grid oracle for disks.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from . import model, spaces
+from . import spaces
 from .convexity import zero_set
-from .spaces import MetricOracle, rng
+from .spaces import MetricOracle, fiber_coords, rng
 from .warped import WarpFunction
 
 
@@ -32,15 +33,11 @@ class ConeSpace(MetricOracle):
     def _batch(self, pts):
         return np.asarray(pts, dtype=float).reshape(-1, 2)
 
-    def _fiber_coords(self, col):
-        if isinstance(self.fiber, spaces.FiniteMetric):
-            return np.asarray(np.round(col), dtype=int)
-        return col
-
     def dist_pairs(self, xs, ys):
         xs = self._batch(xs)
         ys = self._batch(ys)
-        df = self.fiber.dist_pairs(self._fiber_coords(xs[:, 1]), self._fiber_coords(ys[:, 1]))
+        df = self.fiber.dist_pairs(fiber_coords(self.fiber, xs[:, 1]),
+                                   fiber_coords(self.fiber, ys[:, 1]))
         delta = np.minimum(self.a * np.asarray(df, float), math.pi)
         if isinstance(self.fiber, spaces.FiniteMetric):
             # discrete fibers carry no rectifiable fiber paths: distinct
@@ -59,8 +56,8 @@ class ConeSpace(MetricOracle):
     def interpolate(self, x, y, t):
         x = np.asarray(x, float).reshape(2)
         y = np.asarray(y, float).reshape(2)
-        df = float(self.fiber.distance(self._fiber_coords(np.array([x[1]]))[0],
-                                       self._fiber_coords(np.array([y[1]]))[0]))
+        df = float(self.fiber.distance(fiber_coords(self.fiber, x[1]),
+                                       fiber_coords(self.fiber, y[1])))
         delta = self.a * df
         r1, r2 = x[0], y[0]
         if delta >= math.pi - 1e-12 or self.fiber.interpolate(x[1], y[1], 0.5) is None:
@@ -82,13 +79,6 @@ class ConeSpace(MetricOracle):
         fib = self.fiber.interpolate(x[1], y[1], u)
         return np.array([r, float(fib)])
 
-    def geodesic(self, x, y, resolution):
-        d = self.distance(x, y)
-        m = max(2, int(math.ceil(d / max(resolution, 1e-12))) + 1)
-        ts = np.linspace(0.0, 1.0, m)
-        pts = np.array([self.interpolate(x, y, t) for t in ts])
-        return spaces.GeodesicPolyline(ts * max(d, 1e-300), pts, total_length=d)
-
     def __repr__(self):
         return "ConeSpace(a=%g, fiber=%r)" % (self.a, self.fiber)
 
@@ -108,15 +98,11 @@ class SuspensionSpace(MetricOracle):
     def _batch(self, pts):
         return np.asarray(pts, dtype=float).reshape(-1, 2)
 
-    def _fiber_coords(self, col):
-        if isinstance(self.fiber, spaces.FiniteMetric):
-            return np.asarray(np.round(col), dtype=int)
-        return col
-
     def dist_pairs(self, xs, ys):
         xs = self._batch(xs)
         ys = self._batch(ys)
-        df = self.fiber.dist_pairs(self._fiber_coords(xs[:, 1]), self._fiber_coords(ys[:, 1]))
+        df = self.fiber.dist_pairs(fiber_coords(self.fiber, xs[:, 1]),
+                                   fiber_coords(self.fiber, ys[:, 1]))
         delta = np.minimum(np.asarray(df, float), math.pi)
         t1, t2 = xs[:, 0], ys[:, 0]
         cosd = np.cos(t1) * np.cos(t2) + np.sin(t1) * np.sin(t2) * np.cos(delta)
@@ -131,8 +117,8 @@ class SuspensionSpace(MetricOracle):
     def interpolate(self, x, y, t):
         x = np.asarray(x, float).reshape(2)
         y = np.asarray(y, float).reshape(2)
-        df = float(self.fiber.distance(self._fiber_coords(np.array([x[1]]))[0],
-                                       self._fiber_coords(np.array([y[1]]))[0]))
+        df = float(self.fiber.distance(fiber_coords(self.fiber, x[1]),
+                                       fiber_coords(self.fiber, y[1])))
         delta = min(df, math.pi)
         if self.fiber.interpolate(x[1], y[1], 0.5) is None and df > 1e-12:
             return None
@@ -150,18 +136,6 @@ class SuspensionSpace(MetricOracle):
         u = min(max(az / delta, 0.0), 1.0) if delta > 1e-15 else 0.0
         fib = self.fiber.interpolate(x[1], y[1], u) if df > 1e-15 else x[1]
         return np.array([tt, float(fib)])
-
-    def geodesic(self, x, y, resolution):
-        d = self.distance(x, y)
-        m = max(2, int(math.ceil(d / max(resolution, 1e-12))) + 1)
-        ts = np.linspace(0.0, 1.0, m)
-        pts = []
-        for t in ts:
-            p = self.interpolate(x, y, t)
-            if p is None:
-                return None
-            pts.append(p)
-        return spaces.GeodesicPolyline(ts * max(d, 1e-300), np.array(pts), total_length=d)
 
     def __repr__(self):
         return "SuspensionSpace(fiber=%r)" % (self.fiber,)
@@ -212,21 +186,25 @@ def scale_space(space, lam):
     return ScaledSpace(space, lam)
 
 
+# resolution (rings, spokes) and attach reach of cross-sheet distances
+DOUBLED_LATTICE = (64, 128)
+DOUBLED_REACH = 2
+
+
 class DoubledDisk(MetricOracle):
     """Two copies of a model disk glued along boundary arcs.
 
-    Points are rows (sheet, r, theta); distance runs one shortest-path
-    query on the disjoint-union grid graph with zero-cost crossing
-    edges along the glue set.
+    Points are rows (sheet, r, theta).  A cross-sheet distance is one
+    shortest path over two sheets of the shared polar lattice
+    (spaces.polar_lattice, DOUBLED_LATTICE), with zero-cost crossing
+    edges at the boundary nodes on the glue set.
     """
 
-    def __init__(self, disk, glue_arcs, n_rings=64, n_spokes=128):
+    def __init__(self, disk, glue_arcs):
         self.disk = disk
         self.glue_arcs = tuple(glue_arcs)  # list of (theta_lo, theta_hi)
-        self.n_rings = n_rings
-        self.n_spokes = n_spokes
         self.diameter_hint = 4.0 * disk.radius
-        self.tol_metric = 4.0 * disk.radius / n_rings
+        self.tol_metric = 4.0 * disk.radius / DOUBLED_LATTICE[0]
 
     def _batch(self, pts):
         return np.asarray(pts, dtype=float).reshape(-1, 3)
@@ -240,65 +218,25 @@ class DoubledDisk(MetricOracle):
         ys = self._batch(ys)
         out = np.empty(len(xs))
         for i, (x, y) in enumerate(zip(xs, ys)):
-            if int(round(x[0])) == int(round(y[0])):
+            sx, sy = int(round(x[0])), int(round(y[0]))
+            if sx == sy:
                 # same sheet: the convex disk geodesic is already shortest
                 out[i] = self.disk.distance(x[1:], y[1:])
             else:
-                out[i] = self._cross_distance(x, y)
+                lat, edges = self._two_sheets
+                out[i] = lat.path_length(*edges, 2, (x[1:], sx), (y[1:], sy), DOUBLED_REACH)
         return out
 
-    def _cross_distance(self, x, y):
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
-
-        nr, ns = self.n_rings, self.n_spokes
-        rs = np.linspace(0.0, self.disk.radius, nr + 1)
-        ths = np.linspace(0.0, 2.0 * math.pi, ns, endpoint=False)
-        n_sheet = (nr + 1) * ns
-
-        def node(sheet, ir, ith):
-            return sheet * n_sheet + ir * ns + ith
-
-        src, dst, ws = [], [], []
-        for dr, dth in ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)):
-            ir = np.arange(nr + 1 - dr)
-            ii, tt = np.meshgrid(ir, np.arange(ns), indexing="ij")
-            tt2 = (tt + dth) % ns
-            dtheta = 2.0 * math.pi / ns * abs(dth)
-            w = np.asarray(model.side_from_angle(self.disk.kappa, rs[ii], rs[ii + dr], dtheta),
-                           float).ravel()
-            for sheet in (0, 1):
-                src.append(node(sheet, ii, tt).ravel())
-                dst.append(node(sheet, ii + dr, tt2).ravel())
-                ws.append(w)
-        # zero-cost crossings on the glue arcs (boundary ring)
-        glue_idx = [k for k in range(ns) if self._in_glue(ths[k])]
-        if glue_idx:
-            gi = np.array(glue_idx)
-            src.append(node(0, np.full(len(gi), nr), gi))
-            dst.append(node(1, np.full(len(gi), nr), gi))
-            ws.append(np.zeros(len(gi)))
-        # query points
-        total = 2 * n_sheet
-        extra_edges = []
-        for qi, q in ((total, x), (total + 1, y)):
-            sheet = int(round(q[0]))
-            i0 = int(np.clip(round(q[1] / self.disk.radius * nr), 0, nr))
-            j0 = int(round(q[2] / (2 * math.pi) * ns)) % ns
-            for di in range(-2, 3):
-                for dj in range(-2, 3):
-                    i = i0 + di
-                    if not 0 <= i <= nr:
-                        continue
-                    j = (j0 + dj) % ns
-                    w = self.disk.distance(q[1:], np.array([rs[i], ths[j]]))
-                    src.append(np.array([qi]))
-                    dst.append(np.array([node(sheet, i, j)]))
-                    ws.append(np.array([w]))
-        g = coo_matrix((np.concatenate(ws), (np.concatenate(src), np.concatenate(dst))),
-                       shape=(total + 2, total + 2))
-        dd = dijkstra(g, directed=False, indices=[total])
-        return float(dd[0, total + 1])
+    @functools.cached_property
+    def _two_sheets(self):
+        """The lattice, and its edges on both sheets plus the crossings at glued boundary nodes."""
+        lat = spaces.polar_lattice(self.disk.kappa, self.disk.radius, *DOUBLED_LATTICE)
+        src, dst, length = lat.edges()
+        rim = np.arange(lat.n_rings * lat.n_spokes, len(lat.nodes))
+        glue = rim[[self._in_glue(th) for th in lat.nodes[rim, 1]]]
+        return lat, (np.concatenate([2 * src, 2 * src + 1, 2 * glue]),
+                     np.concatenate([2 * dst, 2 * dst + 1, 2 * glue + 1]),
+                     np.concatenate([length, length, np.zeros(len(glue))]))
 
     def sample(self, n, seed):
         g = rng(seed)

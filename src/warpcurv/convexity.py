@@ -267,8 +267,6 @@ def dist_Z(f, base, p):
         return base.radius - float(np.asarray(p, float).reshape(2)[0])
     if not roots:
         return INF
-    if isinstance(base, spaces.ModelDisk):
-        return min(float(base.distance(p, z)) for z in roots)
     return min(float(base.distance(p, z)) for z in roots)
 
 

@@ -6,6 +6,7 @@ points are numpy arrays with one row (or entry) per point, so that
 pairwise distances vectorize.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -59,7 +60,14 @@ class MetricOracle:
         raise NotImplementedError
 
     def geodesic(self, x, y, resolution):
-        return None
+        """interpolate() sampled at spacing <= resolution; None where it is None."""
+        d = self.distance(x, y)
+        m = max(2, int(math.ceil(d / max(resolution, 1e-12))) + 1)
+        ts = np.linspace(0.0, 1.0, m)
+        pts = [self.interpolate(x, y, t) for t in ts]
+        if any(p is None for p in pts):
+            return None
+        return GeodesicPolyline(ts * max(d, 1e-300), np.array(pts), total_length=d)
 
     def interpolate(self, x, y, t):
         """Point at fraction t along some geodesic x -> y, or None."""
@@ -100,13 +108,6 @@ class Interval(MetricOracle):
     def interpolate(self, x, y, t):
         return (1.0 - t) * float(x) + t * float(y)
 
-    def geodesic(self, x, y, resolution):
-        d = abs(float(y) - float(x))
-        m = max(2, int(math.ceil(d / max(resolution, 1e-12))) + 1)
-        ts = np.linspace(0.0, 1.0, m)
-        pts = (1.0 - ts) * float(x) + ts * float(y)
-        return GeodesicPolyline(ts * max(d, 1e-300), pts, total_length=d)
-
     def __repr__(self):
         return "Interval(%g, %g)" % (self.a, self.b)
 
@@ -131,13 +132,6 @@ class Ray(MetricOracle):
 
     def interpolate(self, x, y, t):
         return (1.0 - t) * float(x) + t * float(y)
-
-    def geodesic(self, x, y, resolution):
-        d = abs(float(y) - float(x))
-        m = max(2, int(math.ceil(d / max(resolution, 1e-12))) + 1)
-        ts = np.linspace(0.0, 1.0, m)
-        pts = (1.0 - ts) * float(x) + ts * float(y)
-        return GeodesicPolyline(ts * max(d, 1e-300), pts, total_length=d)
 
     def __repr__(self):
         return "Ray()"
@@ -168,13 +162,6 @@ class Circle(MetricOracle):
         if delta > self.length / 2.0:
             delta -= self.length
         return (x + t * delta) % self.length
-
-    def geodesic(self, x, y, resolution):
-        d = self.distance(x, y)
-        m = max(2, int(math.ceil(d / max(resolution, 1e-12))) + 1)
-        ts = np.linspace(0.0, 1.0, m)
-        pts = np.array([self.interpolate(x, y, t) for t in ts])
-        return GeodesicPolyline(ts * max(d, 1e-300), pts, total_length=d)
 
     def __repr__(self):
         return "Circle(%g)" % self.length
@@ -246,6 +233,17 @@ class FiniteMetric(MetricOracle):
         return "FiniteMetric(n=%d)" % self.n
 
 
+def fiber_coords(fiber, col):
+    """Fiber coordinates stored as floats, in the fiber's own encoding.
+
+    FiniteMetric indices are rounded to the nearest int (truncation
+    would turn 0.9999999 into 0); every other fiber takes them as is.
+    """
+    if isinstance(fiber, FiniteMetric):
+        return np.asarray(np.round(col), dtype=int)
+    return col
+
+
 def tripod(leg=1.0, n_leaves=3):
     """Star metric: center index 0 plus leaves at distance leg."""
     n = n_leaves + 1
@@ -256,13 +254,102 @@ def tripod(leg=1.0, n_leaves=3):
     return FiniteMetric(m)
 
 
+# (ring step, spoke step) of each polar lattice edge family, in edge order
+POLAR_MOVES = ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
+
+
+class PolarLattice:
+    """Ring/spoke lattice on a model disk, shared through polar_lattice().
+
+    Node i * n_spokes + j is the polar point (i R / n_rings,
+    2 pi j / n_spokes), stored in that row of nodes.  Edges follow
+    POLAR_MOVES in order and carry the model length of their ends.  All
+    arrays are read-only, since every disk of the same shape shares them.
+    """
+
+    def __init__(self, kappa, radius, n_rings, n_spokes):
+        self.kappa = kappa
+        self.radius = radius
+        self.n_rings = n_rings
+        self.n_spokes = n_spokes
+        rs = np.linspace(0.0, radius, n_rings + 1)
+        ths = np.linspace(0.0, 2.0 * math.pi, n_spokes, endpoint=False)
+        rr, tt = np.meshgrid(rs, ths, indexing="ij")
+        self.nodes = np.stack([rr.ravel(), tt.ravel()], axis=1)
+        idx = np.arange(len(self.nodes)).reshape(n_rings + 1, n_spokes)
+        src, dst, length = [], [], []
+        for di, dj in POLAR_MOVES:
+            src.append(idx[: n_rings + 1 - di].ravel())
+            dst.append(np.roll(idx, -dj, axis=1)[di:].ravel())
+            ring = model.side_from_angle(kappa, rs[: n_rings + 1 - di], rs[di:],
+                                         2.0 * math.pi / n_spokes * abs(dj))
+            length.append(np.repeat(ring, n_spokes))
+        self._move_ends = np.cumsum([len(e) for e in src])
+        self._src = np.concatenate(src)
+        self._dst = np.concatenate(dst)
+        self._length = np.concatenate(length)
+        for a in (self.nodes, self._src, self._dst, self._length):
+            a.setflags(write=False)
+
+    def edges(self, n_moves=len(POLAR_MOVES)):
+        """(src, dst, length) of the first n_moves edge families."""
+        end = self._move_ends[n_moves - 1]
+        return self._src[:end], self._dst[:end], self._length[:end]
+
+    def attach(self, q, reach):
+        """Nodes within reach rings and spokes of polar point q, and their model distances to q."""
+        nr, ns = self.n_rings, self.n_spokes
+        i0 = int(np.clip(round(q[0] / self.radius * nr), 0, nr))
+        j0 = int(round(q[1] / (2.0 * math.pi) * ns)) % ns
+        steps = np.arange(-reach, reach + 1)
+        rings = i0 + steps
+        rings = rings[(rings >= 0) & (rings <= nr)]
+        cells = (rings[:, None] * ns + (j0 + steps) % ns).ravel()
+        dth = np.abs(q[1] - self.nodes[cells, 1]) % (2.0 * math.pi)
+        dth = np.minimum(dth, 2.0 * math.pi - dth)
+        return cells, model.side_from_angle(self.kappa, q[0], self.nodes[cells, 0], dth)
+
+    def path_length(self, src, dst, length, n_copies, x, y, reach):
+        """Shortest path between two points over n_copies of the lattice nodes.
+
+        Node b of copy c is b * n_copies + c, joined by the given edges.
+        x and y are (polar point, copy) pairs; each point is attached to
+        the nodes of its copy within reach.
+        """
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        n = len(self.nodes) * n_copies
+        srcs, dsts, ws = [src], [dst], [length]
+        for node, (q, copy) in ((n, x), (n + 1, y)):
+            cells, w = self.attach(q, reach)
+            srcs.append(np.full(len(cells), node))
+            dsts.append(cells * n_copies + copy)
+            ws.append(w)
+        g = coo_matrix((np.concatenate(ws), (np.concatenate(srcs), np.concatenate(dsts))),
+                       shape=(n + 2, n + 2))
+        return float(dijkstra(g, directed=False, indices=[n])[0, n + 1])
+
+
+@functools.lru_cache(maxsize=16)
+def polar_lattice(kappa, radius, n_rings, n_spokes):
+    """The PolarLattice of this shape, built once per process."""
+    return PolarLattice(kappa, radius, n_rings, n_spokes)
+
+
+# resolution (rings, spokes) and attach reach of non-convex disk distances
+DISK_LATTICE = (96, 192)
+DISK_REACH = 2
+
+
 class ModelDisk(MetricOracle):
     """Closed metric disk of radius R about a point of the model surface.
 
     Points are polar pairs (r, theta).  For kappa > 0 the disk must
     have R < varpi; distances use the ambient model metric, which is
     intrinsic whenever the disk is convex (R < varpi/2 for kappa > 0).
-    Non-convex spherical disks fall back to a polar-grid shortest path.
+    Non-convex spherical disks fall back to a shortest path on the
+    shared polar lattice (polar_lattice, DISK_LATTICE).
     """
 
     kind = "ModelDisk"
@@ -292,49 +379,11 @@ class ModelDisk(MetricOracle):
         d = model.side_from_angle(self.kappa, xs[:, 0], ys[:, 0], dth)
         d = np.atleast_1d(np.asarray(d, float))
         if not self.convex:
+            lat = polar_lattice(self.kappa, self.radius, *DISK_LATTICE)
+            edges = lat.edges()
             for i in range(len(d)):
-                d[i] = self._grid_distance(xs[i], ys[i])
+                d[i] = lat.path_length(*edges, 1, (xs[i], 0), (ys[i], 0), DISK_REACH)
         return d
-
-    def _grid_distance(self, x, y, n_rings=96, n_spokes=192):
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
-
-        rs = np.linspace(0.0, self.radius, n_rings + 1)
-        ths = np.linspace(0.0, 2.0 * math.pi, n_spokes, endpoint=False)
-        rr, tt = np.meshgrid(rs, ths, indexing="ij")
-        nodes = np.stack([rr.ravel(), tt.ravel()], axis=1)
-        nodes = np.vstack([nodes, [x, y]])
-        idx = np.arange((n_rings + 1) * n_spokes).reshape(n_rings + 1, n_spokes)
-        src, dst = [], []
-        for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)):
-            ii = idx[: n_rings + 1 - di if di else None]
-            jj = np.roll(idx, -dj, axis=1)[di:]
-            src.append(ii.ravel())
-            dst.append(jj.ravel())
-        src = np.concatenate(src)
-        dst = np.concatenate(dst)
-        # connect the two query points to their nearest grid ring/spoke cell
-        extra_s, extra_d = [], []
-        for qi, q in ((len(nodes) - 2, x), (len(nodes) - 1, y)):
-            i0 = int(np.clip(round(q[0] / self.radius * n_rings), 0, n_rings))
-            j0 = int(round(q[1] / (2.0 * math.pi) * n_spokes)) % n_spokes
-            for di in range(-2, 3):
-                for dj in range(-2, 3):
-                    i = i0 + di
-                    if 0 <= i <= n_rings:
-                        extra_s.append(qi)
-                        extra_d.append(idx[i, (j0 + dj) % n_spokes])
-        src = np.concatenate([src, np.array(extra_s, int)])
-        dst = np.concatenate([dst, np.array(extra_d, int)])
-        a, b = nodes[src], nodes[dst]
-        dth = np.abs(a[:, 1] - b[:, 1]) % (2.0 * math.pi)
-        dth = np.minimum(dth, 2.0 * math.pi - dth)
-        w = np.asarray(model.side_from_angle(self.kappa, a[:, 0], b[:, 0], dth), float)
-        n = len(nodes)
-        g = coo_matrix((w, (src, dst)), shape=(n, n))
-        dd = dijkstra(g, directed=False, indices=[n - 2])
-        return float(dd[0, n - 1])
 
     def _embed(self, pts):
         """Chart embedding of polar points for interpolation."""
@@ -386,15 +435,6 @@ class ModelDisk(MetricOracle):
         v = (ey - model.cs(self.kappa, d) * ex) / sd
         p = model.cs(self.kappa, t * d) * ex + model.sn(self.kappa, t * d) * v
         return self._unembed(p)
-
-    def geodesic(self, x, y, resolution):
-        if not self.convex:
-            return None
-        d = self.distance(x, y)
-        m = max(2, int(math.ceil(d / max(resolution, 1e-12))) + 1)
-        ts = np.linspace(0.0, 1.0, m)
-        pts = np.array([self.interpolate(x, y, t) for t in ts])
-        return GeodesicPolyline(ts * max(d, 1e-300), pts, total_length=d)
 
     def sample(self, n, seed):
         g = rng(seed)

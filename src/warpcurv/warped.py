@@ -404,7 +404,7 @@ def reduced_distance(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8
     """Distance in B x_f [0, ell] from (bp, 0) to (bq, ell) for 1-D bases."""
     base = triple.base
     if not _one_dim(base):
-        return _disk_reduced_distance(triple, bp, bq, ell, tol, grid)
+        return _disk_reduced_distance(triple, bp, bq, ell)
     bp = float(bp)
     bq = float(bq)
     d_base = base.distance(bp, bq)
@@ -476,75 +476,45 @@ def reduced_distance(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8
     return min(value, d_base + min(float(triple.warp(bp)), float(triple.warp(bq))) * ell)
 
 
-def _disk_reduced_distance(triple, bp, bq, ell, tol, grid, n_rings=48, n_spokes=96):
-    """Coarse product-grid engine for ModelDisk bases (no polish stage)."""
+# resolution (rings, spokes) and attach reach of the disk-base engine
+DISK_ENGINE_LATTICE = (48, 96)
+DISK_ENGINE_REACH = 1
+
+
+def _disk_reduced_distance(triple, bp, bq, ell):
+    """Coarse product-grid engine for ModelDisk bases (no polish stage).
+
+    Layers the first four moves of the base's polar lattice over fiber
+    nodes j * ell / mf, with min-f fiber weights and vertical edges.
+    """
     disk = triple.base
     bp = np.asarray(bp, float).reshape(2)
     bq = np.asarray(bq, float).reshape(2)
     if ell <= 0 or float(triple.warp(bp[0], bp[1])) <= ZERO_THRESHOLD \
             or float(triple.warp(bq[0], bq[1])) <= ZERO_THRESHOLD:
         return disk.distance(bp, bq)
-    mf = max(4, min(32, int(math.ceil(ell / (disk.radius / n_rings)))))
-    rs = np.linspace(0.0, disk.radius, n_rings + 1)
-    ths = np.linspace(0.0, 2.0 * math.pi, n_spokes, endpoint=False)
-
-    def node(ir, ith, j):
-        return (ir * n_spokes + ith) * (mf + 1) + j
-
-    nodes = (n_rings + 1) * n_spokes * (mf + 1)
+    lat = spaces.polar_lattice(disk.kappa, disk.radius, *DISK_ENGINE_LATTICE)
+    mf = max(4, min(32, int(math.ceil(ell / (disk.radius / lat.n_rings)))))
     hs = ell / mf
-    src, dst, ws = [], [], []
-    fvals = triple.warp(rs[:, None] + 0 * ths[None, :], 0 * rs[:, None] + ths[None, :])
-    fvals = np.asarray(fvals, float)
+    fvals = np.asarray(triple.warp(lat.nodes[:, 0], lat.nodes[:, 1]), float)
     fvals[fvals < ZERO_THRESHOLD] = 0.0
-    for dr, dth in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        ir = np.arange(n_rings + 1 - dr)
-        for j0 in range(mf + 1):
-            for dj in (-1, 0, 1):
-                if dr == 0 and dth == 0 and dj == 0:
-                    continue
-                j1 = j0 + dj
-                if not 0 <= j1 <= mf:
-                    continue
-                ii, tt = np.meshgrid(ir, np.arange(n_spokes), indexing="ij")
-                tt2 = (tt + dth) % n_spokes
-                r1, r2 = rs[ii], rs[ii + dr]
-                dtheta = 2.0 * math.pi / n_spokes * abs(dth)
-                from .model import side_from_angle
-                dbase = np.asarray(side_from_angle(disk.kappa, r1, r2, dtheta), float)
-                fmin = np.minimum(fvals[ii, tt], fvals[ii + dr, tt2])
-                w = np.sqrt(dbase ** 2 + (fmin * abs(dj) * hs) ** 2)
-                src.append(node(ii, tt, j0).ravel())
-                dst.append(node(ii + dr, tt2, j1).ravel())
-                ws.append(w.ravel())
+    bsrc, bdst, dbase = lat.edges(4)
+    fmin = np.minimum(fvals[bsrc], fvals[bdst])
+    layers = np.arange(mf + 1)
+    src, dst, ws = [], [], []
+    for dj in (-1, 0, 1):
+        j0 = layers[max(0, -dj): mf + 1 - max(0, dj)]
+        w = np.sqrt(dbase ** 2 + (fmin * abs(dj) * hs) ** 2)
+        src.append((bsrc[:, None] * (mf + 1) + j0).ravel())
+        dst.append((bdst[:, None] * (mf + 1) + j0 + dj).ravel())
+        ws.append(np.repeat(w, len(j0)))
     # vertical moves at fixed base point
-    ii, tt = np.meshgrid(np.arange(n_rings + 1), np.arange(n_spokes), indexing="ij")
-    for j0 in range(mf):
-        src.append(node(ii, tt, j0).ravel())
-        dst.append(node(ii, tt, j0 + 1).ravel())
-        ws.append((fvals[ii, tt] * hs).ravel())
-    # query endpoints
-    extra = []
-    for q, j in ((bp, 0), (bq, mf)):
-        qi = len(extra) + nodes
-        extra.append(qi)
-        i0 = int(np.clip(round(q[0] / disk.radius * n_rings), 0, n_rings))
-        t0 = int(round(q[1] / (2 * math.pi) * n_spokes)) % n_spokes
-        for di in range(-1, 2):
-            for dt in range(-1, 2):
-                i = i0 + di
-                if not 0 <= i <= n_rings:
-                    continue
-                t = (t0 + dt) % n_spokes
-                gp = np.array([rs[i], ths[t]])
-                dbase = disk.distance(q, gp)
-                src.append(np.array([qi]))
-                dst.append(np.array([node(i, t, j)]))
-                ws.append(np.array([dbase]))
-    g = coo_matrix((np.concatenate(ws), (np.concatenate(src), np.concatenate(dst))),
-                   shape=(nodes + 2, nodes + 2))
-    dd = dijkstra(g, directed=False, indices=[nodes])
-    return float(dd[0, nodes + 1])
+    column = np.arange(len(fvals))[:, None] * (mf + 1)
+    src.append((column + layers[:-1]).ravel())
+    dst.append((column + layers[1:]).ravel())
+    ws.append(np.repeat(fvals * hs, mf))
+    return lat.path_length(np.concatenate(src), np.concatenate(dst), np.concatenate(ws),
+                           mf + 1, (bp, 0), (bq, mf), DISK_ENGINE_REACH)
 
 
 def warped_distance(triple, u, v, tol=1e-3, grid=None, max_refinements=8, polish=True):
@@ -694,9 +664,7 @@ class GridWarpedOracle(spaces.MetricOracle):
         x = np.asarray(x, float).reshape(2)
         y = np.asarray(y, float).reshape(2)
         fx = self.triple.fiber
-        fpt_x = x[1] if not isinstance(fx, spaces.FiniteMetric) else int(round(x[1]))
-        fpt_y = y[1] if not isinstance(fx, spaces.FiniteMetric) else int(round(y[1]))
-        ell = float(fx.distance(fpt_x, fpt_y))
+        ell = float(fx.distance(spaces.fiber_coords(fx, x[1]), spaces.fiber_coords(fx, y[1])))
         return reduced_distance(self.triple, x[0], y[0], ell, tol=self.tol,
                                 grid=self.grid)
 

@@ -122,3 +122,14 @@ def test_witness_shrinks_toward_anchor():
     w = v.witness
     # the shrunk witness is still a genuine quadruple of the space
     assert np.max(w.dmat) <= 3.0 + 1e-9
+
+
+def test_witness_over_non_interpolable_fiber():
+    # SuspensionSpace.interpolate is None between distinct tripod leaves;
+    # the shrink and the near-midpoint bending must skip those moves
+    from warpcurv.constructions import SuspensionSpace
+    space = SuspensionSpace(spaces.tripod(0.6, 3))
+    v = sample_comparisons(space, 1.0, "CBB", 50, 0)
+    assert not v.passed
+    assert all(p is not None for p in v.witness.points)
+    assert not comparison.test_1plus3(v.witness, 1.0)[0]

@@ -149,3 +149,28 @@ def test_cone_duality_at_sample_scale():
         cone_v = sample_comparisons(cone, 0.0, "CAT", 1500, seed=9)
         fiber_v = sample_comparisons(spaces.Circle(L), 1.0, "CAT", 1500, seed=9)
         assert cone_v.passed == fiber_v.passed == expect
+
+
+# Cross-sheet distances on the full double of the flat unit disk, pinned
+# from the separate two-sheet graph builder the shared polar lattice
+# replaced.  Rows: (sheet, r, theta) pairs and the distance.
+CROSS_SHEET_GOLDEN = [
+    ((0, 0.2, 0.0), (1, 0.9, 1.0), 1.0297616931833817),
+    ((0, 0.5, 1.5), (1, 0.5, 1.5), 1.0038849633848337),
+    ((0, 0.0, 0.0), (1, 0.0, 0.0), 2.0),
+    ((0, 0.8, 3.0), (1, 0.3, 6.0), 1.5005247654871479),
+    ((1, 0.95, 2.0), (0, 0.95, 5.1), 2.0024902554934285),
+    ((0, 1.0, 0.5), (1, 1.0, 0.5), 0.01825223241278891),
+    ((0, 0.6, 4.4), (1, 0.7, 0.1), 1.656701292569868),
+    ((1, 0.25, 1.0), (0, 0.75, 3.9), 1.5045737900823213),
+]
+
+
+def test_doubled_disk_cross_sheet_golden():
+    doubled = constructions.DoubledDisk(spaces.ModelDisk(0.0, 1.0), [(0.0, 2 * math.pi)])
+    xs = np.array([x for x, _, _ in CROSS_SHEET_GOLDEN], float)
+    ys = np.array([y for _, y, _ in CROSS_SHEET_GOLDEN], float)
+    got = doubled.dist_pairs(xs, ys)
+    assert got == pytest.approx([d for _, _, d in CROSS_SHEET_GOLDEN], rel=1e-12, abs=0)
+    # every cross-sheet path touches the rim
+    assert np.all(got >= (1.0 - xs[:, 1]) + (1.0 - ys[:, 1]))

@@ -227,3 +227,35 @@ def test_grid_oracle_sampling_interface():
     d = oracle.distance(pts[0], pts[1])
     assert d >= 0.0
     assert oracle.distance(pts[0], pts[0]) == pytest.approx(0.0, abs=1e-9)
+
+
+def _constant_disk_triple(kappa, c, fiber):
+    warp = WarpFunction.from_expression("%r + 0*r" % c, 0.0, arity=2)
+    return WarpedTriple(spaces.ModelDisk(kappa, 1.0), warp, fiber, check=False)
+
+
+# Disk-base engine values for constant warps, pinned from the engine's
+# own per-query graph builder before it moved onto the shared polar
+# lattice.  Rows: base point, fiber point of u, then of v, and the value.
+DISK_ENGINE_GOLDEN = [
+    (-1.0, 0.8, spaces.Circle(2 * math.pi), [
+        ((0.3, 0.4), 0.0, (0.8, 2.2), 0.7, 1.1664067683532344),
+        ((0.0, 0.0), 1.0, (1.0, 3.0), 1.25, 1.0735641935939635),
+        ((0.95, 5.9), 2.0, (0.9, 0.3), 2.08, 0.7135751782170086),
+        ((0.5, 1.0), 3.0, (0.55, 1.1), 3.03, 0.09822469544821127)]),
+    (0.0, 1.2, spaces.Interval(0.0, 2.0), [
+        ((0.6, 1.0), 0.1, (0.5, 3.5), 0.8, 1.4431864388791353),
+        ((1.0, 0.0), 0.0, (1.0, 3.14), 0.25, 2.1405720075670662),
+        ((0.2, 4.0), 1.5, (0.7, 5.0), 1.58, 0.6862972303431599),
+        ((0.0, 2.0), 2.0, (0.05, 2.0), 1.97, 0.07182585153805056)]),
+]
+
+
+@pytest.mark.parametrize("kappa,c,fiber,rows", DISK_ENGINE_GOLDEN,
+                         ids=["hyperbolic", "flat"])
+def test_disk_engine_golden(kappa, c, fiber, rows):
+    triple = _constant_disk_triple(kappa, c, fiber)
+    for bu, fu, bv, fv, expect in rows:
+        got = warped_distance(triple, (np.array(bu), fu), (np.array(bv), fv))
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
+        assert got >= triple.base.distance(bu, bv) - 1e-12
