@@ -12,7 +12,7 @@ Machine report grammar (frozen):
   OVERALL CONSISTENT|INCONSISTENT
 
 Exit codes: 0 consistent-pass, 1 consistent-fail, 2 inconsistent,
-3 input error.
+3 usage, input or numerical error.
 """
 
 import argparse
@@ -20,6 +20,7 @@ import os
 import sys
 
 from .certify import SpecError, TripleSpec, certify, run_distance, run_sample
+from .warped import ConvergenceError
 
 
 def _parse_point(text):
@@ -125,6 +126,11 @@ def main(argv=None):
         return 3
     except (OSError, ValueError) as e:
         sys.stderr.write("error: %s\n" % e)
+        return 3
+    except ConvergenceError as e:
+        # a numerical failure must not read as a verdict (exit 1 or 2)
+        sys.stderr.write("error: %s; value bracket [%.12g, %.12g]\n"
+                         % (e, e.bracket[0], e.bracket[1]))
         return 3
     return code
 

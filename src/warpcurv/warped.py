@@ -8,12 +8,22 @@ the min of f over the base segment; pure base length when that min is
 0), competes against the through-Z candidate, then polishes the
 backtracked path variationally as a graph b(s) over the fiber
 parameter.  Grids are refined until successive values agree.
+
+The polish minimizes the discrete length
+E(b) = sum_k sqrt((b_{k+1} - b_k)^2 + (f(m_k) ds)^2) over the interior
+nodes by trust-region Newton: the Hessian of E is tridiagonal, so each
+step is one banded solve, and a polish takes a few to a few dozen
+steps.  f' and f'' at the midpoints m_k come from central differences.
+A base bound where f vanishes is a pole of the polar-like coordinates
+(b, s); steps across it are reflected instead of clipped, since E has a
+kink on {f = 0} where a clipped path would stall.
 """
 
 import math
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import solve_banded
+from scipy.optimize import OptimizeResult, minimize
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -273,14 +283,12 @@ def _grid_dijkstra(triple, coords, fine, ell, m_fiber, ip, iq, wrap=False,
             # min of f over the segment from the half-spacing samples
             fmin = np.minimum.reduce([fine[k: k + 2 * (nb - di) - 1: 2]
                                       for k in range(2 * di + 1)])
-        for j0 in range(mf + 1):
-            j1 = j0 + dj
-            if not 0 <= j1 <= mf:
-                continue
-            w = np.sqrt(db * db + (fmin * (abs(dj) * hs)) ** 2)
-            src_list.append(nid(ii, j0))
-            dst_list.append(nid(ii + di, j1))
-            w_list.append(w)
+        # every fiber layer j0 with j0 + dj on the lattice, layer-major
+        j0 = np.arange(max(0, -dj), mf + 1 - max(0, dj))[:, None]
+        w = np.sqrt(db * db + (fmin * (abs(dj) * hs)) ** 2)
+        src_list.append(nid(ii, j0).ravel())
+        dst_list.append(nid(ii + di, j0 + dj).ravel())
+        w_list.append(np.tile(w, len(j0)))
     if wrap:
         # identify the first and last base columns (circle seam)
         jj = np.arange(mf + 1)
@@ -309,11 +317,94 @@ def _grid_dijkstra(triple, coords, fine, ell, m_fiber, ip, iq, wrap=False,
     return float(dd[0, nid(iq, mf)]), None, None
 
 
+# central-difference step for f' and f'' in the polish Hessian
+POLISH_FD_STEP = 1e-4
+
+
+def _tridiagonal_newton(fun, x0, hess, bounds, radius, xtol, reflect, **unused):
+    """Trust-region Newton method for a tridiagonal Hessian.
+
+    A custom ``method`` for ``scipy.optimize.minimize``: ``hess(x)``
+    returns the gradient and the Hessian, the latter in the (3, n) form
+    of ``scipy.linalg.solve_banded``; ``bounds`` is one ``(lo, hi)`` pair
+    for every variable, or None.  Variables on a bound whose gradient
+    points outward are held fixed (projected Newton), and a step that
+    crosses a bound flagged in ``reflect`` is mirrored back across it.
+    A failed solve or a non-descent direction gets a Levenberg shift.
+    The infinity norm of each step is capped by the trust radius, which
+    starts at ``radius``, doubles on an accepted step and shrinks by 4
+    on a rejected one; only steps that lower ``fun`` are accepted.
+    Stops after 200 steps, when the free gradient is below 1e-12, after
+    an accepted step no longer than ``xtol``, when the radius falls below
+    ``xtol``, or when the predicted decrease is below the roundoff of
+    ``fun``; that last step is taken unless it raises ``fun`` measurably.
+    """
+    lo, hi = bounds if bounds is not None else (-np.inf, np.inf)
+    x = np.clip(np.asarray(x0, float), lo, hi)
+    e = fun(x)
+    nfev, nit = 1, 0
+    noise = 64.0 * np.finfo(float).eps * abs(e)
+    moved = True
+    while nit < 200 and radius > xtol:
+        if moved:
+            g, ab = hess(x)
+            fixed = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
+            g = np.where(fixed, 0.0, g)
+            if not len(x) or np.max(np.abs(g)) <= 1e-12 \
+                    or not (np.all(np.isfinite(g)) and np.all(np.isfinite(ab))):
+                break
+            ab = ab.copy()
+            ab[1, fixed] = 1.0
+            ab[0, 1:][fixed[1:] | fixed[:-1]] = 0.0
+            ab[2, :-1][fixed[1:] | fixed[:-1]] = 0.0
+            shift = 0.0
+            while True:
+                shifted = ab.copy()
+                shifted[1] += shift
+                try:
+                    newton = solve_banded((1, 1), shifted, -g)
+                except (np.linalg.LinAlgError, ValueError):
+                    newton = None
+                if newton is not None and np.all(np.isfinite(newton)) and g @ newton < 0:
+                    break
+                shift = max(10.0 * shift, 1e-10 * (1.0 + np.max(np.abs(ab[1]))))
+        nit += 1
+        step = min(radius, np.max(np.abs(newton)))
+        p = newton * (step / np.max(np.abs(newton)))
+        # model decrease -(g.p + p.H.p / 2), H tridiagonal
+        hp = ab[1] * p
+        hp[:-1] += ab[0, 1:] * p[1:]
+        hp[1:] += ab[2, :-1] * p[:-1]
+        predicted = -(g @ p + 0.5 * (p @ hp))
+        x_new = x + p
+        # a step across a reflecting bound is mirrored back into the box
+        if reflect[0]:
+            x_new = np.where(x_new < lo, 2.0 * lo - x_new, x_new)
+        if reflect[1]:
+            x_new = np.where(x_new > hi, 2.0 * hi - x_new, x_new)
+        x_new = np.clip(x_new, lo, hi)
+        e_new = fun(x_new)
+        nfev += 1
+        if predicted <= noise:
+            # below the roundoff of fun: take the step unless it is worse
+            if e_new <= e + noise:
+                x, e = x_new, e_new
+            break
+        moved = e_new < e
+        if moved:
+            x, e = x_new, e_new
+            if step <= xtol:
+                break
+        radius = 2.0 * radius if moved else 0.25 * radius
+    return OptimizeResult(x=x, fun=e, nit=nit, nfev=nfev, success=True)
+
+
 def _polish_path(triple, bs, ss, ell, lo, hi, wrap, n_nodes, wrap_length=None):
     """Variational refinement of a grid path as a graph b(s).
 
-    Minimizes the discrete warped length over the interior base values;
-    this removes the lattice metrication bias of the Dijkstra stage.
+    Minimizes the discrete warped length E over the interior base values
+    (see the module docstring); this removes the lattice metrication
+    bias of the Dijkstra stage.
     """
     warp = triple.warp
     if wrap:
@@ -335,34 +426,55 @@ def _polish_path(triple, bs, ss, ell, lo, hi, wrap, n_nodes, wrap_length=None):
     b_init[-1] = bs[-1]
     ds = ell / (n_nodes - 1)
     b0, b1 = b_init[0], b_init[-1]
+    h = POLISH_FD_STEP
 
     def feval(x):
         return np.asarray(warp(np.mod(x, wrap_length) if wrap else x), float)
 
-    def energy(binter):
+    def path(binter):
         b = np.concatenate([[b0], binter, [b1]])
-        mid = 0.5 * (b[:-1] + b[1:])
-        fm = feval(mid)
-        db = np.diff(b)
-        seg = np.sqrt(db * db + (fm * ds) ** 2)
-        e = float(np.sum(seg))
-        seg_safe = np.maximum(seg, 1e-30)
-        dfd = (feval(mid + 1e-6) - feval(mid - 1e-6)) / 2e-6
-        # dE/db_k from the two adjacent segments
-        t1 = db / seg_safe
-        t2 = fm * dfd * ds * ds / seg_safe
-        grad = np.zeros(len(b))
-        np.add.at(grad, np.arange(len(b) - 1), -t1 + 0.5 * t2)
-        np.add.at(grad, np.arange(1, len(b)), t1 + 0.5 * t2)
-        return e, grad[1:-1]
+        return b, 0.5 * (b[:-1] + b[1:])
 
-    bounds = None if wrap else [(lo, hi)] * (n_nodes - 2)
-    res = minimize(energy, b_init[1:-1], jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
+    def energy(binter):
+        b, mid = path(binter)
+        return float(np.sum(np.sqrt(np.diff(b) ** 2 + (feval(mid) * ds) ** 2)))
+
+    def derivatives(binter):
+        """Gradient and banded Hessian, from one warp call at mid-h, mid, mid+h."""
+        b, mid = path(binter)
+        fl, fm, fr = feval(np.concatenate([mid - h, mid, mid + h])).reshape(3, -1)
+        d1 = (fr - fl) / (2.0 * h)
+        d2 = (fr - 2.0 * fm + fl) / (h * h)
+        # segment length s(u, m) = sqrt(u^2 + ds^2 f(m)^2), u = b_{k+1} - b_k
+        u = np.diff(b)
+        g2 = (fm * ds) ** 2
+        s = np.maximum(np.sqrt(u * u + g2), 1e-12 * ds)
+        s_u = u / s
+        s_m = ds * ds * fm * d1 / s
+        s_uu = g2 / s ** 3
+        s_um = -s_u * s_m / s
+        s_mm = (ds * ds * (d1 * d1 + fm * d2) - s_m * s_m) / s
+        # chain rule through u = b_{k+1} - b_k and m = (b_k + b_{k+1}) / 2
+        grad = np.zeros(n_nodes)
+        grad[:-1] += 0.5 * s_m - s_u
+        grad[1:] += 0.5 * s_m + s_u
+        diag = np.zeros(n_nodes)
+        diag[:-1] += s_uu - s_um + 0.25 * s_mm
+        diag[1:] += s_uu + s_um + 0.25 * s_mm
+        off = 0.25 * s_mm - s_uu
+        ab = np.zeros((3, n_nodes - 2))
+        ab[0, 1:] = off[1:-1]
+        ab[1] = diag[1:-1]
+        ab[2, :-1] = off[1:-1]
+        return grad[1:-1], ab
+
+    res = minimize(energy, b_init[1:-1], method=_tridiagonal_newton, hess=derivatives,
+                   bounds=None if wrap else (lo, hi),
+                   options={"radius": 0.05 * (hi - lo), "xtol": 1e-9 * (hi - lo),
+                            "reflect": (feval(lo) <= ZERO_THRESHOLD,
+                                        feval(hi) <= ZERO_THRESHOLD)})
     b = np.concatenate([[b0], res.x, [b1]])
-    mid = 0.5 * (b[:-1] + b[1:])
-    seg = np.sqrt(np.diff(b) ** 2 + (feval(mid) * ds) ** 2)
-    return float(np.sum(seg)), b, s_grid
+    return res.fun, b, s_grid
 
 
 def _polish_with_restarts(triple, bs, ss, ell, lo, hi, wrap, n_nodes,

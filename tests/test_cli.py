@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from warpcurv import warped
 from warpcurv.cli import main
 
 SUSP_SPEC = (
@@ -115,3 +116,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 3
+
+
+def test_convergence_error_exit_code(susp_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise warped.ConvergenceError("grid refinement did not converge to tol=1e-13",
+                                      bracket=(2.5, 2.75))
+    monkeypatch.setattr(warped, "reduced_distance", fail)
+    code = main(["distance", susp_file, "--from", "1.0,0", "--to", "2.0,1.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "did not converge" in captured.err
+    assert "[2.5, 2.75]" in captured.err
