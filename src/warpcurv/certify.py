@@ -110,8 +110,8 @@ def build_space(kind, params=None):
     raise SpecError("unknown space kind: %r" % kind)
 
 
-def build_warp(warp_doc, base):
-    """WarpFunction from the warp spec entry."""
+def build_warp(warp_doc):
+    """WarpFunction of t from the warp spec entry."""
     try:
         expr = warp_doc["expr"]
         lip = float(warp_doc["lipschitz"])
@@ -122,17 +122,20 @@ def build_warp(warp_doc, base):
         zeros = tuple(float(z) for z in zeros)
     elif zeros is None:
         zeros = ()
-    arity = 2 if isinstance(base, spaces.ModelDisk) else 1
     try:
-        return warped.WarpFunction.from_expression(expr, lip, zeros=zeros, arity=arity)
+        return warped.WarpFunction.from_expression(expr, lip, zeros=zeros)
     except Exception as e:
         raise SpecError("bad warp expression: %s" % e)
 
 
 def build_triple(spec):
     base = build_space(spec.base.get("kind"), spec.base.get("params"))
+    if isinstance(base, spaces.ModelDisk):
+        # triple validation and the certify conditions evaluate the warp at
+        # one base coordinate, but a disk-base warp takes (r, theta)
+        raise SpecError("disk bases are not supported in specs")
     fiber = build_space(spec.fiber.get("kind"), spec.fiber.get("params"))
-    f = build_warp(spec.warp, base)
+    f = build_warp(spec.warp)
     try:
         return warped.WarpedTriple(base, f, fiber)
     except ValueError as e:

@@ -6,6 +6,12 @@ point-side comparison along explicit geodesics.
 
 Undefined model angles make a comparison hold vacuously; a vacuous
 quadruple contributes margin +inf.
+
+Both batch margins read the upper triangle of each 4x4 distance matrix.
+A quadruple has 4 triangles and 12 (vertex, pair) angles, and one call
+of model.triangle_angles per block of BLOCK quadruples evaluates each
+triangle once; the (1+3) angle sums and the (2+2) splits are then read
+from that (triangle x vertex) angle table.
 """
 
 import itertools
@@ -13,10 +19,13 @@ import math
 
 import numpy as np
 
-from .model import angle_from_sides, side_from_angle
+from .model import angle_from_sides, perimeters, side_from_angle, triangle_angles
 from .spaces import rng
 
 TWO_PI = 2.0 * math.pi
+# quadruples per call of the angle kernel: large enough to amortize the
+# per-call overhead, small enough that its temporaries stay in cache
+BLOCK = 1024
 
 
 class Quadruple:
@@ -49,9 +58,64 @@ class ComparisonVerdict:
                 % (self.passed, self.margin, self.n_tested, self.slack_used))
 
 
-def _angles(kappa, D, v, p, q):
-    """Model angles at vertex v between points p and q, batched over D."""
-    return angle_from_sides(kappa, D[..., v, p], D[..., v, q], D[..., p, q])
+def _others(*vs):
+    return [x for x in range(4) if x not in vs]
+
+
+# Triangle t of a quadruple omits vertex t and lists the other three.
+_TRIANGLES = tuple(_others(t) for t in range(4))
+_PAIRS = list(itertools.combinations(range(4), 2))
+
+
+def _row(v, t):
+    """Row of the angle at vertex v of triangle t in the (12, m) angle table."""
+    return _TRIANGLES[t].index(v) * 4 + t
+
+
+# side r of triangle t is opposite its vertex r, as an index into _PAIRS
+_SIDES = np.array([[_PAIRS.index(tuple(_others(t, _TRIANGLES[t][r]))) for t in range(4)]
+                   for r in range(3)])
+_IU, _JU = np.array(_PAIRS).T
+# (1+3) at vertex i: the angles at i in the triangles omitting l, j, k
+_CBB_ROWS = np.array([[_row(i, t) for t in (l, j, k)]
+                      for i in range(4) for j, k, l in [_others(i)]]).T
+# (2+2) with distinguished pair (u, w): angles at u, then at w, each as
+# (left + right) - across
+_CAT_ROWS = np.array([[_row(v, t) for v, t in ((u, q), (u, p), (u, w), (w, q), (w, p), (w, u))]
+                      for u, w in _PAIRS for p, q in [_others(u, w)]]).T
+
+
+def _margins(D, kappa, margin):
+    """Apply margin(angle table) to each quadruple of a (..., 4, 4) stack.
+
+    Sides come from the upper triangle of D.  The kernel runs once per
+    block of BLOCK quadruples, with the series switch of each of the
+    four triangles decided over the whole stack.
+    """
+    D = np.asarray(D, dtype=float)
+    d = D.reshape((-1, 4, 4))
+    blocks = [d[lo:lo + BLOCK, _IU, _JU].T[_SIDES] for lo in range(0, len(d), BLOCK)]
+    big = np.zeros((4, 1))
+    for sides in blocks:
+        big = np.maximum(big, np.max(perimeters(*sides), axis=(0, 2))[:, None])
+    out = np.empty(len(d))
+    for k, sides in enumerate(blocks):
+        ang = triangle_angles(kappa, *sides, big=big)
+        out[k * BLOCK:(k + 1) * BLOCK] = margin(ang.reshape(12, -1))
+    return out.reshape(D.shape[:-2])
+
+
+def _margin_1plus3(ang):
+    r = _CBB_ROWS
+    m = TWO_PI - ((ang[r[0]] + ang[r[1]]) + ang[r[2]])
+    return np.min(np.where(np.isnan(m), np.inf, m), axis=0)
+
+
+def _margin_2plus2(ang):
+    r = _CAT_ROWS
+    split = np.fmax((ang[r[0]] + ang[r[1]]) - ang[r[2]],
+                    (ang[r[3]] + ang[r[4]]) - ang[r[5]])    # fmax ignores one-sided nan
+    return np.min(np.where(np.isnan(split), np.inf, split), axis=0)
 
 
 def batch_1plus3(D, kappa):
@@ -61,17 +125,7 @@ def batch_1plus3(D, kappa):
     distinguished point; undefined angles make the labeling vacuous
     (margin +inf); the quadruple margin is the min over the 4 labelings.
     """
-    D = np.asarray(D, dtype=float)
-    margins = np.full(D.shape[:-2], np.inf)
-    for i in range(4):
-        j, k, l = [x for x in range(4) if x != i]
-        total = (_angles(kappa, D, i, j, k)
-                 + _angles(kappa, D, i, k, l)
-                 + _angles(kappa, D, i, l, j))
-        m_i = TWO_PI - total
-        m_i = np.where(np.isnan(m_i), np.inf, m_i)
-        margins = np.minimum(margins, m_i)
-    return margins
+    return _margins(D, kappa, _margin_1plus3)
 
 
 def batch_2plus2(D, kappa):
@@ -81,16 +135,7 @@ def batch_2plus2(D, kappa):
     the better of the two disjunct slacks; any undefined angle makes the
     split vacuous.  The quadruple margin is the min over splits.
     """
-    D = np.asarray(D, dtype=float)
-    margins = np.full(D.shape[:-2], np.inf)
-    for u, w in itertools.combinations(range(4), 2):
-        p, q = [x for x in range(4) if x not in (u, w)]
-        a_u = _angles(kappa, D, u, p, w) + _angles(kappa, D, u, w, q) - _angles(kappa, D, u, p, q)
-        a_w = _angles(kappa, D, w, p, u) + _angles(kappa, D, w, u, q) - _angles(kappa, D, w, p, q)
-        split = np.fmax(a_u, a_w)            # fmax ignores one-sided nan
-        split = np.where(np.isnan(split), np.inf, split)
-        margins = np.minimum(margins, split)
-    return margins
+    return _margins(D, kappa, _margin_2plus2)
 
 
 def test_1plus3(q, kappa, slack=1e-9):

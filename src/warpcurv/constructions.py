@@ -197,7 +197,8 @@ class DoubledDisk(MetricOracle):
     Points are rows (sheet, r, theta).  A cross-sheet distance is one
     shortest path over two sheets of the shared polar lattice
     (spaces.polar_lattice, DOUBLED_LATTICE), with zero-cost crossing
-    edges at the boundary nodes on the glue set.
+    edges at the boundary nodes on the glue set.  A rim point on the glue
+    set is one point on both sheets.
     """
 
     def __init__(self, disk, glue_arcs):
@@ -213,14 +214,19 @@ class DoubledDisk(MetricOracle):
         th = theta % (2.0 * math.pi)
         return any(lo - 1e-12 <= th <= hi + 1e-12 for lo, hi in self.glue_arcs)
 
+    def _on_glue(self, x):
+        """True for a rim point in the glue set: the same point on both sheets."""
+        return x[1] >= self.disk.radius - 1e-12 and self._in_glue(x[2])
+
     def dist_pairs(self, xs, ys):
         xs = self._batch(xs)
         ys = self._batch(ys)
         out = np.empty(len(xs))
         for i, (x, y) in enumerate(zip(xs, ys)):
             sx, sy = int(round(x[0])), int(round(y[0]))
-            if sx == sy:
-                # same sheet: the convex disk geodesic is already shortest
+            if sx == sy or self._on_glue(x) or self._on_glue(y):
+                # one sheet holds both points (a glued rim point lies on
+                # both): the convex disk geodesic is already shortest
                 out[i] = self.disk.distance(x[1:], y[1:])
             else:
                 lat, edges = self._two_sheets

@@ -3,6 +3,11 @@
 Everything here is a pure function of its inputs.  Angles are reals in
 [0, pi]; the distinguished value Undefined is represented by nan so that
 the batch routines can stay fully vectorized.
+
+triangle_angles is the one kernel of the half-angle law: it returns all
+three angles of each triangle in a stack and evaluates the three excess
+terms of a triangle once for all of them.  angle_from_sides, ModelTriangle
+and the quadruple margins of warpcurv.comparison all go through it.
 """
 
 import math
@@ -71,58 +76,97 @@ def _clamp(x, lo, hi, tol):
     return out
 
 
-def angle_from_sides(kappa, a, b, c, strict=False):
-    """Model angle between sides a and b, opposite side c.
+def perimeters(x, y, z):
+    """Each angle's own perimeter: (y + z) + x, (z + x) + y, (x + y) + z.
 
-    Vectorized; returns nan where the model triangle is not unique:
-    triangle-inequality failure, or for kappa > 0 a perimeter of at
-    least 2*varpi or a side exceeding varpi.  With strict=True the
-    perimeter bound tightens to varpi (the literal one-line reading;
-    see the strictness note in the docs).
+    Stacked along a new leading axis, in the order of triangle_angles.
+    Their maximum over a stack is the scale that decides the series
+    switch there.
+    """
+    s = _stack(x, y, z)
+    return _pair_sums(s) + s
+
+
+def _stack(x, y, z):
+    return np.stack(np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)))
+
+
+def _pair_sums(s):
+    """Entry i adds the two sides other than s[i]."""
+    out = np.empty_like(s)
+    for i in range(3):
+        np.add(s[(i + 1) % 3], s[(i + 2) % 3], out=out[i, ...])
+    return out
+
+
+def triangle_angles(kappa, x, y, z, strict=False, big=None):
+    """Model angles of the triangles with sides x, y, z, opposite each side.
+
+    Vectorized; returns an array of shape (3,) + the broadcast shape,
+    holding the angles opposite x, y and z.  An angle is nan where the
+    model triangle is not unique: triangle-inequality failure, an
+    adjacent side that is not positive, a negative opposite side, or for
+    kappa > 0 a perimeter of at least 2*varpi (varpi with strict=True,
+    the literal one-line reading; see the strictness note in the docs)
+    or a side exceeding varpi.
 
     Uses the half-angle law of cosines in product form,
     tan^2(C/2) = g(c+a-b) g(c+b-a) / (g(a+b+c) g(a+b-c)), with g the
     half-argument sin/identity/sinh of the branch.  This is free of
     cancellation for thin triangles in both the C -> 0 and C -> pi
-    regimes and agrees with the Euclidean formula as kappa -> 0.
-    Triangle-inequality residuals within 1e-12 of zero (relative to the
-    perimeter) are snapped to exact degeneracy, so collinear quadruples
+    regimes and agrees with the Euclidean formula as kappa -> 0.  The
+    three excess terms g(a+b-c) of a triangle are evaluated once and
+    shared by its three angles; each angle keeps its own perimeter
+    (adjacent + adjacent) + opposite, which sets its snapping scale and
+    its g(a+b+c).  Excesses within 1e-12 of zero (relative to that
+    perimeter) are snapped to exact degeneracy, so collinear points
     produce exact angles 0 and pi.
+
+    The identity branch is taken where |kappa| * big^2 < SERIES_CUT.
+    big defaults to the largest perimeter in the stack; pass the
+    largest of perimeters() over a larger stack, per leading row if need
+    be, to evaluate that stack in blocks with the same branches.
     """
-    a, b, c = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(c, dtype=float)
-    )
-    perim = a + b + c
+    s = _stack(x, y, z)
+    pair = _pair_sums(s)
+    perim = pair + s
+    exc = pair - s
+    if big is None:
+        big = np.max(perim, initial=0.0)
+    with np.errstate(invalid="ignore"):
+        series = abs(kappa) * np.asarray(big) * big < SERIES_CUT
     snap = 1e-12 * np.maximum(perim, 1.0)
-
-    def _snapped(x):
-        return np.where(np.abs(x) < snap, 0.0, x)
-
-    m1 = _snapped(c + a - b)
-    m2 = _snapped(c + b - a)
-    m3 = _snapped(a + b - c)
-    bad = (m1 < 0) | (m2 < 0) | (m3 < 0)
-    bad = bad | (a <= 0.0) | (b <= 0.0) | (c < 0.0)
+    # zero[i, l]: excess l snapped to 0 at the scale of the angle opposite side i
+    zero = np.abs(exc) < snap[:, None]
+    bad = np.min(exc, axis=0) <= -snap
+    nonpos = s <= 0.0
+    bad |= nonpos[[1, 2, 0]] | nonpos[[2, 0, 1]] | (s < 0.0)
     if kappa > 0:
         w = varpi(kappa)
-        bad = bad | (perim >= (w if strict else 2.0 * w))
-        bad = bad | (a > w) | (b > w) | (c > w)
+        bad |= perim >= (w if strict else 2.0 * w)
+        bad |= np.any(s > w, axis=0)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        big = np.max(perim, initial=0.0)
-        if abs(kappa) * big * big < SERIES_CUT:
-            num = 0.25 * m1 * m2
-            den = 0.25 * perim * m3
-        elif kappa > 0:
-            s = math.sqrt(kappa)
-            num = np.sin(0.5 * s * m1) * np.sin(0.5 * s * m2)
-            den = np.sin(0.5 * s * perim) * np.sin(0.5 * s * m3)
-        else:
-            s = math.sqrt(-kappa)
-            num = np.sinh(0.5 * s * m1) * np.sinh(0.5 * s * m2)
-            den = np.sinh(0.5 * s * perim) * np.sinh(0.5 * s * m3)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        g = np.where(zero, 0.0, _g(kappa, exc, series))
+        num = g[[0, 1, 2], [1, 2, 0]] * g[[0, 1, 2], [2, 0, 1]]
+        den = _g(kappa, perim, series) * g[[0, 1, 2], [0, 1, 2]]
         ang = 2.0 * np.arctan2(np.sqrt(np.maximum(num, 0.0)), np.sqrt(np.maximum(den, 0.0)))
-    out = np.where(bad, np.nan, ang)
+    return np.where(bad, np.nan, ang)
+
+
+def _g(kappa, t, series):
+    """g of the half-angle law: t/2 on the series branch, else sin or sinh of sqrt|kappa| t/2."""
+    if np.all(series):
+        return 0.5 * t
+    s = math.sqrt(abs(kappa))
+    out = np.sin(0.5 * s * t) if kappa > 0 else np.sinh(0.5 * s * t)
+    return np.where(series, 0.5 * t, out) if np.any(series) else out
+
+
+def angle_from_sides(kappa, a, b, c, strict=False):
+    """Model angle between sides a and b, opposite side c (see triangle_angles)."""
+    out = triangle_angles(kappa, a, b, c, strict=strict)[2]
     return out if out.ndim else float(out)
 
 

@@ -112,6 +112,23 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert main(["certify", str(bad)]) == 3
 
 
+def test_disk_base_spec_rejected(capsys, tmp_path):
+    spec = tmp_path / "disk.yaml"
+    spec.write_text(
+        "side: CBB\nkappa: 0.0\n"
+        "base: {kind: disk, params: [0.0, 1.0]}\n"
+        "warp: {expr: '1.0 + 0.0*r', lipschitz: 0.0}\n"
+        "fiber: {kind: circle, params: [6.283185307179586]}\n"
+        "budget: {quadruples: 10}\ntol: 1.0e-3\nseed: 1\n")
+    for argv in (["certify", str(spec)], ["report", str(spec)],
+                 ["distance", str(spec), "--from", "0.5,0,0", "--to", "0.5,1,1"],
+                 ["sample", str(spec), "--kind", "CBB", "--kappa", "0", "-n", "10"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "disk bases are not supported" in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

@@ -1,13 +1,15 @@
 """Quadruple comparison tests."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from warpcurv import comparison, spaces
+from warpcurv import comparison, model, spaces
 from warpcurv.comparison import Quadruple, sample_comparisons
+from warpcurv.constructions import ConeSpace, SuspensionSpace
 from warpcurv.spaces import rng
 
 
@@ -133,3 +135,84 @@ def test_witness_over_non_interpolable_fiber():
     assert not v.passed
     assert all(p is not None for p in v.witness.points)
     assert not comparison.test_1plus3(v.witness, 1.0)[0]
+
+
+# Reference margins: one angle_from_sides call per (vertex, pair), summed
+# in the order of the per-angle loop the shared-triangle kernel replaced.
+def _ref_angle(kappa, D, v, p, q):
+    return model.angle_from_sides(kappa, D[..., v, p], D[..., v, q], D[..., p, q])
+
+
+def _ref_1plus3(D, kappa):
+    margins = np.full(D.shape[:-2], np.inf)
+    for i in range(4):
+        j, k, l = [x for x in range(4) if x != i]
+        total = (_ref_angle(kappa, D, i, j, k) + _ref_angle(kappa, D, i, k, l)
+                 + _ref_angle(kappa, D, i, l, j))
+        m_i = comparison.TWO_PI - total
+        margins = np.minimum(margins, np.where(np.isnan(m_i), np.inf, m_i))
+    return margins
+
+
+def _ref_2plus2(D, kappa):
+    margins = np.full(D.shape[:-2], np.inf)
+    for u, w in itertools.combinations(range(4), 2):
+        p, q = [x for x in range(4) if x not in (u, w)]
+        a_u = (_ref_angle(kappa, D, u, p, w) + _ref_angle(kappa, D, u, w, q)
+               - _ref_angle(kappa, D, u, p, q))
+        a_w = (_ref_angle(kappa, D, w, p, u) + _ref_angle(kappa, D, w, u, q)
+               - _ref_angle(kappa, D, w, p, q))
+        split = np.fmax(a_u, a_w)
+        margins = np.minimum(margins, np.where(np.isnan(split), np.inf, split))
+    return margins
+
+
+def _space_stack(space, m, seed):
+    pts = space._batch(space.sample(4 * m, seed))
+    return comparison._dmat_stack(space, pts.reshape((m, 4) + pts.shape[1:]))
+
+
+def _plane_stack(pts):
+    return np.linalg.norm(pts[:, :, None, :] - pts[:, None, :, :], axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _stack(name):
+    m = comparison.BLOCK + 1
+    g = rng(31, stream=22)
+    if name == "interval":
+        return _space_stack(spaces.Interval(0.0, 3.0), m, 12)
+    if name == "circle":
+        return _space_stack(spaces.Circle(5.0), m, 13)
+    if name == "suspension":
+        return _space_stack(SuspensionSpace(spaces.Circle(2 * math.pi)), m, 14)
+    if name == "cone":
+        return _space_stack(ConeSpace(spaces.Circle(7.0), 1.0, r_max=2.0), m, 15)
+    if name == "duplicates":
+        pts = g.uniform(-1.0, 1.0, (m, 4, 2))
+        pts[:, 1] = pts[:, 0]
+        pts[::2, 3] = pts[::2, 2]
+        return _plane_stack(pts)
+    assert name == "tiny"
+    # scaled so that at kappa = 4 the series switch, decided per triangle
+    # slot over the whole stack, picks the identity branch for two of the
+    # four slots and sin for the other two
+    D = _plane_stack(g.uniform(-1.0, 1.0, (m, 4, 2)))
+    big = np.array([np.max(D[:, i, j] + D[:, j, k] + D[:, i, k])
+                    for i, j, k in itertools.combinations(range(4), 3)])
+    D *= math.sqrt(model.SERIES_CUT / 4.0) / np.median(big)
+    assert np.max(D) < 1e-6
+    return D
+
+
+@pytest.mark.parametrize("name", ["interval", "circle", "suspension", "cone", "duplicates", "tiny"])
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.5, 1.0, 4.0])
+def test_batch_margins_match_per_angle_reference(name, kappa):
+    full = _stack(name)
+    for size in (0, 1, comparison.BLOCK - 1, comparison.BLOCK + 1):
+        D = full[:size]
+        for batch, ref in ((comparison.batch_1plus3, _ref_1plus3),
+                           (comparison.batch_2plus2, _ref_2plus2)):
+            got, want = batch(D, kappa), ref(D, kappa)
+            assert got.shape == want.shape == (size,)
+            assert np.array_equal(got, want), (name, kappa, size, batch.__name__)

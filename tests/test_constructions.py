@@ -160,7 +160,7 @@ CROSS_SHEET_GOLDEN = [
     ((0, 0.0, 0.0), (1, 0.0, 0.0), 2.0),
     ((0, 0.8, 3.0), (1, 0.3, 6.0), 1.5005247654871479),
     ((1, 0.95, 2.0), (0, 0.95, 5.1), 2.0024902554934285),
-    ((0, 1.0, 0.5), (1, 1.0, 0.5), 0.01825223241278891),
+    ((0, 1.0, 0.5), (1, 1.0, 0.5), 0.0),    # one glued rim point on both sheets
     ((0, 0.6, 4.4), (1, 0.7, 0.1), 1.656701292569868),
     ((1, 0.25, 1.0), (0, 0.75, 3.9), 1.5045737900823213),
 ]
@@ -174,3 +174,21 @@ def test_doubled_disk_cross_sheet_golden():
     assert got == pytest.approx([d for _, _, d in CROSS_SHEET_GOLDEN], rel=1e-12, abs=0)
     # every cross-sheet path touches the rim
     assert np.all(got >= (1.0 - xs[:, 1]) + (1.0 - ys[:, 1]))
+
+
+def test_doubled_disk_glued_rim_is_one_point():
+    # glue set: the rim arc 0 <= theta <= 2
+    doubled = constructions.DoubledDisk(spaces.ModelDisk(0.0, 1.0), [(0.0, 2.0)])
+    thetas = np.array([0.0, 0.5, 1.3, 2.0])
+    rim = np.column_stack([np.zeros(4), np.ones(4), thetas])
+    copy = doubled.swap_sheets(rim)
+    assert np.all(doubled.dist_pairs(rim, copy) == 0.0)
+    # a glued rim point is as far from either sheet's copy of another point
+    other = np.array([[0.0, 0.4, 4.0]] * 4)
+    for pts in (rim, copy):
+        d = doubled.dist_pairs(pts, other)
+        assert np.array_equal(d, doubled.dist_pairs(other, pts))
+        assert np.array_equal(d, doubled.dist_pairs(pts, doubled.swap_sheets(other)))
+    # off the glue set the rim copies stay apart
+    off = np.array([[0.0, 1.0, 4.0]])
+    assert doubled.dist_pairs(off, doubled.swap_sheets(off))[0] > 0.1

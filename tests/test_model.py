@@ -117,3 +117,16 @@ def test_side_from_angle_limits():
     assert model.side_from_angle(0.0, 2.0, 1.5, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert model.side_from_angle(0.0, 2.0, 1.5, math.pi) == pytest.approx(3.5, abs=1e-12)
     assert model.side_from_angle(1.0, 1.0, 1.0, math.pi) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0, 4.0])
+def test_triangle_angles_match_angle_from_sides(kappa):
+    g = rng(8, stream=12)
+    x, y, z = g.uniform(0.0, 2.0, (3, 500))
+    x[:20], y[:20], z[:20] = 0.25, 0.5, 0.75      # collinear: exact 0 and pi
+    x[20:30] = 0.0                                # degenerate sides
+    got = model.triangle_angles(kappa, x, y, z)
+    assert got.shape == (3, 500)
+    for out, args in zip(got, ((y, z, x), (z, x, y), (x, y, z))):
+        assert np.array_equal(out, model.angle_from_sides(kappa, *args), equal_nan=True)
+    assert np.array_equal(got[:, 0], [0.0, 0.0, math.pi])
