@@ -137,9 +137,11 @@ def build_triple(spec):
     fiber = build_space(spec.fiber.get("kind"), spec.fiber.get("params"))
     f = build_warp(spec.warp)
     try:
-        return warped.WarpedTriple(base, f, fiber)
+        triple = warped.WarpedTriple(base, f, fiber)
+        triple.check_hints()
     except ValueError as e:
         raise SpecError(str(e))
+    return triple
 
 
 class ProductSpace(spaces.MetricOracle):
@@ -378,12 +380,8 @@ def certify(spec):
         if doubled is not None:
             conditions.append(_curvature_condition(
                 "doubled_cbb", doubled, kappa, "CBB", n, seed + 14, EXACT_SLACK))
-            try:
-                conditions.append(_convexity_condition(
-                    "doubled_warp_concave", fdag, doubled, kappa, "concave",
-                    seed + 15))
-            except Exception:
-                omissions.append("doubled warp concavity untestable on %r" % doubled)
+            conditions.append(_convexity_condition(
+                "doubled_warp_concave", fdag, doubled, kappa, "concave", seed + 15))
         conditions.append(_curvature_condition(
             "fiber_cbb", fiber, kf.kappa_F, "CBB", n, seed + 13, EXACT_SLACK))
         info.append("condition base_cbb implies Z lies in the boundary of B "

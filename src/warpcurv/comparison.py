@@ -12,6 +12,9 @@ A quadruple has 4 triangles and 12 (vertex, pair) angles, and one call
 of model.triangle_angles per block of BLOCK quadruples evaluates each
 triangle once; the (1+3) angle sums and the (2+2) splits are then read
 from that (triangle x vertex) angle table.
+
+The sampler bends its near-collinear quadruples with one
+space.interpolate_pairs call for all of them.
 """
 
 import itertools
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from .model import angle_from_sides, perimeters, side_from_angle, triangle_angles
-from .spaces import rng
+from .spaces import missing_rows, rng
 
 TWO_PI = 2.0 * math.pi
 # quadruples per call of the angle kernel: large enough to amortize the
@@ -211,7 +214,10 @@ def sample_comparisons(space, kappa, kind, n, seed, slack=1e-9, adversarial_frac
 
     Draws n quadruples: a uniform part (independent points) and an
     adversarial part built from exhaustive combinations over a small
-    point pool plus near-collinear configurations along geodesics.
+    point pool plus near-collinear configurations along geodesics.  When
+    the space interpolates, the first third of the adversarial quadruples
+    get their third point moved to a near-midpoint of the first two, in
+    one interpolate_pairs batch; rows without a geodesic stay unbent.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -239,10 +245,9 @@ def sample_comparisons(space, kappa, kind, n, seed, slack=1e-9, adversarial_frac
         if probe is not None:
             k = len(adv) // 3
             us = 0.45 + 0.1 * rng(seed + 2).random(k)
-            for t in range(k):
-                mid = space.interpolate(adv[t][0], adv[t][1], float(us[t]))
-                if mid is not None:
-                    adv[t][2] = space._batch([mid])[0]
+            mids = space.interpolate_pairs(adv[:k, 0], adv[:k, 1], us)
+            bent = np.flatnonzero(~missing_rows(mids))
+            adv[bent, 2] = mids[bent]
         groups.append(adv)
 
     groups = np.concatenate(groups, axis=0) if len(groups) > 1 else groups[0]

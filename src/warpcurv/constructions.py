@@ -53,31 +53,31 @@ class ConeSpace(MetricOracle):
         fs = np.asarray(self.fiber.sample(n, seed + 10), float)
         return np.stack([rs, fs], axis=1)
 
-    def interpolate(self, x, y, t):
-        x = np.asarray(x, float).reshape(2)
-        y = np.asarray(y, float).reshape(2)
-        df = float(self.fiber.distance(fiber_coords(self.fiber, x[1]),
-                                       fiber_coords(self.fiber, y[1])))
-        delta = self.a * df
-        r1, r2 = x[0], y[0]
-        if delta >= math.pi - 1e-12 or self.fiber.interpolate(x[1], y[1], 0.5) is None:
-            # through the apex (or fiber not interpolable): radial pieces
-            total = r1 + r2
-            s = t * total
-            if s <= r1:
-                return np.array([r1 - s, x[1]])
-            return np.array([s - r1, y[1]])
+    def interpolate_pairs(self, xs, ys, ts):
+        xs = self._batch(xs)
+        ys = self._batch(ys)
+        fiber = self.fiber
+        df = fiber.dist_pairs(fiber_coords(fiber, xs[:, 1]), fiber_coords(fiber, ys[:, 1]))
+        delta = self.a * np.asarray(df, float)
+        r1, r2 = xs[:, 0], ys[:, 0]
+        # through the apex (or fiber not interpolable): radial pieces
+        s = ts * (r1 + r2)
+        out = np.where((s <= r1)[:, None], np.stack([r1 - s, xs[:, 1]], axis=1),
+                       np.stack([s - r1, ys[:, 1]], axis=1))
+        planar = ~((delta >= math.pi - 1e-12)
+                   | spaces.missing_rows(fiber.interpolate_pairs(xs[:, 1], ys[:, 1], 0.5)))
         # unroll into the plane
-        p1 = np.array([r1, 0.0])
-        p2 = np.array([r2 * math.cos(delta), r2 * math.sin(delta)])
-        q = (1.0 - t) * p1 + t * p2
-        r = float(np.hypot(q[0], q[1]))
-        if r < 1e-15:
-            return np.array([0.0, x[1]])
-        alpha = math.atan2(q[1], q[0])
-        u = min(max(alpha / delta, 0.0), 1.0) if delta > 1e-15 else 0.0
-        fib = self.fiber.interpolate(x[1], y[1], u)
-        return np.array([r, float(fib)])
+        q0 = (1.0 - ts) * r1 + ts * (r2 * np.cos(delta))
+        q1 = (1.0 - ts) * 0.0 + ts * (r2 * np.sin(delta))
+        r = np.hypot(q0, q1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(delta > 1e-15, spaces.clip01(spaces.ATAN2(q1, q0) / delta), 0.0)
+        fib = fiber.interpolate_pairs(xs[:, 1], ys[:, 1], u)
+        out[planar] = np.stack([r, fib], axis=1)[planar]
+        apex = planar & (r < 1e-15)
+        out[apex, 0] = 0.0
+        out[apex, 1] = xs[apex, 1]
+        return out
 
     def __repr__(self):
         return "ConeSpace(a=%g, fiber=%r)" % (self.a, self.fiber)
@@ -114,28 +114,32 @@ class SuspensionSpace(MetricOracle):
         fs = np.asarray(self.fiber.sample(n, seed + 10), float)
         return np.stack([ts, fs], axis=1)
 
-    def interpolate(self, x, y, t):
-        x = np.asarray(x, float).reshape(2)
-        y = np.asarray(y, float).reshape(2)
-        df = float(self.fiber.distance(fiber_coords(self.fiber, x[1]),
-                                       fiber_coords(self.fiber, y[1])))
-        delta = min(df, math.pi)
-        if self.fiber.interpolate(x[1], y[1], 0.5) is None and df > 1e-12:
-            return None
+    def interpolate_pairs(self, xs, ys, ts):
+        xs = self._batch(xs)
+        ys = self._batch(ys)
+        fiber = self.fiber
+        df = np.asarray(fiber.dist_pairs(fiber_coords(fiber, xs[:, 1]),
+                                         fiber_coords(fiber, ys[:, 1])), float)
+        delta = np.minimum(df, math.pi)
         # slerp on the unit sphere in lune coordinates (polar t, azimuth)
-        p1 = np.array([math.sin(x[0]), 0.0, math.cos(x[0])])
-        p2 = np.array([math.sin(y[0]) * math.cos(delta), math.sin(y[0]) * math.sin(delta),
-                       math.cos(y[0])])
-        d = float(self.distance(x, y))
-        if d < 1e-15:
-            return x.copy()
-        v = (p2 - math.cos(d) * p1) / math.sin(d)
-        q = math.cos(t * d) * p1 + math.sin(t * d) * v
-        tt = math.acos(min(max(q[2], -1.0), 1.0))
-        az = math.atan2(q[1], q[0])
-        u = min(max(az / delta, 0.0), 1.0) if delta > 1e-15 else 0.0
-        fib = self.fiber.interpolate(x[1], y[1], u) if df > 1e-15 else x[1]
-        return np.array([tt, float(fib)])
+        t1, t2 = xs[:, 0], ys[:, 0]
+        p1 = np.stack([np.sin(t1), np.zeros(len(xs)), np.cos(t1)])
+        p2 = np.stack([np.sin(t2) * np.cos(delta), np.sin(t2) * np.sin(delta), np.cos(t2)])
+        d = self.dist_pairs(xs, ys)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = (p2 - np.cos(d) * p1) / np.sin(d)
+            q = np.cos(ts * d) * p1 + np.sin(ts * d) * v
+            u = np.where(delta > 1e-15,
+                         spaces.clip01(spaces.ATAN2(q[1], q[0]) / delta), 0.0)
+        tt = spaces.ACOS(np.minimum(np.maximum(q[2], -1.0), 1.0))
+        fib = np.where(df > 1e-15, fiber.interpolate_pairs(xs[:, 1], ys[:, 1], u), xs[:, 1])
+        out = np.stack([tt, fib], axis=1)
+        near = d < 1e-15
+        out[near] = xs[near]
+        # distinct points of a fiber without geodesics: no geodesic in between
+        gap = spaces.missing_rows(fiber.interpolate_pairs(xs[:, 1], ys[:, 1], 0.5)) & (df > 1e-12)
+        out[gap] = np.nan
+        return out
 
     def __repr__(self):
         return "SuspensionSpace(fiber=%r)" % (self.fiber,)
@@ -166,8 +170,8 @@ class ScaledSpace(MetricOracle):
     def sample(self, n, seed):
         return self.space.sample(n, seed)
 
-    def interpolate(self, x, y, t):
-        return self.space.interpolate(x, y, t)
+    def interpolate_pairs(self, xs, ys, ts):
+        return self.space.interpolate_pairs(xs, ys, ts)
 
     def geodesic(self, x, y, resolution):
         g = self.space.geodesic(x, y, resolution / self.lam)

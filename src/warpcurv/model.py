@@ -24,6 +24,8 @@ CHART_TOL = 1e-9
 # Below this value of |kappa| * scale^2 the Euclidean branch is used;
 # the stable half-angle formulas make the switch seamless.
 SERIES_CUT = 1e-14
+# sn and cs take their series where |kappa| * max|t|^2 is below this
+SNCS_SERIES_CUT = 1e-8
 
 
 def is_defined(angle):
@@ -42,7 +44,7 @@ def sn(kappa, t):
     """Solution of y'' + kappa y = 0 with y(0)=0, y'(0)=1."""
     t = np.asarray(t, dtype=float)
     scale2 = kappa * np.max(np.abs(t), initial=0.0) ** 2
-    if abs(scale2) < 1e-8:
+    if abs(scale2) < SNCS_SERIES_CUT:
         out = t * (1.0 - kappa * t * t / 6.0 + kappa * kappa * t ** 4 / 120.0)
     elif kappa > 0:
         s = math.sqrt(kappa)
@@ -57,13 +59,31 @@ def cs(kappa, t):
     """Derivative of sn: cos-type solution with y(0)=1, y'(0)=0."""
     t = np.asarray(t, dtype=float)
     scale2 = kappa * np.max(np.abs(t), initial=0.0) ** 2
-    if abs(scale2) < 1e-8:
+    if abs(scale2) < SNCS_SERIES_CUT:
         out = 1.0 - kappa * t * t / 2.0 + kappa * kappa * t ** 4 / 24.0
     elif kappa > 0:
         out = np.cos(math.sqrt(kappa) * t)
     else:
         out = np.cosh(math.sqrt(-kappa) * t)
     return out if out.ndim else float(out)
+
+
+def by_branch(fn, kappa, t, scale=None):
+    """sn or cs (fn) of each row of t on the branch of its own call.
+
+    fn picks its series branch from the largest |t| of a call.  Here
+    scale[i] stands for that largest value of the call row t[i] replaces
+    (t itself, elementwise, by default), so a batch gets the branches its
+    rows would get one call at a time.
+    """
+    t = np.asarray(t, dtype=float)
+    scale = t if scale is None else np.asarray(scale, dtype=float)
+    series = np.abs(kappa * np.abs(scale) ** 2) < SNCS_SERIES_CUT
+    out = np.empty_like(t)
+    for rows in (series, ~series):
+        if np.any(rows):
+            out[rows] = fn(kappa, t[rows])
+    return out
 
 
 def _clamp(x, lo, hi, tol):

@@ -19,6 +19,34 @@ def rng(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
 
+def _libm(fn, nin):
+    """math.fn elementwise over arrays.
+
+    numpy's arctan2, arccos, arccosh and hypot differ from libm in the
+    last place on some inputs; going through math keeps a batch of
+    interpolations bit-identical to one-point calls.
+    """
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+ATAN2 = _libm(math.atan2, 2)
+ACOS = _libm(math.acos, 1)
+ACOSH = _libm(math.acosh, 1)
+HYPOT = _libm(math.hypot, 2)
+
+
+def clip01(x):
+    """min(max(x, 0), 1) elementwise, signed zeros as in the builtins."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def missing_rows(pts):
+    """True for each row of an interpolate_pairs batch that has no point."""
+    pts = np.asarray(pts, dtype=float)
+    return np.isnan(pts).reshape(len(pts), -1).any(axis=1)
+
+
 class GeodesicPolyline:
     """Discrete curve with per-node parameter and optional speed data.
 
@@ -60,18 +88,29 @@ class MetricOracle:
         raise NotImplementedError
 
     def geodesic(self, x, y, resolution):
-        """interpolate() sampled at spacing <= resolution; None where it is None."""
+        """interpolate_pairs at spacing <= resolution; None where any node is missing."""
         d = self.distance(x, y)
         m = max(2, int(math.ceil(d / max(resolution, 1e-12))) + 1)
         ts = np.linspace(0.0, 1.0, m)
-        pts = [self.interpolate(x, y, t) for t in ts]
-        if any(p is None for p in pts):
+        pts = self.interpolate_pairs(np.repeat(self._batch([x]), m, axis=0),
+                                     np.repeat(self._batch([y]), m, axis=0), ts)
+        if missing_rows(pts).any():
             return None
-        return GeodesicPolyline(ts * max(d, 1e-300), np.array(pts), total_length=d)
+        return GeodesicPolyline(ts * max(d, 1e-300), pts, total_length=d)
+
+    def interpolate_pairs(self, xs, ys, ts):
+        """Row i: the point at fraction ts[i] along some geodesic xs[i] -> ys[i].
+
+        Batches are shaped like those of dist_pairs.  A row with no
+        interpolation is all nan; a space without geodesics returns only
+        such rows.
+        """
+        return np.full(np.shape(self._batch(xs)), np.nan)
 
     def interpolate(self, x, y, t):
         """Point at fraction t along some geodesic x -> y, or None."""
-        return None
+        p = self.interpolate_pairs(self._batch([x]), self._batch([y]), np.array([t], float))
+        return None if missing_rows(p)[0] else p[0]
 
     def contains(self, x):
         return True
@@ -105,8 +144,8 @@ class Interval(MetricOracle):
     def sample(self, n, seed):
         return self.a + (self.b - self.a) * rng(seed).random(n)
 
-    def interpolate(self, x, y, t):
-        return (1.0 - t) * float(x) + t * float(y)
+    def interpolate_pairs(self, xs, ys, ts):
+        return (1.0 - ts) * np.asarray(xs, float) + ts * np.asarray(ys, float)
 
     def __repr__(self):
         return "Interval(%g, %g)" % (self.a, self.b)
@@ -130,8 +169,8 @@ class Ray(MetricOracle):
     def sample(self, n, seed):
         return self.sample_extent * rng(seed).random(n)
 
-    def interpolate(self, x, y, t):
-        return (1.0 - t) * float(x) + t * float(y)
+    def interpolate_pairs(self, xs, ys, ts):
+        return (1.0 - ts) * np.asarray(xs, float) + ts * np.asarray(ys, float)
 
     def __repr__(self):
         return "Ray()"
@@ -155,13 +194,12 @@ class Circle(MetricOracle):
     def sample(self, n, seed):
         return self.length * rng(seed).random(n)
 
-    def interpolate(self, x, y, t):
-        x = float(x) % self.length
-        y = float(y) % self.length
+    def interpolate_pairs(self, xs, ys, ts):
+        x = np.asarray(xs, float) % self.length
+        y = np.asarray(ys, float) % self.length
         delta = (y - x) % self.length
-        if delta > self.length / 2.0:
-            delta -= self.length
-        return (x + t * delta) % self.length
+        delta = np.where(delta > self.length / 2.0, delta - self.length, delta)
+        return (x + ts * delta) % self.length
 
     def __repr__(self):
         return "Circle(%g)" % self.length
@@ -177,8 +215,8 @@ class PointSpace(MetricOracle):
     def sample(self, n, seed):
         return np.zeros(n)
 
-    def interpolate(self, x, y, t):
-        return 0.0
+    def interpolate_pairs(self, xs, ys, ts):
+        return np.zeros(len(np.atleast_1d(xs)))
 
     def __repr__(self):
         return "PointSpace()"
@@ -408,33 +446,42 @@ class ModelDisk(MetricOracle):
         ], axis=1)
 
     def _unembed(self, v):
+        """Polar rows of chart points, the inverse of _embed."""
         if self.kappa == 0:
-            return np.array([math.hypot(v[0], v[1]), math.atan2(v[1], v[0]) % (2 * math.pi)])
+            return np.stack([HYPOT(v[:, 0], v[:, 1]), ATAN2(v[:, 1], v[:, 0]) % (2 * math.pi)],
+                            axis=1)
         if self.kappa > 0:
             s = math.sqrt(self.kappa)
             R = 1.0 / s
-            r = R * math.acos(min(max(v[2] / R, -1.0), 1.0))
-            return np.array([r, math.atan2(v[1], v[0]) % (2 * math.pi)])
+            r = R * ACOS(np.minimum(np.maximum(v[:, 2] / R, -1.0), 1.0))
+            return np.stack([r, ATAN2(v[:, 1], v[:, 0]) % (2 * math.pi)], axis=1)
         s = math.sqrt(-self.kappa)
         R = 1.0 / s
-        r = R * math.acosh(max(v[0] / R, 1.0))
-        return np.array([r, math.atan2(v[2], v[1]) % (2 * math.pi)])
+        r = R * ACOSH(np.maximum(v[:, 0] / R, 1.0))
+        return np.stack([r, ATAN2(v[:, 2], v[:, 1]) % (2 * math.pi)], axis=1)
 
-    def interpolate(self, x, y, t):
+    def interpolate_pairs(self, xs, ys, ts):
+        xs = self._batch(xs)
+        ys = self._batch(ys)
         if not self.convex:
-            return None
-        ex = self._embed([x])[0]
-        ey = self._embed([y])[0]
+            return np.full(xs.shape, np.nan)
+        ts = np.broadcast_to(np.asarray(ts, float), (len(xs),))
+        ex = self._embed(xs)
+        ey = self._embed(ys)
         if self.kappa == 0:
-            return self._unembed((1.0 - t) * ex + t * ey)
-        d = self.distance(x, y)
-        if d < 1e-15:
-            return np.asarray(x, float).reshape(2)
+            return self._unembed((1.0 - ts)[:, None] * ex + ts[:, None] * ey)
+        d = self.dist_pairs(xs, ys)
         # slerp on the sphere / hyperboloid through sn/cs coefficients
-        sd = model.sn(self.kappa, d)
-        v = (ey - model.cs(self.kappa, d) * ex) / sd
-        p = model.cs(self.kappa, t * d) * ex + model.sn(self.kappa, t * d) * v
-        return self._unembed(p)
+        k = self.kappa
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = ((ey - model.by_branch(model.cs, k, d)[:, None] * ex)
+                 / model.by_branch(model.sn, k, d)[:, None])
+            p = (model.by_branch(model.cs, k, ts * d)[:, None] * ex
+                 + model.by_branch(model.sn, k, ts * d)[:, None] * v)
+        out = self._unembed(p)
+        near = d < 1e-15
+        out[near] = xs[near]
+        return out
 
     def sample(self, n, seed):
         g = rng(seed)

@@ -165,13 +165,34 @@ class WarpedTriple:
     def _validate(self):
         if isinstance(self.fiber, spaces.PointSpace):
             raise ValueError("fiber must not be a single point")
-        lo, hi = self.domain()
-        ts = np.linspace(lo, hi, 2049)
-        vals = self.warp(ts)
+        _, vals = self._validation_grid()
         if np.min(vals) < -1e-9:
             raise ValueError("warping function is negative on the base")
         if np.max(vals) <= ZERO_THRESHOLD:
             raise ValueError("warping function vanishes identically (Z = B)")
+
+    def _validation_grid(self):
+        lo, hi = self.domain()
+        ts = np.linspace(lo, hi, 2049)
+        return ts, self.warp(ts)
+
+    def check_hints(self):
+        """Raise ValueError unless the declared hints hold for f (1-D bases).
+
+        Every declared zero must have f <= ZERO_THRESHOLD, and the declared
+        Lipschitz constant, with relative slack 1e-9, must bound every
+        difference quotient of f on the validation grid.
+        """
+        for z in self.warp.zeros:
+            fz = float(self.warp(z))
+            if fz > ZERO_THRESHOLD:
+                raise ValueError("declared zero %.12g is not a zero of the warp (f = %.6g)"
+                                 % (z, fz))
+        ts, vals = self._validation_grid()
+        slope = float(np.max(np.abs(np.diff(vals)) / np.diff(ts)))
+        if slope > self.warp.lipschitz * (1.0 + 1e-9):
+            raise ValueError("declared Lipschitz constant %.12g is below the slope %.12g "
+                             "of the warp" % (self.warp.lipschitz, slope))
 
     def domain(self):
         """Bounded sampling window of the base coordinate (1-D bases)."""

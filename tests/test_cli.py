@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from warpcurv import warped
+from warpcurv import convexity, spaces, warped
 from warpcurv.cli import main
 
 SUSP_SPEC = (
@@ -146,3 +146,44 @@ def test_convergence_error_exit_code(susp_file, capsys, monkeypatch):
     assert captured.out == ""
     assert "did not converge" in captured.err
     assert "[2.5, 2.75]" in captured.err
+
+
+FLAT_SPEC = (
+    "side: CBB\nkappa: 0.0\n"
+    "base: {kind: interval, params: [0.0, 2.0]}\n"
+    "warp: {expr: '0.7', lipschitz: 0.0, zeros: []}\n"
+    "fiber: {kind: circle, params: [6.283185307179586]}\n"
+    "budget: {quadruples: 200}\ntol: 1.0e-3\nseed: 1\n")
+
+
+def test_doubled_warp_failure_is_an_error(capsys, monkeypatch, tmp_path):
+    # the doubled base of [0, 2] without zeros is the circle of length 4; a
+    # failing concavity test there must not turn into an omission
+    spec = tmp_path / "flat.yaml"
+    spec.write_text(FLAT_SPEC)
+    real = convexity.sinusoidal_test
+
+    def fail_on_circle(f, base, *args, **kwargs):
+        if isinstance(base, spaces.Circle):
+            raise ValueError("sinusoidal test failed on %r" % (base,))
+        return real(f, base, *args, **kwargs)
+    monkeypatch.setattr(convexity, "sinusoidal_test", fail_on_circle)
+    assert main(["report", str(spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sinusoidal test failed on Circle(4)" in captured.err
+
+
+@pytest.mark.parametrize("warp, message", [
+    ("{expr: sin(t), lipschitz: 1.0, zeros: [0.0, 1.0]}", "declared zero 1 is not a zero"),
+    ("{expr: sin(t), lipschitz: 0.5, zeros: [0.0]}", "declared Lipschitz constant 0.5 is below"),
+], ids=["zero", "lipschitz"])
+def test_declared_hints_are_checked(capsys, tmp_path, warp, message):
+    spec = tmp_path / "hint.yaml"
+    spec.write_text(SUSP_SPEC.replace(
+        "{expr: sin(t), lipschitz: 1.0, zeros: [0.0, 3.141592653589793]}", warp))
+    for argv in (["certify", str(spec)], ["distance", str(spec), "--from", "1,0", "--to", "2,1"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from warpcurv import convexity, spaces
+from warpcurv import convexity, model, spaces
 from warpcurv.convexity import (dist_Z, dist_Z_realizers, gradient_norm,
                                 kappa_F, sinusoidal_test, zero_set)
 from warpcurv.warped import WarpFunction, WarpedTriple
@@ -58,6 +58,109 @@ def test_long_geodesics_skipped_at_positive_kappa():
     base = spaces.Interval(0.0, 10.0)
     v = sinusoidal_test(f, base, 1.0, mode="convex", seed=6)
     assert v.skipped > 0
+
+
+def _reference_sinusoidal(f, base, kappa, mode, seed, lengths, n_geodesics=24, n_sub=12,
+                          tol=1e-9):
+    """sinusoidal_test as a loop over geodesics and subintervals, one support at a time.
+
+    Appends the length of every support to lengths.
+    """
+    xs = base._batch(base.sample(2 * n_geodesics, seed))
+    geos = []
+    for k in range(n_geodesics):
+        x, y = xs[2 * k], xs[2 * k + 1]
+        d = float(base.distance(x, y))
+        if d < 1e-9 or (isinstance(base, spaces.Circle) and d > base.length / 2.0 - 1e-9):
+            continue
+        ts = np.linspace(0.0, 1.0, 65)
+        geos.append((d * ts, np.array([base.interpolate(x, y, t) for t in ts], dtype=float)))
+
+    def support(s, f1, f2):
+        L = s[-1]
+        lengths.append(L)
+        snl = float(model.sn(kappa, L))
+        if kappa > 0 and (L >= model.varpi(kappa) - 1e-12 or abs(snl) < 1e-12):
+            return None
+        beta = (f2 - f1 * float(model.cs(kappa, L))) / snl
+        return f1 * model.cs(kappa, s) + beta * model.sn(kappa, s)
+
+    worst_cv = worst_cc = 0.0
+    skipped = 0
+    g = spaces.rng(seed, stream=5)
+    for s, pts in geos:
+        vals = convexity._eval_f(f, base, pts)
+        n = len(s)
+        subs = [(0, n - 1)]
+        for _ in range(n_sub):
+            i1, i2 = sorted(g.integers(0, n, size=2))
+            if i2 - i1 >= 2:
+                subs.append((int(i1), int(i2)))
+        for i1, i2 in subs:
+            ss = s[i1:i2 + 1] - s[i1]
+            y = support(ss, vals[i1], vals[i2])
+            if y is None:
+                skipped += 1
+                continue
+            inner = vals[i1:i2 + 1][1:-1]
+            worst_cv = max(worst_cv, float(np.max(inner - y[1:-1], initial=0.0)))
+            worst_cc = max(worst_cc, float(np.max(y[1:-1] - inner, initial=0.0)))
+    cv_ok, cc_ok = worst_cv <= tol, worst_cc <= tol
+    classification = {(True, True): "both", (True, False): "kappa-convex",
+                      (False, True): "kappa-concave", (False, False): "neither"}[cv_ok, cc_ok]
+    return (classification, worst_cv if mode == "convex" else worst_cc, len(geos),
+            worst_cv, worst_cc, skipped)
+
+
+@pytest.mark.parametrize("kappa, base, expr", [
+    (0.0, spaces.Interval(-1.0, 2.0), "t*t*t - t"),
+    (1.0, spaces.Interval(0.0, 4.0), "1.5 + sin(2*t)"),
+    (1.0, spaces.Interval(0.0, 1e-3), "1.0 + t - 300*t*t"),
+    (-1.0, spaces.Circle(5.0), "2.0 + cos(2*pi*t/5.0)"),
+    (-1.0, spaces.Ray(3.0), "cosh(t) - 0.2*t*t*t"),
+    (1.0, spaces.ModelDisk(1.0, 1.2), "1.0 + 0.3*r*cos(theta)"),
+], ids=["flat", "skips", "series", "circle", "ray", "disk"])
+def test_sinusoidal_test_matches_reference_loop(kappa, base, expr):
+    arity = 2 if isinstance(base, spaces.ModelDisk) else 1
+    f = WarpFunction.from_expression(expr, 10.0, arity=arity)
+    for mode, seed in (("convex", 3), ("concave", 4)):
+        lengths = []
+        want = _reference_sinusoidal(f, base, kappa, mode, seed, lengths)
+        v = sinusoidal_test(f, base, kappa, mode=mode, seed=seed)
+        assert (v.classification, v.worst_violation, v.geodesics_tested,
+                v.worst_convex, v.worst_concave, v.skipped) == want
+    lengths = np.array(lengths)
+    series = np.abs(kappa) * lengths ** 2 < 1e-8
+    if expr.startswith("1.0 + t"):
+        # short supports on both sides of the sn/cs series switch
+        assert series.any() and not series.all()
+    if expr.startswith("1.5"):
+        assert want[-1] > 0 and want[3] > 0
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+def test_supports_match_one_support_at_a_time(kappa):
+    g = spaces.rng(11, stream=7)
+    # lengths across the series switch, plus singular ones at kappa = 1
+    L = np.concatenate([g.uniform(1e-6, 1e-3, 30), g.uniform(0.1, 4.0, 30)])
+    n = 17
+    length = g.integers(3, n + 1, size=len(L))
+    ss = np.minimum(np.arange(n), length[:, None] - 1) * (L / (length - 1))[:, None]
+    ss[:, -1] = L
+    f1, f2 = g.uniform(0.5, 2.0, (2, len(L)))
+    kept, y = convexity._supports(kappa, ss, f1, f2)
+    want_kept = []
+    for i in range(len(L)):
+        s = ss[i, :length[i]]
+        snl = float(model.sn(kappa, L[i]))
+        want_kept.append(not (kappa > 0 and (L[i] >= math.pi - 1e-12 or abs(snl) < 1e-12)))
+        if want_kept[-1]:
+            beta = (f2[i] - f1[i] * float(model.cs(kappa, L[i]))) / snl
+            row = y[int(np.count_nonzero(kept[:i]))]
+            assert np.array_equal(row[:length[i]],
+                                  f1[i] * model.cs(kappa, s) + beta * model.sn(kappa, s))
+    assert list(kept) == want_kept
+    assert all(kept) == (kappa <= 0)
 
 
 def test_gradient_norm_values():

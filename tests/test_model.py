@@ -130,3 +130,18 @@ def test_triangle_angles_match_angle_from_sides(kappa):
     for out, args in zip(got, ((y, z, x), (z, x, y), (x, y, z))):
         assert np.array_equal(out, model.angle_from_sides(kappa, *args), equal_nan=True)
     assert np.array_equal(got[:, 0], [0.0, 0.0, math.pi])
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 1.0])
+def test_by_branch_takes_each_rows_own_branch(kappa):
+    g = rng(9, stream=13)
+    # supports on both sides of the series switch at |kappa| L^2 = 1e-8
+    L = np.concatenate([g.uniform(1e-6, 1e-4, 40), g.uniform(1e-4, 1e-2, 40)])
+    T = L[:, None] * np.linspace(0.0, 1.0, 9)
+    for fn in (model.sn, model.cs):
+        rows = model.by_branch(fn, kappa, T, L)
+        assert all(np.array_equal(rows[i], fn(kappa, T[i])) for i in range(len(L)))
+        each = model.by_branch(fn, kappa, T[:, 4])
+        assert np.array_equal(each, [fn(kappa, t) for t in T[:, 4]])
+    # one call over all rows takes the branch of the longest, which differs
+    assert not np.array_equal(model.sn(kappa, T), model.by_branch(model.sn, kappa, T, L))
