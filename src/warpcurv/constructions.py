@@ -67,8 +67,8 @@ class ConeSpace(MetricOracle):
         planar = ~((delta >= math.pi - 1e-12)
                    | spaces.missing_rows(fiber.interpolate_pairs(xs[:, 1], ys[:, 1], 0.5)))
         # unroll into the plane
-        q0 = (1.0 - ts) * r1 + ts * (r2 * np.cos(delta))
-        q1 = (1.0 - ts) * 0.0 + ts * (r2 * np.sin(delta))
+        q0 = (1.0 - ts) * r1 + ts * (r2 * spaces.COS(delta))
+        q1 = (1.0 - ts) * 0.0 + ts * (r2 * spaces.SIN(delta))
         r = np.hypot(q0, q1)
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.where(delta > 1e-15, spaces.clip01(spaces.ATAN2(q1, q0) / delta), 0.0)
@@ -123,12 +123,13 @@ class SuspensionSpace(MetricOracle):
         delta = np.minimum(df, math.pi)
         # slerp on the unit sphere in lune coordinates (polar t, azimuth)
         t1, t2 = xs[:, 0], ys[:, 0]
-        p1 = np.stack([np.sin(t1), np.zeros(len(xs)), np.cos(t1)])
-        p2 = np.stack([np.sin(t2) * np.cos(delta), np.sin(t2) * np.sin(delta), np.cos(t2)])
+        sin, cos = spaces.SIN, spaces.COS
+        p1 = np.stack([sin(t1), np.zeros(len(xs)), cos(t1)])
+        p2 = np.stack([sin(t2) * cos(delta), sin(t2) * sin(delta), cos(t2)])
         d = self.dist_pairs(xs, ys)
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = (p2 - np.cos(d) * p1) / np.sin(d)
-            q = np.cos(ts * d) * p1 + np.sin(ts * d) * v
+            v = (p2 - cos(d) * p1) / sin(d)
+            q = cos(ts * d) * p1 + sin(ts * d) * v
             u = np.where(delta > 1e-15,
                          spaces.clip01(spaces.ATAN2(q[1], q[0]) / delta), 0.0)
         tt = spaces.ACOS(np.minimum(np.maximum(q[2], -1.0), 1.0))

@@ -23,8 +23,9 @@ def _libm(fn, nin):
     """math.fn elementwise over arrays.
 
     numpy's arctan2, arccos, arccosh and hypot differ from libm in the
-    last place on some inputs; going through math keeps a batch of
-    interpolations bit-identical to one-point calls.
+    last place on some inputs, and its sin and cos may on some CPUs;
+    going through math keeps a batch of interpolations bit-identical to
+    one-point calls on every platform.
     """
     ufunc = np.frompyfunc(fn, nin, 1)
     return lambda *args: np.asarray(ufunc(*args), dtype=float)
@@ -34,6 +35,8 @@ ATAN2 = _libm(math.atan2, 2)
 ACOS = _libm(math.acos, 1)
 ACOSH = _libm(math.acosh, 1)
 HYPOT = _libm(math.hypot, 2)
+SIN = _libm(math.sin, 1)
+COS = _libm(math.cos, 1)
 
 
 def clip01(x):
@@ -43,8 +46,8 @@ def clip01(x):
 
 def missing_rows(pts):
     """True for each row of an interpolate_pairs batch that has no point."""
-    pts = np.asarray(pts, dtype=float)
-    return np.isnan(pts).reshape(len(pts), -1).any(axis=1)
+    nan = np.isnan(np.asarray(pts, dtype=float))
+    return nan.any(axis=tuple(range(1, nan.ndim)))
 
 
 class GeodesicPolyline:

@@ -174,6 +174,19 @@ def test_doubled_warp_failure_is_an_error(capsys, monkeypatch, tmp_path):
     assert "sinusoidal test failed on Circle(4)" in captured.err
 
 
+def test_small_samples(capsys, tmp_path):
+    # at most 10 quadruples: the adversarial pool is too small to bend any
+    assert main(["sample", "circle:6.28", "-n", "8", "--kind", "CAT", "--kappa", "1"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "SAMPLE CAT kappa=1 FAIL margin=-0.330004430203 n=8 slack=1e-09\n")
+    spec = tmp_path / "small.yaml"
+    spec.write_text(SUSP_SPEC.replace("quadruples: 2000", "quadruples: 8"))
+    assert main(["certify", str(spec)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "CONDITION product_sampling PASS margin=-2.6645352591e-14 slack=1e-09\n"
+        "OVERALL CONSISTENT\n")
+
+
 @pytest.mark.parametrize("warp, message", [
     ("{expr: sin(t), lipschitz: 1.0, zeros: [0.0, 1.0]}", "declared zero 1 is not a zero"),
     ("{expr: sin(t), lipschitz: 0.5, zeros: [0.0]}", "declared Lipschitz constant 0.5 is below"),

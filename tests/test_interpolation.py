@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from warpcurv import model, spaces
+from warpcurv.comparison import sample_comparisons
 from warpcurv.constructions import ConeSpace, ScaledSpace, SuspensionSpace
 from warpcurv.spaces import fiber_coords, rng
 
@@ -231,3 +232,26 @@ def test_geodesic_is_one_batch_of_interpolations():
     ts = np.linspace(0.0, 1.0, len(poly))
     want = _ref_rows(susp, np.repeat(x[None], len(ts), 0), np.repeat(y[None], len(ts), 0), ts)
     assert np.array_equal(poly.points, want)
+
+
+@pytest.mark.parametrize("space", [
+    spaces.Interval(0.0, 1.0), spaces.Ray(), spaces.Circle(4.0), spaces.PointSpace(),
+    spaces.tripod(), spaces.ModelDisk(0.0, 1.0), spaces.ModelDisk(1.0, 1.2),
+    spaces.ModelDisk(-1.0, 1.5), spaces.ModelDisk(1.0, 2.0),
+    ConeSpace(spaces.Circle(6.0)), ConeSpace(spaces.tripod()),
+    SuspensionSpace(spaces.Circle(2.0 * math.pi)), SuspensionSpace(spaces.tripod(0.6)),
+    ScaledSpace(spaces.Circle(3.0), 2.5)], ids=repr)
+def test_empty_batches(space):
+    empty = space._batch(space.sample(0, 0))
+    got = space.interpolate_pairs(empty, empty, np.zeros(0))
+    assert len(got) == 0
+    assert spaces.missing_rows(got).shape == (0,)
+
+
+@pytest.mark.parametrize("space", [spaces.Circle(6.28), ConeSpace(spaces.Circle(6.0)),
+                                   SuspensionSpace(spaces.Circle(2.0 * math.pi)),
+                                   SuspensionSpace(spaces.tripod(0.6))], ids=repr)
+def test_small_samples_bend_no_quadruple(space):
+    # n <= 10 leaves one or two adversarial quadruples, so none is bent
+    for n in range(3, 11):
+        assert sample_comparisons(space, 1.0, "CAT", n, seed=0).n_tested == n
