@@ -1,6 +1,6 @@
 """Closed-form constructions: cones, suspensions, scaling, doubling.
 
-make_cone and make_suspension give exact metrics to test the numerical
+ConeSpace and SuspensionSpace give exact metrics to test the numerical
 engine against; make_doubled reflects a base across the closure of
 (boundary minus zero set), the step that turns one-sided warp
 conditions into two-sided ones.
@@ -8,22 +8,22 @@ conditions into two-sided ones.
 
 import math
 
-from warpcurv import (Circle, Interval, WarpFunction, make_cone, make_doubled,
-                      make_suspension, scale_space)
+from warpcurv import (Circle, ConeSpace, Interval, SuspensionSpace, WarpFunction,
+                      make_doubled, scale_space)
 
 
 def main():
-    cone = make_cone(Circle(2 * math.pi), a=1.0)
+    cone = ConeSpace(Circle(2 * math.pi), a=1.0)
     print("flat cone d((1,0),(1,pi/2)) = %.6f (sqrt 2 = %.6f)"
           % (cone.distance((1.0, 0.0), (1.0, math.pi / 2)), math.sqrt(2)))
 
     # a cone over a 2-point fiber is two rays glued at the apex
     from warpcurv import FiniteMetric
-    two = make_cone(FiniteMetric([[0.0, 3.0], [3.0, 0.0]]), a=1.0)
+    two = ConeSpace(FiniteMetric([[0.0, 3.0], [3.0, 0.0]]), a=1.0)
     print("cone over 2 points d((1,p),(2,q)) = %.6f (through apex: 3)"
           % two.distance((1.0, 0), (2.0, 1)))
 
-    sphere = make_suspension(Circle(2 * math.pi))
+    sphere = SuspensionSpace(Circle(2 * math.pi))
     d = sphere.distance((math.pi / 3, 0.0), (2 * math.pi / 3, 1.0))
     cosd = (math.cos(math.pi / 3) * math.cos(2 * math.pi / 3)
             + math.sin(math.pi / 3) * math.sin(2 * math.pi / 3) * math.cos(1.0))

@@ -175,17 +175,11 @@ class ProductSpace(spaces.MetricOracle):
         return "ProductSpace(%r, c=%g, %r)" % (self.base, self.c, self.fiber)
 
 
-def _warp_profile(triple, n=1025):
-    lo, hi = triple.domain()
-    ts = np.linspace(lo, hi, n)
-    return ts, np.asarray(triple.warp(ts), float)
-
-
 def build_product(spec, triple):
     """Warped-product oracle, using a closed form when one applies."""
     base, f, fiber = triple.base, triple.warp, triple.fiber
     if not isinstance(base, spaces.ModelDisk):
-        ts, vals = _warp_profile(triple)
+        ts, vals = warped.warp_profile(f, base, 1025)
         span = max(abs(vals).max(), 1.0)
         if isinstance(base, spaces.Ray) and abs(vals[0]) < 1e-12:
             a = vals[-1] / ts[-1] if ts[-1] else 0.0
@@ -208,7 +202,7 @@ def product_slack(spec, triple, product):
     """
     if not isinstance(product, warped.GridWarpedOracle):
         return EXACT_SLACK
-    lo, hi = triple.domain()
+    lo, hi = warped.domain(triple.base)
     level = spec.grid or 512
     h = (hi - lo) / max(level, 1)
     return SLACK_FACTOR * (1.0 + triple.warp.lipschitz) * h
@@ -228,10 +222,13 @@ class ConditionResult:
 
 
 class CertificationReport:
-    """Ordered condition results plus the empirical product verdict."""
+    """Ordered condition results plus the empirical product verdict.
+
+    warnings are kept once each, in order; only human_text shows them.
+    """
 
     def __init__(self, spec, conditions, product_result, consistent,
-                 kappa_f_report=None, omissions=(), info=(), witness=None):
+                 kappa_f_report=None, omissions=(), info=(), witness=None, warnings=()):
         self.spec = spec
         self.conditions = list(conditions)
         self.product_result = product_result
@@ -240,6 +237,7 @@ class CertificationReport:
         self.omissions = tuple(omissions)
         self.info = tuple(info)
         self.witness = witness
+        self.warnings = tuple(dict.fromkeys(warnings))
 
     @property
     def conditions_passed(self):
@@ -282,6 +280,8 @@ class CertificationReport:
             lines.append("  omitted: %s" % o)
         for i in self.info:
             lines.append("  info: %s" % i)
+        for w in self.warnings:
+            lines.append("  warning: %s" % w)
         k = self.kappa_f_report
         if k is not None:
             lines.append("  kappa_F: %.12g (branch %s, foot=%s, far=%s, gradient=%s)"
@@ -400,7 +400,7 @@ def certify(spec):
     consistent = all(c.passed for c in conditions) == wv.passed
     return CertificationReport(spec, conditions, product_result, consistent,
                                kappa_f_report=kf, omissions=omissions, info=info,
-                               witness=wv.witness)
+                               witness=wv.witness, warnings=kf.warnings + tuple(triple.warnings))
 
 
 def run_distance(spec, u, v, tol=None, geodesic_path=None):

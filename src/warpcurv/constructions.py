@@ -11,9 +11,8 @@ import math
 import numpy as np
 
 from . import spaces
-from .convexity import zero_set
 from .spaces import MetricOracle, fiber_coords, rng
-from .warped import WarpFunction
+from .warped import WarpFunction, zero_set
 
 
 class ConeSpace(MetricOracle):
@@ -83,10 +82,6 @@ class ConeSpace(MetricOracle):
         return "ConeSpace(a=%g, fiber=%r)" % (self.a, self.fiber)
 
 
-def make_cone(fiber, a=1.0, r_max=2.0):
-    return ConeSpace(fiber, a=a, r_max=r_max)
-
-
 class SuspensionSpace(MetricOracle):
     """Spherical suspension [0, pi] x_sin F via the law of cosines."""
 
@@ -144,10 +139,6 @@ class SuspensionSpace(MetricOracle):
 
     def __repr__(self):
         return "SuspensionSpace(fiber=%r)" % (self.fiber,)
-
-
-def make_suspension(fiber):
-    return SuspensionSpace(fiber)
 
 
 class ScaledSpace(MetricOracle):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model, spaces
 from .spaces import rng
-from .warped import ZERO_THRESHOLD
+from .warped import domain, warp_profile, zero_set
 
 INF = math.inf
 
@@ -242,63 +242,35 @@ def gradient_norm(f, base, p, side="up", n_dirs=16, h0=1e-3):
     return GradientEstimate(p, value, len(dirs), derivatives=derivs)
 
 
-def zero_set(f, base, warn=None):
-    """Roots of f on the base, from hints when available.
+def dist_Z(f, base, pts, zeros=None):
+    """Distance from each point of a batch to the zero set of f.
 
-    Returns ("boundary", None) for a hinted boundary zero set on disks,
-    else ("points", [roots]).
+    zeros is the (kind, roots) pair of zero_set, computed when omitted.
+    Every point is at distance inf when Z is empty; one point gives a float.
     """
-    if getattr(f, "zeros", None) == "boundary":
-        return "boundary", None
-    if isinstance(base, spaces.ModelDisk):
-        # scan the boundary and the interior radially
-        roots = []
-        rs = np.linspace(0, base.radius, 257)
-        ths = np.linspace(0, 2 * math.pi, 257)
-        rr, tt = np.meshgrid(rs, ths, indexing="ij")
-        vals = np.asarray(f(rr, tt), float)
-        if np.min(vals) < ZERO_THRESHOLD:
-            ii = np.argwhere(vals < ZERO_THRESHOLD)
-            roots = [np.array([rs[i], ths[j]]) for i, j in ii[:64]]
-            if warn is not None and not getattr(f, "zeros", None):
-                warn.append("zero set detected by thresholding")
-        return "points", roots
-    if isinstance(base, spaces.Interval):
-        lo, hi = base.a, base.b
-    elif isinstance(base, spaces.Ray):
-        lo, hi = 0.0, base.sample_extent
-    elif isinstance(base, spaces.Circle):
-        lo, hi = 0.0, base.length
-    else:
-        raise ValueError("unsupported base")
-    if getattr(f, "zeros", ()):
-        return "points", [z for z in f.zeros if lo - 1e-12 <= z <= hi + 1e-12]
-    ts = np.linspace(lo, hi, 4097)
-    vals = np.asarray(f(ts), float)
-    roots = list(ts[vals < ZERO_THRESHOLD])
-    if roots and warn is not None:
-        warn.append("zero set detected by thresholding")
-    return "points", roots
-
-
-def dist_Z(f, base, p):
-    """Distance from p to the zero set of f."""
-    kind, roots = zero_set(f, base)
+    kind, roots = zeros if zeros is not None else zero_set(f, base)
+    disk = isinstance(base, spaces.ModelDisk)
+    xs = base._batch(np.atleast_1d(pts))
     if kind == "boundary":
-        return base.radius - float(np.asarray(p, float).reshape(2)[0])
-    if not roots:
-        return INF
-    return min(float(base.distance(p, z)) for z in roots)
+        d = base.radius - xs[:, 0]
+    elif not roots:
+        d = np.full(len(xs), INF)
+    else:
+        zs = base._batch(roots)
+        n, m = len(xs), len(zs)
+        d = np.asarray(base.dist_pairs(np.repeat(xs, m, axis=0), zs[np.tile(np.arange(m), n)]),
+                       float).reshape(n, m).min(axis=1)
+    return float(d[0]) if np.ndim(pts) == (1 if disk else 0) else d
 
 
-def dist_Z_realizers(f, base, n_footpoints=8, h0=1e-4):
+def dist_Z_realizers(f, base, n_footpoints=8, h0=1e-4, zeros=None):
     """Footpoints on Z with inward realizer directions and (f o alpha)'(0).
 
     Returns a list of (footpoint, direction sample, derivative).
     Directions are encoded as step maps h -> base point at distance h
-    along the realizer.
+    along the realizer.  zeros is as in dist_Z.
     """
-    kind, roots = zero_set(f, base)
+    kind, roots = zeros if zeros is not None else zero_set(f, base)
     out = []
     if kind == "boundary":
         for k in range(n_footpoints):
@@ -321,26 +293,6 @@ def dist_Z_realizers(f, base, n_footpoints=8, h0=1e-4):
     return out
 
 
-def _inf_f(f, base, n=4097):
-    if isinstance(base, spaces.ModelDisk):
-        rs = np.linspace(0, base.radius, 257)
-        ths = np.linspace(0, 2 * math.pi, 257)
-        rr, tt = np.meshgrid(rs, ths, indexing="ij")
-        return float(np.min(np.asarray(f(rr, tt), float)))
-    lo, hi = _domain_of(base)
-    return float(np.min(np.asarray(f(np.linspace(lo, hi, n)), float)))
-
-
-def _domain_of(base):
-    if isinstance(base, spaces.Interval):
-        return base.a, base.b
-    if isinstance(base, spaces.Ray):
-        return 0.0, base.sample_extent
-    if isinstance(base, spaces.Circle):
-        return 0.0, base.length
-    raise ValueError("unsupported base")
-
-
 def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):
     """Fiber curvature bound of Theorems 2.2/2.3 with the gradient
     cross-check of Theorem 2.4."""
@@ -349,14 +301,12 @@ def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):
     f = triple.warp
     base = triple.base
     warnings = []
-    kind, roots = zero_set(f, base, warn=warnings)
-    z_empty = (kind == "points" and not roots)
-    if z_empty:
-        inf_f = _inf_f(f, base)
-        val = kappa * inf_f ** 2
-        return KappaFReport(side, "Z-empty", val, warnings=warnings)
+    zeros = zero_set(f, base, warn=warnings)
+    if zeros == ("points", []):
+        inf_f = float(np.min(warp_profile(f, base)[1]))
+        return KappaFReport(side, "Z-empty", kappa * inf_f ** 2, warnings=warnings)
 
-    realizers = dist_Z_realizers(f, base, h0=h0)
+    realizers = dist_Z_realizers(f, base, h0=h0, zeros=zeros)
     derivs2 = [d * d for _, _, d in realizers]
 
     if side == "CBB":
@@ -382,15 +332,12 @@ def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):
     if isinstance(base, spaces.ModelDisk):
         samples = base._batch(base.sample(256, 97))
     else:
-        lo, hi = _domain_of(base)
-        samples = np.linspace(lo, hi, 513)
+        samples = np.linspace(*domain(base), 513)
+    dz = dist_Z(f, base, samples, zeros=zeros)
     for k in range(n_shells):
         eps = eps0 * 2.0 ** (-k)
-        vals = []
-        for p in np.atleast_1d(samples) if not isinstance(base, spaces.ModelDisk) else samples:
-            dz = dist_Z(f, base, p)
-            if 0.0 < dz <= eps:
-                vals.append(gradient_norm(f, base, p, side="down", h0=min(h0, eps / 4)).value ** 2)
+        vals = [gradient_norm(f, base, p, side="down", h0=min(h0, eps / 4)).value ** 2
+                for p in samples[(dz > 0.0) & (dz <= eps)]]
         shells.append(min(vals) if vals else INF)
     finite = [v for v in shells if v < INF]
     gform = finite[-1] if finite else INF
@@ -398,20 +345,12 @@ def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):
     w = model.varpi(kappa)
     far = INF
     if kappa > 0 and w < INF:
-        if isinstance(base, spaces.ModelDisk):
-            pts = samples
-            fvals = np.asarray(f(pts[:, 0], pts[:, 1]), float)
-            dzs = np.array([dist_Z(f, base, p) for p in pts])
-        else:
-            pts = samples
-            fvals = np.asarray(f(pts), float)
-            dzs = np.array([dist_Z(f, base, p) for p in pts])
-        mask = dzs >= w / 2.0 - 1e-12
+        mask = dz >= w / 2.0 - 1e-12
         if np.any(mask):
-            far = float(kappa * np.min(fvals[mask] ** 2))
+            far = float(kappa * np.min(_eval_f(f, base, samples)[mask] ** 2))
     val = min(foot, far)
     return KappaFReport(side, "Z-nonempty", val, kappa_foot=foot, kappa_far=far,
                         gradient_form=gform,
                         cross_check_diff=abs(foot - gform) if gform < INF else None,
                         shells=shells, warnings=warnings,
-                        sample_density=len(np.atleast_1d(samples)))
+                        sample_density=len(samples))

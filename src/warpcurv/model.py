@@ -238,22 +238,18 @@ class ModelTriangle:
         return True
 
     def angle(self, vertex_index):
-        return model_angle(self, vertex_index)
+        """Angle at the given vertex, or Undefined (nan)."""
+        if vertex_index not in (0, 1, 2):
+            raise ValueError("vertex_index must be 0, 1 or 2")
+        if min(self.sides) < 0:
+            raise ValueError("negative side length")
+        opp = self.sides[vertex_index]
+        adj1 = self.sides[(vertex_index + 1) % 3]
+        adj2 = self.sides[(vertex_index + 2) % 3]
+        return float(angle_from_sides(self.kappa, adj1, adj2, opp, strict=self.strict))
 
     def __repr__(self):
         return "ModelTriangle(kappa=%g, sides=%r)" % (self.kappa, self.sides)
-
-
-def model_angle(tri, vertex_index):
-    """Angle of the model triangle at the given vertex, or Undefined (nan)."""
-    if vertex_index not in (0, 1, 2):
-        raise ValueError("vertex_index must be 0, 1 or 2")
-    opp = tri.sides[vertex_index]
-    adj1 = tri.sides[(vertex_index + 1) % 3]
-    adj2 = tri.sides[(vertex_index + 2) % 3]
-    if min(tri.sides) < 0:
-        raise ValueError("negative side length")
-    return float(angle_from_sides(tri.kappa, adj1, adj2, opp, strict=tri.strict))
 
 
 def model_distance(kappa, a, b):

@@ -500,13 +500,6 @@ class ModelDisk(MetricOracle):
         return "ModelDisk(kappa=%g, R=%g)" % (self.kappa, self.radius)
 
 
-def catalog_distance(space, x, y):
-    """Closed-form intrinsic distance on a catalog space."""
-    if not (space.contains(x) and space.contains(y)):
-        raise ValueError("point outside space")
-    return space.distance(x, y)
-
-
 def verify_metric_axioms(space, n_samples, seed):
     """Check symmetry, identity and the triangle inequality on a sample.
 

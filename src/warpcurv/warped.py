@@ -165,16 +165,11 @@ class WarpedTriple:
     def _validate(self):
         if isinstance(self.fiber, spaces.PointSpace):
             raise ValueError("fiber must not be a single point")
-        _, vals = self._validation_grid()
+        _, vals = warp_profile(self.warp, self.base, VALIDATION_POINTS)
         if np.min(vals) < -1e-9:
             raise ValueError("warping function is negative on the base")
         if np.max(vals) <= ZERO_THRESHOLD:
             raise ValueError("warping function vanishes identically (Z = B)")
-
-    def _validation_grid(self):
-        lo, hi = self.domain()
-        ts = np.linspace(lo, hi, 2049)
-        return ts, self.warp(ts)
 
     def check_hints(self):
         """Raise ValueError unless the declared hints hold for f (1-D bases).
@@ -188,40 +183,11 @@ class WarpedTriple:
             if fz > ZERO_THRESHOLD:
                 raise ValueError("declared zero %.12g is not a zero of the warp (f = %.6g)"
                                  % (z, fz))
-        ts, vals = self._validation_grid()
+        ts, vals = warp_profile(self.warp, self.base, VALIDATION_POINTS)
         slope = float(np.max(np.abs(np.diff(vals)) / np.diff(ts)))
         if slope > self.warp.lipschitz * (1.0 + 1e-9):
             raise ValueError("declared Lipschitz constant %.12g is below the slope %.12g "
                              "of the warp" % (self.warp.lipschitz, slope))
-
-    def domain(self):
-        """Bounded sampling window of the base coordinate (1-D bases)."""
-        b = self.base
-        if isinstance(b, spaces.Interval):
-            return b.a, b.b
-        if isinstance(b, spaces.Ray):
-            return 0.0, b.sample_extent
-        if isinstance(b, spaces.Circle):
-            return 0.0, b.length
-        if isinstance(b, spaces.ModelDisk):
-            return 0.0, b.radius
-        raise ValueError("unsupported base kind: %r" % b)
-
-    def zeros_in(self, lo, hi):
-        """In-window roots of f, from hints when available."""
-        if self.warp.zeros == "boundary":
-            return []
-        if self.warp.zeros:
-            return [z for z in self.warp.zeros if lo - 1e-12 <= z <= hi + 1e-12]
-        # no hint: scan for near-zero minima and warn
-        ts = np.linspace(lo, hi, 4097)
-        vals = np.asarray(self.warp(ts))
-        mask = vals < ZERO_THRESHOLD
-        roots = list(ts[mask])
-        if roots:
-            self.warnings.append(
-                "zero set detected by thresholding f < %g without a hint" % ZERO_THRESHOLD)
-        return roots
 
     def points_equal(self, u, v, tol=1e-12):
         u = as_warped_point(u)
@@ -233,6 +199,71 @@ class WarpedTriple:
         return self.fiber.distance(u.fiber, v.fiber) <= tol
 
 
+def domain(base):
+    """Bounded window [lo, hi] of a base coordinate, the radius on a disk."""
+    if isinstance(base, spaces.Interval):
+        return base.a, base.b
+    if isinstance(base, spaces.Ray):
+        return 0.0, base.sample_extent
+    if isinstance(base, spaces.Circle):
+        return 0.0, base.length
+    if isinstance(base, spaces.ModelDisk):
+        return 0.0, base.radius
+    raise ValueError("unsupported base kind: %r" % base)
+
+
+# points of the validation grid and of the zero-set and inf f scan of a
+# 1-D window; a disk takes the polar grid of DISK_SCAN_POINTS per axis
+VALIDATION_POINTS = 2049
+SCAN_POINTS = 4097
+DISK_SCAN_POINTS = 257
+
+
+def warp_profile(f, base, n=SCAN_POINTS, lo=None, hi=None):
+    """Grid points of a base window and the values of f there.
+
+    A 1-D window [lo, hi], domain(base) by default, takes linspace(lo, hi,
+    n).  A disk takes the polar grid of DISK_SCAN_POINTS radii in [0, R]
+    by as many angles in [0, 2 pi], rows (r, theta), r-major.
+    """
+    if lo is None:
+        lo, hi = domain(base)
+    if isinstance(base, spaces.ModelDisk):
+        rr, tt = np.meshgrid(np.linspace(lo, hi, DISK_SCAN_POINTS),
+                             np.linspace(0, 2 * math.pi, DISK_SCAN_POINTS), indexing="ij")
+        pts = np.stack([rr.ravel(), tt.ravel()], axis=1)
+        return pts, np.asarray(f(pts[:, 0], pts[:, 1]), float)
+    ts = np.linspace(lo, hi, n)
+    return ts, np.asarray(f(ts), float)
+
+
+def zero_set(f, base, lo=None, hi=None, warn=None):
+    """Roots of f on a base window, domain(base) by default.
+
+    Returns ("boundary", None) for a hinted boundary zero set on disks,
+    else ("points", [roots]).  Hinted roots on a 1-D base are filtered to
+    the window; otherwise the roots are the scan points where f <
+    ZERO_THRESHOLD, at most 64 on a disk, and a scan that finds roots
+    without hints adds its warning to the list warn, once.
+    """
+    hints = getattr(f, "zeros", ())
+    if hints == "boundary":
+        return "boundary", None
+    if lo is None:
+        lo, hi = domain(base)
+    disk = isinstance(base, spaces.ModelDisk)
+    if hints and not disk:
+        return "points", [z for z in hints if lo - 1e-12 <= z <= hi + 1e-12]
+    pts, vals = warp_profile(f, base, lo=lo, hi=hi)
+    roots = list(pts[vals < ZERO_THRESHOLD])
+    if disk:
+        roots = roots[:64]
+    msg = "zero set detected by thresholding f < %g without a hint" % ZERO_THRESHOLD
+    if roots and not hints and warn is not None and msg not in warn:
+        warn.append(msg)
+    return "points", roots
+
+
 def _one_dim(base):
     return isinstance(base, (spaces.Interval, spaces.Ray, spaces.Circle))
 
@@ -240,15 +271,14 @@ def _one_dim(base):
 def _window(triple, bp, bq, ell):
     """Base window that certainly contains every candidate geodesic."""
     b = triple.base
-    if isinstance(b, spaces.Interval):
-        return b.a, b.b, False
-    if isinstance(b, spaces.Circle):
-        return 0.0, b.length, True
-    # Ray: the geodesic never goes past the endpoints by more than an
-    # upper bound on the distance
-    fb = min(float(triple.warp(bp)), float(triple.warp(bq)))
-    ub = abs(bp - bq) + fb * ell
-    return 0.0, max(bp, bq) + ub + 1e-9, False
+    lo, hi = domain(b)
+    if isinstance(b, spaces.Ray):
+        # the geodesic never goes past the endpoints by more than an
+        # upper bound on the distance
+        fb = min(float(triple.warp(bp)), float(triple.warp(bq)))
+        ub = abs(bp - bq) + fb * ell
+        hi = max(bp, bq) + ub + 1e-9
+    return lo, hi, isinstance(b, spaces.Circle)
 
 
 def _grid_coords(lo, hi, n, extra):
@@ -548,7 +578,7 @@ def reduced_distance(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8
         return d_base
 
     lo, hi, wrap = _window(triple, bp, bq, ell)
-    zeros = triple.zeros_in(lo, hi)
+    zeros = zero_set(triple.warp, base, lo, hi, warn=triple.warnings)[1] or []
     cand_z = math.inf
     for z in zeros:
         cand_z = min(cand_z, base.distance(bp, z) + base.distance(z, bq))
@@ -672,7 +702,7 @@ def warped_geodesic(triple, u, v, resolution=1e-3, grid=None, max_refinements=8)
     if path is None:
         # through Z (or trivial fiber): two base geodesics meeting on Z
         lo, hi, _ = _window(triple, float(u.base), float(v.base), ell)
-        zeros = triple.zeros_in(lo, hi)
+        zeros = zero_set(triple.warp, triple.base, lo, hi, warn=triple.warnings)[1] or []
         if ell <= 0 or not zeros:
             bs = np.linspace(float(u.base), float(v.base),
                              max(2, int(abs(float(v.base) - float(u.base)) / resolution) + 1))
@@ -808,7 +838,7 @@ class GridWarpedOracle(spaces.MetricOracle):
 
     def sample(self, n, seed):
         g = spaces.rng(seed)
-        lo, hi = self.triple.domain()
+        lo, hi = domain(self.triple.base)
         bs = lo + (hi - lo) * g.random(n)
         fs = np.asarray(self.triple.fiber.sample(n, seed + 10), float)
         return np.stack([bs, fs], axis=1)
@@ -818,3 +848,8 @@ class GridWarpedOracle(spaces.MetricOracle):
         y = np.asarray(y, float).reshape(2)
         return warped_geodesic(self.triple, (x[0], x[1]), (y[0], y[1]),
                                resolution=resolution)
+
+    def __repr__(self):
+        t = self.triple
+        return "GridWarpedOracle(%r x_{%s} %r, tol=%g, grid=%s)" % (
+            t.base, t.warp.expr, t.fiber, self.tol, self.grid)

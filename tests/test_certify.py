@@ -152,3 +152,24 @@ def test_run_sample_targets():
     assert v.passed
     v = run_sample(TripleSpec.from_dict(cone_doc("CBB", 5.0)), "CBB", 0.0, 500, 1)
     assert v.passed
+
+
+def test_grid_text_report_is_deterministic():
+    doc = susp_doc(warp={"expr": "2.0 + sin(t)", "lipschitz": 1.0, "zeros": []},
+                   budget={"quadruples": 1}, tol=1e-2)
+    first, second = (certify(doc).human_text() for _ in range(2))
+    assert first == second
+    assert "GridWarpedOracle(Interval(0, 3.14159) x_{2.0 + sin(t)} Circle(6.28319)" in first
+    assert "object at" not in first
+
+
+def test_warnings_only_in_human_report():
+    doc = susp_doc(side="CAT", kappa=0.0, base={"kind": "interval", "params": [0.0, 1.0]},
+                   warp={"expr": "abs(t - 0.5)", "lipschitz": 1.0},
+                   budget={"quadruples": 1}, tol=1e-2)
+    rep = certify(doc)
+    # kappa_F and the distance engine each threshold f; the report says it once
+    assert rep.kappa_f_report.warnings
+    warning = "  warning: zero set detected by thresholding f < 1e-10 without a hint"
+    assert [ln for ln in rep.human_text().splitlines() if "warning" in ln] == [warning]
+    assert "warning" not in rep.machine_text()

@@ -7,14 +7,14 @@ import pytest
 
 from warpcurv import constructions, spaces
 from warpcurv.comparison import sample_comparisons
-from warpcurv.constructions import (make_cone, make_doubled, make_suspension,
+from warpcurv.constructions import (ConeSpace, SuspensionSpace, make_doubled,
                                     scale_space)
 from warpcurv.convexity import sinusoidal_test
 from warpcurv.warped import WarpFunction, WarpedTriple, warped_distance
 
 
 def test_cone_law_over_circle():
-    c = make_cone(spaces.Circle(2 * math.pi), 1.0)
+    c = ConeSpace(spaces.Circle(2 * math.pi), 1.0)
     # boundary case: through the apex
     assert c.distance([1.0, 0.0], [1.0, math.pi]) == pytest.approx(2.0, abs=1e-12)
     assert c.distance([1.0, 0.0], [1.0, math.pi / 2]) == pytest.approx(
@@ -25,7 +25,7 @@ def test_cone_law_over_circle():
 
 def test_cone_two_point_fiber():
     two = spaces.FiniteMetric([[0.0, 3.0], [3.0, 0.0]])
-    c = make_cone(two, 1.0)
+    c = ConeSpace(two, 1.0)
     # discrete fiber: two rays glued at the apex, distance r + s
     assert c.distance([1.5, 0], [2.5, 1]) == pytest.approx(4.0, abs=1e-12)
     assert c.distance([1.5, 0], [2.5, 0]) == pytest.approx(1.0, abs=1e-12)
@@ -33,7 +33,7 @@ def test_cone_two_point_fiber():
 
 def test_cone_matches_grid_engine():
     fiber = spaces.Circle(2 * math.pi)
-    cone = make_cone(fiber, 1.0)
+    cone = ConeSpace(fiber, 1.0)
     triple = WarpedTriple(spaces.Ray(sample_extent=2.0), WarpFunction.linear(1.0), fiber)
     g = spaces.rng(8, stream=41)
     for _ in range(4):
@@ -45,18 +45,18 @@ def test_cone_matches_grid_engine():
 
 
 def test_suspension_sphere_values():
-    s = make_suspension(spaces.Circle(2 * math.pi))
+    s = SuspensionSpace(spaces.Circle(2 * math.pi))
     assert s.distance([0.0, 0.0], [math.pi, 1.0]) == pytest.approx(math.pi, abs=1e-12)
     # equator quarter turn
     q = math.pi / 2
     assert s.distance([q, 0.0], [q, q]) == pytest.approx(q, abs=1e-12)
     # lune fiber: antipodal equator points of the lune
-    lune = make_suspension(spaces.Interval(0.0, math.pi))
+    lune = SuspensionSpace(spaces.Interval(0.0, math.pi))
     assert lune.distance([q, 0.0], [q, math.pi]) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_suspension_midpoint_consistency():
-    s = make_suspension(spaces.Circle(2 * math.pi))
+    s = SuspensionSpace(spaces.Circle(2 * math.pi))
     x, y = [1.0, 0.0], [2.0, 1.2]
     m = s.interpolate(x, y, 0.5)
     assert s.distance(x, m) == pytest.approx(s.distance(x, y) / 2, abs=1e-9)
@@ -145,7 +145,7 @@ def test_doubled_disk_sheets():
 def test_cone_duality_at_sample_scale():
     # verdicts of cone CAT(0) and fiber CAT(1) flip together across 2 pi
     for L, expect in ((2 * math.pi * 0.9, False), (2 * math.pi * 1.1, True)):
-        cone = make_cone(spaces.Circle(L), 1.0)
+        cone = ConeSpace(spaces.Circle(L), 1.0)
         cone_v = sample_comparisons(cone, 0.0, "CAT", 1500, seed=9)
         fiber_v = sample_comparisons(spaces.Circle(L), 1.0, "CAT", 1500, seed=9)
         assert cone_v.passed == fiber_v.passed == expect

@@ -8,7 +8,7 @@ import pytest
 from warpcurv import convexity, model, spaces
 from warpcurv.convexity import (dist_Z, dist_Z_realizers, gradient_norm,
                                 kappa_F, sinusoidal_test, zero_set)
-from warpcurv.warped import WarpFunction, WarpedTriple
+from warpcurv.warped import WarpFunction, WarpedTriple, warped_distance
 
 
 def test_parabola_is_convex_only():
@@ -191,6 +191,80 @@ def test_zero_set_thresholding_warns():
     kind, roots = zero_set(f, base, warn=warn)
     assert kind == "points" and len(roots) >= 1
     assert warn
+
+
+@pytest.mark.parametrize("base, f", [
+    (spaces.Interval(0.0, math.pi), WarpFunction.sin()),
+    (spaces.Ray(3.0), WarpFunction.from_expression("abs(t*(t - 1.5))", 10.0, zeros=(0.0, 1.5))),
+    (spaces.Circle(5.0), WarpFunction.from_expression("1 - cos(2*pi*t/5)", 2.0)),
+], ids=["interval", "ray", "circle-scanned"])
+def test_dist_Z_batch_matches_scalar_loop(base, f):
+    kind, roots = zero_set(f, base)
+    assert kind == "points" and len(roots) == 2
+    pts = np.concatenate([base.sample(200, 9), [0.0, roots[0], roots[1]]])
+    want = np.array([min(float(base.distance(p, z)) for z in roots) for p in pts])
+    assert np.array_equal([dist_Z(f, base, p) for p in pts], want)
+    assert np.array_equal(dist_Z(f, base, pts), want)
+    assert np.array_equal(dist_Z(f, base, pts, zeros=(kind, roots)), want)
+
+
+def test_engine_window_reaches_hinted_zero_past_ray_extent():
+    # the through-Z candidate uses the zero at 3, outside Ray(2)'s sample window
+    f = WarpFunction.from_expression("abs(t - 3)", 1.0, zeros=(3.0,))
+    triple = WarpedTriple(spaces.Ray(2.0), f, spaces.Circle(30.0))
+    assert zero_set(f, triple.base) == ("points", [])
+    assert warped_distance(triple, (1.8, 0.0), (1.9, 10.0)) == 2.3
+
+
+def boundary_disk():
+    f = WarpFunction.from_expression("1.5 - r", 1.0, zeros="boundary", arity=2)
+    return spaces.ModelDisk(0.0, 1.5), f
+
+
+def test_boundary_hint_on_disk():
+    disk, f = boundary_disk()
+    assert zero_set(f, disk) == ("boundary", None)
+    pts = disk.sample(50, 4)
+    assert [dist_Z(f, disk, p) for p in pts] == list(1.5 - pts[:, 0])
+    reals = dist_Z_realizers(f, disk)
+    assert len(reals) == 8
+    assert all(d == pytest.approx(1.0, abs=1e-6) for _, _, d in reals)
+
+
+def test_dist_Z_batch_on_disk_with_boundary_hint():
+    disk, f = boundary_disk()
+    pts = disk.sample(50, 4)
+    assert np.array_equal(dist_Z(f, disk, pts), 1.5 - pts[:, 0])
+
+
+def test_hinted_roots_outside_window_are_dropped():
+    f = WarpFunction(lambda t: np.abs(np.asarray(t, float)), 1.0,
+                     zeros=(-0.5, -1e-13, 1.0 + 1e-13, 1.5))
+    base = spaces.Interval(0.0, 1.0)
+    assert zero_set(f, base) == ("points", [-1e-13, 1.0 + 1e-13])
+    assert dist_Z(f, base, 0.25) == 0.25 + 1e-13
+
+
+def test_zero_set_on_an_explicit_window():
+    f = WarpFunction(lambda t: np.abs(np.asarray(t, float)), 1.0, zeros=(-0.5, 1.5, 3.0))
+    assert zero_set(f, spaces.Ray(1.0), -1.0, 2.0) == ("points", [-0.5, 1.5])
+    f = WarpFunction.from_expression("abs(t - 1.5)", 1.0)
+    assert zero_set(f, spaces.Ray(1.0), 0.0, 2.0) == ("points", [1.5])
+
+
+def test_kappa_F_scans_the_zero_set_once(monkeypatch):
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return zero_set(*a, **k)
+    monkeypatch.setattr(convexity, "zero_set", counting)
+    triple = WarpedTriple(spaces.Interval(0.0, math.pi), WarpFunction.sin(),
+                          spaces.Circle(2 * math.pi))
+    for side in ("CAT", "CBB"):
+        calls.clear()
+        kappa_F(side, triple, 1.0)
+        assert len(calls) == 1
 
 
 def test_realizer_derivatives_cone_a():

@@ -160,6 +160,14 @@ def test_two_piece_through_zero():
     assert d == pytest.approx(2.0, abs=2e-3)
 
 
+def test_thresholding_warning_recorded_once():
+    f = WarpFunction.from_expression("abs(t - 0.5)", 1.0)
+    t = WarpedTriple(spaces.Interval(0.0, 1.0), f, spaces.Circle(6.0))
+    for u, v in (((0.1, 0.0), (0.9, 1.0)), ((0.2, 0.5), (0.8, 2.0)), ((0.3, 0.0), (0.6, 3.0))):
+        warped_distance(t, u, v, tol=1e-2)
+    assert t.warnings == ["zero set detected by thresholding f < 1e-10 without a hint"]
+
+
 def test_zero_warp_endpoint_collapses_fiber():
     t = suspension_triple()
     # f vanishes at the pole: distance ignores the fiber there exactly
