@@ -1,9 +1,10 @@
-"""Distances in warped products B x_f F via the grid engine.
+"""Distances in warped products B x_f F via the Clairaut solve.
 
-The engine reduces to an interval fiber of length d_F, runs Dijkstra on
-a refined base-by-fiber lattice with a through-zero candidate, and
-polishes the backtracked path variationally. Closed-form spaces give
-exact answers to check against.
+On a 1-D base the engine reduces to an interval fiber of length d_F and
+takes the shortest Clairaut-arc candidate (monotone, one turning point,
+riding the leaf over a kink or a boundary) or the path through the zero
+set; the lattice engine answers only the pairs no family solves.
+Closed-form spaces give exact answers to check against.
 """
 
 import math

@@ -396,6 +396,9 @@ def certify(spec):
     product_result = ConditionResult(
         "product_sampling", wv.passed, wv.margin, slack,
         "n=%d on %r" % (wv.n_tested, product))
+    if isinstance(product, warped.GridWarpedOracle):
+        info.append("distance engine: %d pairs solved by the Clairaut relation, "
+                    "%d lattice fallbacks" % (product.solved, product.fallbacks))
 
     consistent = all(c.passed for c in conditions) == wv.passed
     return CertificationReport(spec, conditions, product_result, consistent,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model, spaces
 from .spaces import rng
-from .warped import domain, warp_profile, zero_set
+from .warped import SCAN_POINTS, domain, warp_profile, zero_set
 
 INF = math.inf
 
@@ -180,8 +180,12 @@ def sinusoidal_test(f, base, kappa, mode="convex", n_geodesics=24, seed=0, tol=1
                             skipped=np.count_nonzero(~kept), tol=tol)
 
 
-def _directions(base, p):
-    """Admissible unit directions at p, as step functions h -> point."""
+def _directions(base, p, signs=(1, -1)):
+    """Admissible unit directions at p, as step functions h -> point.
+
+    On a 1-D base, signs picks the increasing (1) and decreasing (-1)
+    directions.
+    """
     if isinstance(base, spaces.ModelDisk):
         dirs = []
         n = 16
@@ -196,14 +200,14 @@ def _directions(base, p):
     p = float(np.asarray(p, float).reshape(()))
     dirs = []
     if isinstance(base, spaces.Circle):
-        return [lambda h: (p + h) % base.length, lambda h: (p - h) % base.length]
+        return [lambda h, s=s: (p + s * h) % base.length for s in signs]
     if isinstance(base, spaces.Interval):
         lo, hi = base.a, base.b
     else:
         lo, hi = 0.0, INF
-    if p + 1e-9 < hi:
+    if 1 in signs and p + 1e-9 < hi:
         dirs.append(lambda h: min(p + h, hi))
-    if p - 1e-9 > lo:
+    if -1 in signs and p - 1e-9 > lo:
         dirs.append(lambda h: max(p - h, lo))
     return dirs
 
@@ -284,13 +288,37 @@ def dist_Z_realizers(f, base, n_footpoints=8, h0=1e-4, zeros=None):
         return out
     if not roots:
         raise ValueError("zero set is empty")
-    for z in roots:
-        for step in _directions(base, z):
-            # realizers of dist_Z point away from Z; both base directions
-            # at an isolated root qualify when they stay in the domain
+    for z, signs in _footpoints(f, base, roots):
+        for step in _directions(base, z, signs):
             d = _one_sided_derivative(f, base, z, step, h0)
             out.append((z, step, d))
     return out
+
+
+def _footpoints(f, base, roots):
+    """(root, signs of the directions that leave Z there) for each footpoint.
+
+    Both base directions at an isolated root leave Z.  Roots scanned on a
+    1-D base (no hint) come in runs of adjacent scan points, and only a
+    run's two ends are footpoints, each leaving Z away from the run; a
+    run across a circle's seam counts as one.
+    """
+    if getattr(f, "zeros", ()) or isinstance(base, spaces.ModelDisk):
+        return [(z, (1, -1)) for z in roots]
+    lo, hi = domain(base)
+    zs = np.sort(np.asarray(roots, float))
+    cut = np.flatnonzero(np.diff(zs) > 1.5 * (hi - lo) / (SCAN_POINTS - 1))
+    runs = [[a, b, [-1], [1]] for a, b in zip(zs[np.concatenate([[0], cut + 1])],
+                                            zs[np.concatenate([cut, [len(zs) - 1]])])]
+    if isinstance(base, spaces.Circle) and zs[0] == lo and zs[-1] == hi:
+        runs[0][2], runs[-1][3] = [], []
+    out = []
+    for a, b, left, right in runs:
+        if a == b:
+            out.append((a, tuple(right + left)))
+        else:
+            out += [(a, tuple(left)), (b, tuple(right))]
+    return [(z, s) for z, s in out if s]
 
 
 def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):

@@ -2,23 +2,40 @@
 
 Distances minimize the warped length functional: by fiber independence
 every query reduces to an interval fiber [0, ell] with ell the fiber
-distance of the endpoints.  The engine runs Dijkstra on a product grid
-whose edge weights follow the partition-sum rule (Cartesian chord with
-the min of f over the base segment; pure base length when that min is
-0), competes against the through-Z candidate, then polishes the
-backtracked path variationally as a graph b(s) over the fiber
-parameter.  Grids are refined until successive values agree.
+distance of the endpoints.
+
+On a 1-D base (Interval, Ray, Circle) a geodesic is determined by its
+Clairaut constant c = f^2 ds/dt: an arc with constant c advances
+ell(c) = int c db / (f sqrt(f^2 - c^2)) along the fiber and has length
+L(c) = int f db / sqrt(f^2 - c^2).  clairaut_solve takes, for a whole
+batch of pairs at once, the shortest of the candidate curves: through
+the zero set Z, the leaf path, monotone arcs, arcs with one turning
+point beyond either endpoint, and, where such a family's fiber advance
+stops short of ell at its limit point (a kink of f at a minimum, an
+Interval end, a Ray's 0), the family's last arcs followed by a ride
+along the leaf over that point.  The integrals use Gauss-Legendre nodes
+under b = x0 + (x1 - x0)(1 - cos theta)/2, which absorbs the square-root
+singularity of a turning point; the roots ell(c) = ell of every family
+are bracketed on a scan and refined together, and each value carries an
+error bar.  Pairs that no family solves within tol / 2 (arcs across a
+kink of f, say) fall back to the lattice engine: Dijkstra on a product
+grid whose edge weights follow the partition-sum rule (Cartesian chord
+with the min of f over the base segment), then one polish of the
+backtracked path, on grids refined until successive values agree.
 
 The polish minimizes the discrete length
 E(b) = sum_k sqrt((b_{k+1} - b_k)^2 + (f(m_k) ds)^2) over the interior
-nodes by trust-region Newton: the Hessian of E is tridiagonal, so each
-step is one banded solve, and a polish takes a few to a few dozen
-steps.  f' and f'' at the midpoints m_k come from central differences.
-A base bound where f vanishes is a pole of the polar-like coordinates
-(b, s); steps across it are reflected instead of clipped, since E has a
-kink on {f = 0} where a clipped path would stall.
+nodes of a graph b(s) by trust-region Newton: the Hessian of E is
+tridiagonal, so each step is one banded solve.  f' and f'' at the
+midpoints m_k come from central differences.  A base bound where f
+vanishes is a pole of the polar-like coordinates (b, s); steps across it
+are reflected instead of clipped, since E has a kink on {f = 0} where a
+clipped path would stall.  Geodesics seed it with the winning curve.
+
+Disk bases keep a coarse lattice engine of their own.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -237,14 +254,15 @@ def warp_profile(f, base, n=SCAN_POINTS, lo=None, hi=None):
     return ts, np.asarray(f(ts), float)
 
 
-def zero_set(f, base, lo=None, hi=None, warn=None):
+def zero_set(f, base, lo=None, hi=None, warn=None, profile=None):
     """Roots of f on a base window, domain(base) by default.
 
     Returns ("boundary", None) for a hinted boundary zero set on disks,
     else ("points", [roots]).  Hinted roots on a 1-D base are filtered to
     the window; otherwise the roots are the scan points where f <
     ZERO_THRESHOLD, at most 64 on a disk, and a scan that finds roots
-    without hints adds its warning to the list warn, once.
+    without hints adds its warning to the list warn, once.  profile is
+    the scan (points, values), warp_profile on the window when omitted.
     """
     hints = getattr(f, "zeros", ())
     if hints == "boundary":
@@ -254,7 +272,7 @@ def zero_set(f, base, lo=None, hi=None, warn=None):
     disk = isinstance(base, spaces.ModelDisk)
     if hints and not disk:
         return "points", [z for z in hints if lo - 1e-12 <= z <= hi + 1e-12]
-    pts, vals = warp_profile(f, base, lo=lo, hi=hi)
+    pts, vals = profile if profile is not None else warp_profile(f, base, lo=lo, hi=hi)
     roots = list(pts[vals < ZERO_THRESHOLD])
     if disk:
         roots = roots[:64]
@@ -269,15 +287,17 @@ def _one_dim(base):
 
 
 def _window(triple, bp, bq, ell):
-    """Base window that certainly contains every candidate geodesic."""
+    """Base window that certainly contains every candidate geodesic.
+
+    On a Ray the upper end is per pair when bp, bq and ell are arrays.
+    """
     b = triple.base
     lo, hi = domain(b)
     if isinstance(b, spaces.Ray):
         # the geodesic never goes past the endpoints by more than an
         # upper bound on the distance
-        fb = min(float(triple.warp(bp)), float(triple.warp(bq)))
-        ub = abs(bp - bq) + fb * ell
-        hi = max(bp, bq) + ub + 1e-9
+        ub = np.abs(bp - bq) + np.minimum(triple.warp(bp), triple.warp(bq)) * ell
+        hi = np.maximum(bp, bq) + ub + 1e-9
     return lo, hi, isinstance(b, spaces.Circle)
 
 
@@ -528,75 +548,23 @@ def _polish_path(triple, bs, ss, ell, lo, hi, wrap, n_nodes, wrap_length=None):
     return res.fun, b, s_grid
 
 
-def _polish_with_restarts(triple, bs, ss, ell, lo, hi, wrap, n_nodes,
-                          wrap_length=None, zeros=()):
-    """Polish, then retry with the path lifted off the zero set.
+def _polish_nodes(ell, tol):
+    """Node count of a polished path: the midpoint rule's error then stays below tol."""
+    return int(np.clip(4.0 * ell / math.sqrt(tol), 129, 20001))
 
-    A path resting on {f = 0} sits on a degenerate critical manifold of
-    the length energy (the fiber term and its gradient both vanish), so
-    the optimizer can stall on a through-Z shaped path even when a
-    nearby dip past the zero is strictly shorter.  Lifting the flat
-    bottom restores a usable gradient.
+
+def _lattice_distance(triple, bp, bq, ell, tol, grid, max_refinements):
+    """Fallback engine: lattice Dijkstra, then one polish of its path, per level.
+
+    Levels double the lattice until two successive polished values agree
+    to tol / 2; returns that value and the polished path (b, s).
     """
-    val, b, s = _polish_path(triple, bs, ss, ell, lo, hi, wrap, n_nodes,
-                             wrap_length=wrap_length)
-    if not zeros or wrap:
-        return val, b, s
-    for z in zeros:
-        dz = np.abs(b[1:-1] - z)
-        if len(dz) == 0 or dz.min() > 1e-6:
-            continue
-        s0 = b[0] - z
-        s1 = b[-1] - z
-        if s0 == 0 or s1 == 0 or (s0 > 0) != (s1 > 0):
-            continue  # genuine crossing: the through-Z candidate covers it
-        sgn = 1.0 if s0 > 0 else -1.0
-        dmax = min(abs(s0), abs(s1))
-        for frac in (0.25, 0.5):
-            d = frac * dmax
-            b_init = np.where(sgn * (b - z) < d, z + sgn * d, b)
-            cand = _polish_path(triple, b_init, s, ell, lo, hi, wrap,
-                                n_nodes, wrap_length=wrap_length)
-            if cand[0] < val:
-                val, b, s = cand
-    return val, b, s
-
-
-def reduced_distance(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8,
-                     polish=True, return_path=False):
-    """Distance in B x_f [0, ell] from (bp, 0) to (bq, ell) for 1-D bases."""
     base = triple.base
-    if not _one_dim(base):
-        return _disk_reduced_distance(triple, bp, bq, ell)
-    bp = float(bp)
-    bq = float(bq)
-    d_base = base.distance(bp, bq)
-    if ell <= 0 or float(triple.warp(bp)) <= ZERO_THRESHOLD \
-            or float(triple.warp(bq)) <= ZERO_THRESHOLD:
-        if return_path:
-            return d_base, None
-        return d_base
-
     lo, hi, wrap = _window(triple, bp, bq, ell)
     zeros = zero_set(triple.warp, base, lo, hi, warn=triple.warnings)[1] or []
-    cand_z = math.inf
-    for z in zeros:
-        cand_z = min(cand_z, base.distance(bp, z) + base.distance(z, bq))
-
     n0 = int(grid) if grid else 64
+    n_polish = _polish_nodes(ell, tol)
     prev = None
-    value = None
-    best_path = None
-    n_polish = int(np.clip(4.0 * ell / math.sqrt(tol), 129, 20001))
-    chord = None
-    if polish:
-        # extra start from the straight chord: the lattice path can hug
-        # a zero of f and trap the optimizer in a local minimum
-        pc, bc, sc = _polish_with_restarts(
-            triple, np.array([bp, bq]), np.array([0.0, ell]),
-            ell, lo, hi, wrap, n_polish,
-            wrap_length=base.length if wrap else None, zeros=zeros)
-        chord = (pc, (bc, sc))
     for level in range(max_refinements):
         n = n0 * (2 ** level)
         coords = _grid_coords(lo, hi, n, [bp, bq] + zeros)
@@ -605,38 +573,488 @@ def reduced_distance(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8
         mf = int(grid) if grid else max(4, min(4 * n, int(math.ceil(ell / h))))
         ip = int(np.argmin(np.abs(coords - bp)))
         iq = int(np.argmin(np.abs(coords - bq)))
-        raw, bs, ss = _grid_dijkstra(triple, coords, fine, ell, mf, ip, iq,
-                                     wrap=wrap, return_path=polish or return_path)
-        if polish and bs is not None and len(bs) >= 2:
-            # use the polished value only: raw segment weights take the
-            # minimum of f over each hop and can undershoot a true length
-            cur, b_nodes, s_nodes = _polish_with_restarts(
-                triple, bs, ss, ell, lo, hi, wrap, n_polish,
-                wrap_length=base.length if wrap else None, zeros=zeros)
-            cur_path = (b_nodes, s_nodes)
-            if chord is not None and chord[0] < cur:
-                cur, cur_path = chord[0], chord[1]
-        else:
-            cur = raw
-            cur_path = (bs, ss)
-        if cand_z < cur:
-            cur = cand_z
-            cur_path = None  # through-Z path assembled by the caller
-        # keep the best value seen: a finer lattice can trap Dijkstra
-        # (and hence the polish) in a worse local minimum near a zero
-        if prev is None or cur < prev:
-            best_path = cur_path
-        if prev is not None and min(cur, prev) > prev - tol / 2.0:
-            value = min(cur, prev)
+        _, bs, ss = _grid_dijkstra(triple, coords, fine, ell, mf, ip, iq, wrap=wrap,
+                                   return_path=True)
+        cur, b_nodes, s_nodes = _polish_path(triple, bs, ss, ell, lo, hi, wrap, n_polish,
+                                             wrap_length=base.length if wrap else None)
+        if prev is not None and abs(cur - prev) <= tol / 2.0:
+            return cur, (b_nodes, s_nodes)
+        prev = cur
+    raise ConvergenceError("grid refinement did not converge to tol=%g" % tol,
+                           bracket=(prev - tol, prev + tol))
+
+
+# Gauss-Legendre nodes of the Clairaut quadrature; a candidate's error bar
+# compares its value with the one from twice as many nodes
+CLAIRAUT_NODES = 48
+# nodes of the monotone family's scan, and the clustered share of a turning scan
+CLAIRAUT_SCAN = 24
+# relative floating-point floor of every error bar: a tol below it is
+# unattainable, and such pairs go to the lattice
+CLAIRAUT_FLOOR = 1e-12
+# pairs per array pass of clairaut_solve
+CLAIRAUT_CHUNK = 64
+# most points of a Ray's scan profile, at the spacing of its domain's scan
+RAY_SCAN_CAP = 16 * (SCAN_POINTS - 1) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_map_rule(n):
+    """Gauss-Legendre rule for int_0^1 g(u) du under u = (1 - cos theta) / 2.
+
+    The map clusters nodes at both ends of the arc, where it turns the
+    inverse square root of a turning point into a smooth integrand.
+    """
+    t, w = np.polynomial.legendre.leggauss(n)
+    theta = 0.5 * math.pi * (1.0 + t)
+    return 0.5 * (1.0 - np.cos(theta)), 0.25 * math.pi * w * np.sin(theta)
+
+
+def _feval(triple):
+    """f on base coordinates, unwrapped coordinates taken mod L on a circle."""
+    warp, base = triple.warp, triple.base
+    if isinstance(base, spaces.Circle):
+        return lambda x: np.asarray(warp(np.mod(x, base.length)), float)
+    return lambda x: np.asarray(warp(x), float)
+
+
+def _arc_terms(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES):
+    """Quadrature nodes b and per-node fiber advance and length terms of the
+    Clairaut arcs from x* to x_lo and to x_hi, each of shape (len(c), 2, n)."""
+    u, w = _cos_map_rule(n)
+    span = np.stack([x_lo - xstar, x_hi - xstar], axis=1)[:, :, None]
+    b = xstar[:, None, None] + span * u
+    f = feval(b)
+    cc = c[:, None, None]
+    ww = np.abs(span) * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt((f - cc) * (f + cc))
+        advance = np.where(ww > 0, ww * cc / (f * root), 0.0)
+        length = np.where(ww > 0, ww * f / root, 0.0)
+    return b, advance, length
+
+
+def _arcs(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES):
+    """Fiber advance and length of the Clairaut arcs from x* to x_lo and to x_hi.
+
+    An arc with constant c advances ell = int c db / (f sqrt(f^2 - c^2))
+    along the fiber and has length L = int f db / sqrt(f^2 - c^2).  Both
+    are inf where f <= c inside an arc, or at an end that is no simple
+    turning point.
+    """
+    _, advance, length = _arc_terms(feval, xstar, c, x_lo, x_hi, n)
+    advance = advance.reshape(len(c), 2 * n).sum(axis=1)
+    length = length.reshape(len(c), 2 * n).sum(axis=1)
+    bad = ~(np.isfinite(advance) & np.isfinite(length))
+    advance[bad] = math.inf
+    length[bad] = math.inf
+    return advance, length
+
+
+def _family_point(feval, p, turn, xm):
+    """Split point x* and constant c of family parameter p.
+
+    A turning family is parametrised by its turning point (x* = p, c =
+    f(p)); a monotone one by c = p, its arc split at the minimum xm of f.
+    """
+    x = np.where(turn, p, xm)
+    return x, np.where(turn, feval(x), p)
+
+
+def _illinois(evaluate, a, b, goal, max_iter=100):
+    """Regula falsi with the Illinois rule on every bracket at once.
+
+    a and b are lists [p, h, c, L] of arrays at the two ends of each
+    bracket, h = ell(p) - ell of opposite signs (inf counts as positive).
+    evaluate(p, rows) gives (h, c, L) at parameters p of the given rows.
+    A bracket stops once |c_a - c_b| * min(|h_a|, |h_b|), which bounds
+    the error of the linearised value at the better end, is at most goal;
+    while an end has an infinite h the step bisects.
+    """
+    wa, wb = a[1].copy(), b[1].copy()
+    last = np.zeros(len(a[0]), int)
+    for _ in range(max_iter):
+        bound = np.abs(a[2] - b[2]) * np.minimum(np.abs(a[1]), np.abs(b[1]))
+        rows = np.flatnonzero(~(bound <= goal))
+        if not len(rows):
             break
-        prev = cur if prev is None else min(cur, prev)
-    if value is None:
-        raise ConvergenceError(
-            "grid refinement did not converge to tol=%g" % tol,
-            bracket=(min(prev, cand_z) - tol, min(prev, cand_z) + tol))
-    if return_path:
-        return value, best_path
-    return min(value, d_base + min(float(triple.warp(bp)), float(triple.warp(bq))) * ell)
+        pa, pb, ha, hb = a[0][rows], b[0][rows], wa[rows], wb[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = (pa * hb - pb * ha) / (hb - ha)
+        p = np.where(np.isfinite(p) & ((p - pa) * (p - pb) < 0), p, 0.5 * (pa + pb))
+        new = evaluate(p, rows)
+        to_a = (new[0] <= 0) == (a[1][rows] <= 0)
+        for end, own, other, side, sel in ((a, wa, wb, 1, to_a), (b, wb, wa, -1, ~to_a)):
+            r = rows[sel]
+            for arr, val in zip(end, (p,) + tuple(new)):
+                arr[r] = val[sel]
+            own[r] = new[0][sel]
+            # Illinois: the end that stays put twice in a row has its weight halved
+            other[r] *= np.where(last[r] == side, 0.5, 1.0)
+            last[r] = side
+    return a, b
+
+
+def _records(vals, m):
+    """Positions of the running-minimum records of vals below m, f > 0.
+
+    A record falls below every earlier value by more than a relative
+    1e-12, so the roundoff of f on a flat stretch makes none.
+    """
+    prev = np.minimum.accumulate(np.concatenate([[m], vals]))[:-1]
+    return np.flatnonzero((vals < prev - 1e-12 * np.abs(prev)) & (vals > ZERO_THRESHOLD))
+
+
+def _argmin_zoom(feval, lo, hi, iters=12, k=17):
+    """Minimum of f on each segment from lo to hi, by zooming on a k-point grid.
+
+    Each pass keeps the first grid point from lo within a relative 1e-12
+    of the least value, and its neighbours: the bracket narrows 8-fold, so
+    the default pins a kink to about 1e-11 of |hi - lo|, well inside the
+    first node of a ride's arcs, and a flat bottom to its end nearest lo.
+    """
+    r = np.arange(len(lo))
+    for _ in range(iters):
+        xs = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, k)
+        fx = feval(xs)
+        j = np.argmax(fx <= fx.min(axis=1, keepdims=True) * (1.0 + 1e-12), axis=1)
+        lo, hi = xs[r, np.maximum(j - 1, 0)], xs[r, np.minimum(j + 1, k - 1)]
+    return xs[r, j], fx[r, j]
+
+
+def _crossing(feval, above, below, level, iters=48):
+    """Bisection for the point between above (f >= level) and below (f < level)."""
+    for _ in range(iters):
+        mid = 0.5 * (above + below)
+        low = feval(mid) < level
+        below = np.where(low, mid, below)
+        above = np.where(low, above, mid)
+    return below
+
+
+class ClairautSolution:
+    """Per-pair results of clairaut_solve.
+
+    value holds the distances and fallback marks the pairs the lattice
+    engine answered.  winner[i] is the curve behind value[i]: ("base",)
+    for no fiber advance, ("z", z) through the zero z, ("leaf", b) along
+    the leaf over the endpoint b, ("arc", start, end, x, c, ride) for
+    Clairaut arcs start -> x -> end with constant c and a ride of fiber
+    length ride along the leaf over x, or ("lattice", bs, ss) for a
+    polished lattice path.
+    """
+
+    def __init__(self, value, fallback, winner):
+        self.value = value
+        self.fallback = fallback
+        self.winner = winner
+
+
+def clairaut_solve(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8):
+    """Distances in B x_f [0, ell] from (bp, 0) to (bq, ell), 1-D bases, per row.
+
+    Every candidate below is the length of a curve; the value is their
+    minimum:
+      - through a zero z of f: d(bp, z) + d(z, bq);
+      - the leaf path d_B + min(f(bp), f(bq)) * ell;
+      - monotone Clairaut arcs, c in (0, min f on [bp, bq]);
+      - arcs with one turning point x* beyond either endpoint, c = f(x*),
+        x* ranging over each stretch of running-minimum records of f
+        outward, from where f falls to the minimum before it to the
+        least f near the stretch's end (or an Interval end or a Ray's 0);
+      - rides: where a family's fiber advance at its limit point x (c =
+        min f, or a stretch's end) stops short of ell, the arcs of c = f(x)
+        and then the leaf over x for the rest of ell.
+    A circle base unwraps bq to bq + kL, k in {-1, 0, 1}.  Each family is
+    scanned for sign changes of ell(c) - ell, all brackets are refined
+    together, and a root or ride is valued L + c (ell - ell(c)), with an
+    error bar: the change from 2x the quadrature nodes, the bracket bound
+    and a floating-point floor.  A pair goes to the lattice engine
+    (_lattice_distance) when no family solves it, when a ride is not
+    confirmed by 2x the nodes, when a candidate's error bar exceeds tol /
+    2, or when its Ray window needs more than RAY_SCAN_CAP scan points.
+    """
+    base = triple.base
+    feval = _feval(triple)
+    bp, bq, ell = (np.atleast_1d(np.asarray(x, float)).ravel() for x in (bp, bq, ell))
+    if isinstance(base, spaces.Interval):
+        bp, bq = np.clip(bp, base.a, base.b), np.clip(bq, base.a, base.b)
+    elif isinstance(base, spaces.Ray):
+        bp, bq = np.maximum(bp, 0.0), np.maximum(bq, 0.0)
+    fp, fq = feval(bp), feval(bq)
+    d_base = np.asarray(base.dist_pairs(bp, bq), float)
+    value = d_base.copy()
+    fallback = np.zeros(len(bp), dtype=bool)
+    winner = [("base",)] * len(bp)
+    for i in np.flatnonzero(ell > 0):
+        if min(fp[i], fq[i]) <= ZERO_THRESHOLD:
+            winner[i] = ("z", bp[i] if fp[i] <= ZERO_THRESHOLD else bq[i])
+    live = np.flatnonzero((ell > 0) & (fp > ZERO_THRESHOLD) & (fq > ZERO_THRESHOLD))
+    if not len(live):
+        return ClairautSolution(value, fallback, winner)
+    # scan profile: f on the grid lo + i h of the domain, extended on a Ray
+    # to every pair's window and taken periodic on a circle
+    lo, hi = domain(base)
+    h = (hi - lo) / (SCAN_POINTS - 1)
+    reach = np.broadcast_to(_window(triple, bp[live], bq[live], ell[live])[1], live.shape)
+    count = SCAN_POINTS
+    if isinstance(base, spaces.Circle):
+        count -= 1
+    elif isinstance(base, spaces.Ray):
+        # a pair whose window needs more than RAY_SCAN_CAP scan points goes
+        # to the lattice, from the leaf path
+        far = reach > lo + h * (RAY_SCAN_CAP - 1)
+        for i in live[far]:
+            value[i] = d_base[i] + min(fp[i], fq[i]) * ell[i]
+            winner[i] = ("leaf", bp[i] if fp[i] <= fq[i] else bq[i])
+        fallback[live[far]] = True
+        live, reach = live[~far], reach[~far]
+        count = max(count, int(math.ceil(float(np.max(reach, initial=0.0)) / h)) + 1)
+    grid_pts = lo + h * np.arange(count)
+    prof = feval(grid_pts)
+    zeros = np.asarray(zero_set(triple.warp, base, lo, grid_pts[-1], warn=triple.warnings,
+                                profile=(grid_pts, prof))[1] or [], float)
+    for s in range(0, len(live), CLAIRAUT_CHUNK):
+        rows = live[s:s + CLAIRAUT_CHUNK]
+        _solve_chunk(triple, feval, prof, lo, h, zeros, rows, bp, bq, ell, d_base,
+                     reach[s:s + CLAIRAUT_CHUNK], tol, value, fallback, winner)
+    for i in np.flatnonzero(fallback):
+        lattice, path = _lattice_distance(triple, bp[i], bq[i], ell[i], tol, grid,
+                                          max_refinements)
+        if lattice < value[i]:
+            value[i] = lattice
+            winner[i] = ("lattice",) + path
+    return ClairautSolution(value, fallback, winner)
+
+
+def _arc_minimum(feval, at, lo, h, x_lo, x_hi):
+    """Where f is least on each [x_lo, x_hi], that least value, f(x_lo), f(x_hi).
+
+    The minimum is at the lower end, or at the lowest scan point inside
+    refined by _argmin_zoom.
+    """
+    f_lo, f_hi = feval(x_lo), feval(x_hi)
+    xm, m = np.where(f_lo <= f_hi, x_lo, x_hi), np.minimum(f_lo, f_hi)
+    zoom = []
+    for k in range(len(x_lo)):
+        inner = np.arange(int(math.floor((x_lo[k] - lo) / h)) + 1,
+                          int(math.ceil((x_hi[k] - lo) / h)))
+        if len(inner):
+            j = inner[np.argmin(at(inner))]
+            if at(j) < m[k]:
+                zoom.append((k, lo + j * h))
+    if zoom:
+        ks, g = (np.array(v) for v in zip(*zoom))
+        x, fx = _argmin_zoom(feval, np.maximum(g - h, x_lo[ks]), np.minimum(g + h, x_hi[ks]))
+        low = fx < m[ks]
+        xm[ks[low]], m[ks[low]] = x[low], fx[low]
+    return xm, m, f_lo, f_hi
+
+
+def _solve_chunk(triple, feval, prof, lo, h, zeros, rows, bp, bq, ell, d_base, reach, tol,
+                 value, fallback, winner):
+    """clairaut_solve on the pairs rows; fills value, fallback and winner there.
+
+    reach is the upper end of each pair's _window (a Ray's scans and zeros
+    stop there).
+    """
+    base = triple.base
+    circle = isinstance(base, spaces.Circle)
+    npair, n = len(rows), len(prof)
+    # problems: one per pair, three per pair on a circle (bq unwrapped)
+    if circle:
+        L = base.length
+        start = np.mod(bp[rows], L)
+        delta = np.mod(bq[rows] - start + 0.5 * L, L) - 0.5 * L
+        shifts = (0.0, -L, L)
+    else:
+        start, delta, shifts = bp[rows], bq[rows] - bp[rows], (0.0,)
+    pair = np.tile(np.arange(npair), len(shifts))
+    start = np.tile(start, len(shifts))
+    end = start + np.tile(delta, len(shifts)) + np.repeat(shifts, npair)
+    x_lo, x_hi = np.minimum(start, end), np.maximum(start, end)
+    target = ell[rows][pair]
+
+    def at(i):
+        return prof[np.mod(i, n)] if circle else prof[i]
+
+    xm, m, f_lo, f_hi = _arc_minimum(feval, at, lo, h, x_lo, x_hi)
+    # outward grid indices past each end, first to last: to the window end,
+    # or less than a full turn on a circle
+    first = (np.ceil((x_lo - lo) / h).astype(int) - 1, np.floor((x_hi - lo) / h).astype(int) + 1)
+    if circle:
+        last = (np.floor((x_hi - L - lo) / h).astype(int) + 1,
+                np.ceil((x_lo + L - lo) / h).astype(int) - 1)
+    elif isinstance(base, spaces.Ray):
+        last = (np.zeros_like(pair),
+                np.minimum(n - 1, np.floor((reach[pair] - lo) / h).astype(int)))
+    else:
+        last = (np.zeros_like(pair), np.full_like(pair, n - 1))
+    # grid index -> coordinate of the boundary leaves: an Interval's ends, a Ray's 0
+    edges = {} if circle else {0: lo}
+    if isinstance(base, spaces.Interval):
+        edges[n - 1] = base.b
+
+    # scan nodes: (problem, segment, turning?, parameter, limit?); a bracket
+    # needs two consecutive nodes of one segment, and the last node of a
+    # segment is the family's limit
+    node_prob, node_seg, node_turn, node_p, node_limit = [], [], [], [], []
+    crossings = []       # (node index, above, below, level) for stretch starts
+    tails = []           # (node index, grid index, outward step) for stretch ends
+    leaf_ok = np.zeros(npair, dtype=bool)
+    seg = 0
+    c_scan = np.sin(0.5 * math.pi * np.arange(CLAIRAUT_SCAN + 1) / CLAIRAUT_SCAN)
+    ranks = (np.arange(CLAIRAUT_SCAN) / CLAIRAUT_SCAN) ** 2
+    for k in range(len(pair)):
+        if x_hi[k] > x_lo[k] and m[k] > ZERO_THRESHOLD:
+            node_prob += [k] * len(c_scan)
+            node_seg += [seg] * len(c_scan)
+            node_turn += [False] * len(c_scan)
+            node_p += list(m[k] * c_scan)
+            node_limit += [False] * CLAIRAUT_SCAN + [True]
+            seg += 1
+        adjacent = False
+        for side, step, e, fe in ((0, -1, x_lo[k], f_lo[k]), (1, 1, x_hi[k], f_hi[k])):
+            idx = np.arange(first[side][k], last[side][k] + step, step)
+            vals = at(idx)
+            rec = _records(vals, m[k])
+            if not len(rec):
+                continue
+            adjacent |= rec[0] == 0
+            # one segment per stretch of adjacent records; nodes: the stretch
+            # ends, and CLAIRAUT_SCAN records clustered at e
+            brk = np.flatnonzero(np.diff(rec) > 1)
+            r0s = rec[np.concatenate([[0], brk + 1])]
+            r1s = rec[np.concatenate([brk, [len(rec) - 1]])]
+            pick = np.unique(np.concatenate([rec[(len(rec) * ranks).astype(int)], r0s, r1s]))
+            for j, (r0, r1) in enumerate(zip(r0s, r1s)):
+                # a stretch starts where f falls to the minimum before it: m
+                # at e itself, or at a crossing found by bisection
+                head = e
+                if not (j == 0 and r0 == 0 and fe <= m[k]):
+                    head = e if r0 == 0 else lo + idx[r0 - 1] * h
+                    level = m[k] if j == 0 else vals[r1s[j - 1]]
+                    crossings.append((len(node_p), head, lo + idx[r0] * h, level))
+                inner = pick[(pick >= r0) & (pick <= r1)]
+                tails.append((len(node_p) + len(inner), idx[r1], step))
+                node_prob += [k] * (len(inner) + 1)
+                node_seg += [seg] * (len(inner) + 1)
+                node_turn += [True] * (len(inner) + 1)
+                node_p += [head] + list(lo + idx[inner] * h)
+                node_limit += [False] * len(inner) + [True]
+                seg += 1
+        if x_hi[k] == x_lo[k] and not adjacent:
+            leaf_ok[pair[k]] = True       # f has a local minimum at bp = bq
+    prob = np.array(node_prob, int)
+    turn = np.array(node_turn, bool)
+    p = np.array(node_p, float)
+    node_seg = np.array(node_seg, int)
+    limit = np.array(node_limit, bool)
+    if crossings:
+        ci, above, below, level = (np.array(v) for v in zip(*crossings))
+        p[ci] = _crossing(feval, above, below, level)
+    if tails:
+        # a stretch ends at a boundary leaf, or else at the minimum of f
+        # within one grid step of its last record, nearest e (a flat bottom
+        # is ridden at its near end), unless f vanishes there
+        ti, g, step = (np.array(v) for v in zip(*tails))
+        tail = np.array([edges.get(j, math.nan) for j in g])
+        free = np.flatnonzero(np.isnan(tail))
+        x, fx = _argmin_zoom(feval, lo + (g - step)[free] * h, lo + (g + step)[free] * h)
+        tail[free] = np.where(fx > ZERO_THRESHOLD, x, lo + g[free] * h)
+        p[ti] = tail
+
+    def evaluate(q, turn_q, prob_q, nodes=CLAIRAUT_NODES):
+        x, c = _family_point(feval, q, turn_q, xm[prob_q])
+        adv, length = _arcs(feval, x, c, x_lo[prob_q], x_hi[prob_q], nodes)
+        return adv - target[prob_q], c, length
+
+    cand = []        # (pair, value, error bar, winner)
+    broken = np.zeros(npair, dtype=bool)
+    if len(p):
+        hv, cv, Lv = evaluate(p, turn, prob)
+        br = np.flatnonzero((node_seg[:-1] == node_seg[1:]) & ((hv[:-1] <= 0) != (hv[1:] <= 0)))
+        a, b = _illinois(lambda q, r: evaluate(q, turn[br[r]], prob[br[r]]),
+                         [p[br], hv[br], cv[br], Lv[br]],
+                         [p[br + 1], hv[br + 1], cv[br + 1], Lv[br + 1]], CLAIRAUT_FLOOR)
+        # each root, taken at the bracket end nearer to it, and each limit
+        # whose family falls short of ell: that curve rides the leaf over
+        # its limit point for the rest of ell.  Both are valued
+        # L + c (ell - ell(c)), with ride ell - ell(c) = 0 at a root
+        near_a = np.abs(a[1]) <= np.abs(b[1])
+        rides = np.flatnonzero(limit & (hv < 0))
+        q, hq, cq, Lq = (np.concatenate([np.where(near_a, u, v), w[rides]])
+                         for u, v, w in zip(a, b, (p, hv, cv, Lv)))
+        at_node = np.concatenate([br, rides])
+        turn_q, prob_q = turn[at_node], prob[at_node]
+        h2, _, L2 = evaluate(q, turn_q, prob_q, 2 * CLAIRAUT_NODES)
+        with np.errstate(invalid="ignore"):
+            est = L2 - cq * h2
+            err = np.abs(Lq - cq * hq - est)
+        err[:len(br)] += np.abs(a[2] - b[2]) * np.abs(hq[:len(br)])
+        ride = np.concatenate([np.zeros(len(br)), -h2[len(br):]])
+        # a ride that twice the nodes do not confirm leaves its family's
+        # limit unresolved, and the pair to the lattice
+        ok = ride >= 0
+        broken[pair[prob_q[~ok]]] = True
+        x = np.where(turn_q, q, xm[prob_q])
+        cand += [(pair[k], est[j], err[j], ("arc", start[k], end[k], x[j], cq[j], ride[j]))
+                 for j, k in enumerate(prob_q) if ok[j] and np.isfinite(est[j])]
+    cand_solves = len(cand)
+    # through a zero, and the leaf path over the endpoint with the smaller f
+    b0, b1, ell_r = bp[rows], bq[rows], ell[rows]
+    f0, f1 = feval(b0), feval(b1)
+    leaf = d_base[rows] + np.minimum(f0, f1) * ell_r
+    for i in range(npair):
+        cand.append((i, leaf[i], 0.0, ("leaf", b0[i] if f0[i] <= f1[i] else b1[i])))
+    usable = np.zeros(npair, dtype=bool)
+    if len(zeros):
+        zz = np.tile(zeros, npair)
+        via = (np.asarray(base.dist_pairs(np.repeat(b0, len(zeros)), zz), float)
+               + np.asarray(base.dist_pairs(zz, np.repeat(b1, len(zeros))), float))
+        via = via.reshape(npair, len(zeros))
+        if isinstance(base, spaces.Ray):
+            # a zero counts for the pairs whose window reaches it
+            via[zeros[None, :] > reach[:, None]] = math.inf
+        jz = np.argmin(via, axis=1)
+        usable = np.isfinite(via[np.arange(npair), jz])
+        cand += [(i, via[i, jz[i]], 0.0, ("z", zeros[jz[i]])) for i in np.flatnonzero(usable)]
+    cp = np.array([c[0] for c in cand], int)
+    cval = np.array([c[1] for c in cand], float)
+    cerr = np.array([c[2] for c in cand], float)
+    cerr += CLAIRAUT_FLOOR * np.maximum(1.0, np.abs(cval))
+    # a pair is solved when a Clairaut family, a zero or an exact leaf
+    # (f has a local minimum at bp = bq) gives a candidate, every family
+    # that falls short of ell rides at its limit, and no candidate within
+    # its error bar of the best has a bar above tol / 2
+    solves = leaf_ok | usable
+    solves[cp[:cand_solves]] = True
+    best = np.full(npair, math.inf)
+    np.minimum.at(best, cp, cval)
+    contest = cval - cerr <= best[cp]
+    worst = np.zeros(npair)
+    np.maximum.at(worst, cp[contest], cerr[contest])
+    solved = solves & ~broken & np.isfinite(best) & (worst <= tol / 2.0)
+    # the fallback starts from the exact curves: the leaf path and through Z
+    pick = np.where(solved[cp], True, np.arange(len(cand)) >= cand_solves)
+    order = np.lexsort((cval, cp))
+    order = order[pick[order]]
+    best_of = order[np.searchsorted(cp[order], np.arange(npair))]
+    value[rows] = cval[best_of]
+    for i, j in enumerate(best_of):
+        winner[rows[i]] = cand[j][3]
+    fallback[rows[~solved]] = True
+
+
+def reduced_distance(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8):
+    """Distance in B x_f [0, ell] from (bp, 0) to (bq, ell).
+
+    One pair of clairaut_solve on 1-D bases; the disk engine on a disk.
+    """
+    if not _one_dim(triple.base):
+        return _disk_reduced_distance(triple, bp, bq, ell)
+    return float(clairaut_solve(triple, bp, bq, ell, tol=tol, grid=grid,
+                                max_refinements=max_refinements).value[0])
 
 
 # resolution (rings, spokes) and attach reach of the disk-base engine
@@ -680,43 +1098,60 @@ def _disk_reduced_distance(triple, bp, bq, ell):
                            mf + 1, (bp, 0), (bq, mf), DISK_ENGINE_REACH)
 
 
-def warped_distance(triple, u, v, tol=1e-3, grid=None, max_refinements=8, polish=True):
+def warped_distance(triple, u, v, tol=1e-3, grid=None, max_refinements=8):
     """Distance in B x_f F between warped points u and v."""
     u = as_warped_point(u)
     v = as_warped_point(v)
     ell = float(triple.fiber.distance(u.fiber, v.fiber))
     return reduced_distance(triple, u.base, v.base, ell, tol=tol, grid=grid,
-                            max_refinements=max_refinements, polish=polish)
+                            max_refinements=max_refinements)
+
+
+def _arc_seed(feval, start, end, x, c, ride, ell):
+    """Polyline (b, s) along the Clairaut arcs start -> x -> end, riding the
+    leaf over x for a fiber length ride; s is rescaled to end at ell."""
+    b, ds, _ = _arc_terms(feval, np.array([x]), np.array([c]), np.array([start]),
+                          np.array([end]))
+    (b1, b2), (d1, d2) = b[0], np.nan_to_num(ds[0], posinf=0.0)
+    s1 = np.cumsum(d1[::-1]) - 0.5 * d1[::-1]
+    sx = float(np.sum(d1))
+    s2 = sx + ride + np.cumsum(d2) - 0.5 * d2
+    bs = np.concatenate([[start], b1[::-1], [x, x], b2, [end]])
+    ss = np.concatenate([[0.0], s1, [sx, sx + ride], s2, [sx + ride + np.sum(d2)]])
+    return bs, ss * (ell / ss[-1])
 
 
 def warped_geodesic(triple, u, v, resolution=1e-3, grid=None, max_refinements=8):
-    """Backtracked and polished geodesic as a GeodesicPolyline."""
+    """Geodesic along the curve that realises the distance, as a GeodesicPolyline.
+
+    A Clairaut-arc winner seeds one polish of the discrete length on
+    _polish_nodes(ell, resolution) nodes; a lattice, through-Z, leaf or
+    base path is taken as it is.
+    """
     u = as_warped_point(u)
     v = as_warped_point(v)
     if not _one_dim(triple.base):
         raise ValueError("geodesic extraction supports 1-D bases only")
     ell = float(triple.fiber.distance(u.fiber, v.fiber))
-    value, path = reduced_distance(triple, u.base, v.base, ell, tol=resolution,
-                                   grid=grid, max_refinements=max_refinements,
-                                   polish=True, return_path=True)
-    if path is None:
-        # through Z (or trivial fiber): two base geodesics meeting on Z
-        lo, hi, _ = _window(triple, float(u.base), float(v.base), ell)
-        zeros = zero_set(triple.warp, triple.base, lo, hi, warn=triple.warnings)[1] or []
-        if ell <= 0 or not zeros:
-            bs = np.linspace(float(u.base), float(v.base),
-                             max(2, int(abs(float(v.base) - float(u.base)) / resolution) + 1))
-            ss = np.zeros_like(bs)
-        else:
-            zstar = min(zeros, key=lambda z: triple.base.distance(u.base, z)
-                        + triple.base.distance(z, v.base))
-            n1 = max(2, int(triple.base.distance(u.base, zstar) / resolution) + 1)
-            n2 = max(2, int(triple.base.distance(zstar, v.base) / resolution) + 1)
-            bs = np.concatenate([np.linspace(float(u.base), zstar, n1),
-                                 np.linspace(zstar, float(v.base), n2)[1:]])
-            ss = np.concatenate([np.zeros(n1), np.full(n2 - 1, ell)])
+    bp, bq = float(u.base), float(v.base)
+    win = clairaut_solve(triple, bp, bq, ell, tol=resolution, grid=grid,
+                         max_refinements=max_refinements).winner[0]
+    if win[0] == "arc":
+        lo, hi, wrap = _window(triple, bp, bq, ell)
+        bs, ss = _arc_seed(_feval(triple), *win[1:], ell)
+        _, bs, ss = _polish_path(triple, bs, ss, ell, lo, hi, wrap,
+                                 _polish_nodes(ell, resolution),
+                                 wrap_length=triple.base.length if wrap else None)
+    elif win[0] == "lattice":
+        bs, ss = win[1:]
     else:
-        bs, ss = path
+        # the base to the zero or leaf point b, the fiber advance there (no
+        # length at a zero), then the base on to bq
+        b = bp if win[0] == "base" else win[1]
+        n1, n2 = (max(2, int(abs(y - x) / resolution) + 1) for x, y in ((bp, b), (b, bq)))
+        nr = max(2, int(float(triple.warp(b)) * ell / resolution) + 1)
+        bs = np.concatenate([np.linspace(bp, b, n1), np.full(nr, b), np.linspace(b, bq, n2)])
+        ss = np.concatenate([np.zeros(n1), np.linspace(0.0, ell, nr), np.full(n2, ell)])
     fb = np.asarray(triple.warp(np.mod(bs, triple.base.length)
                                 if isinstance(triple.base, spaces.Circle) else bs), float)
     seg = np.sqrt(np.diff(bs) ** 2 +
@@ -808,7 +1243,7 @@ def recover_warp(triple, p, kappa, eps, tol=None):
 
 
 class GridWarpedOracle(spaces.MetricOracle):
-    """MetricOracle over B x_f F backed by the grid engine.
+    """MetricOracle over B x_f F backed by clairaut_solve.
 
     Points are encoded as rows (base coord..., fiber coord...); 1-D
     bases and scalar-coded fibers only.
@@ -819,22 +1254,24 @@ class GridWarpedOracle(spaces.MetricOracle):
         self.tol = float(tol)
         self.grid = grid
         self.tol_metric = max(1e-9, 2.0 * self.tol)
+        # pairs answered by the Clairaut solve, and by the lattice fallback
+        self.solved = 0
+        self.fallbacks = 0
 
     def _batch(self, pts):
         return np.asarray(pts, dtype=float).reshape(-1, 2)
 
-    def distance(self, x, y):
-        x = np.asarray(x, float).reshape(2)
-        y = np.asarray(y, float).reshape(2)
-        fx = self.triple.fiber
-        ell = float(fx.distance(spaces.fiber_coords(fx, x[1]), spaces.fiber_coords(fx, y[1])))
-        return reduced_distance(self.triple, x[0], y[0], ell, tol=self.tol,
-                                grid=self.grid)
-
     def dist_pairs(self, xs, ys):
         xs = self._batch(xs)
         ys = self._batch(ys)
-        return np.array([self.distance(x, y) for x, y in zip(xs, ys)])
+        fx = self.triple.fiber
+        ell = np.asarray(fx.dist_pairs(spaces.fiber_coords(fx, xs[:, 1]),
+                                       spaces.fiber_coords(fx, ys[:, 1])), float)
+        sol = clairaut_solve(self.triple, xs[:, 0], ys[:, 0], ell, tol=self.tol, grid=self.grid)
+        fallbacks = int(np.count_nonzero(sol.fallback))
+        self.fallbacks += fallbacks
+        self.solved += len(ell) - fallbacks
+        return sol.value
 
     def sample(self, n, seed):
         g = spaces.rng(seed)

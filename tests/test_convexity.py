@@ -313,3 +313,29 @@ def test_gradient_shells_converge():
     assert finite
     assert finite[-1] == pytest.approx(1.0, abs=5e-3)
     assert rep.cross_check_diff is not None and rep.cross_check_diff <= 5e-3
+
+
+def test_realizers_of_a_scanned_zero_interval_leave_it(monkeypatch):
+    # Z = [0, 1] is scanned as a run of 2049 roots; only its end at 1 has a
+    # realizer that leaves Z, with slope 1
+    f = WarpFunction.from_expression("max(t - 1, 0*t)", 1.0)
+    triple = WarpedTriple(spaces.Interval(0.0, 2.0), f, spaces.Circle(6.0))
+    reals = dist_Z_realizers(f, triple.base)
+    assert [(float(z), step(0.5)) for z, step, _ in reals] == [(1.0, 1.5)]
+    feet = []
+    derivative = convexity._one_sided_derivative
+    monkeypatch.setattr(convexity, "_one_sided_derivative",
+                        lambda f, base, p, *a: feet.append(float(p)) or derivative(f, base, p, *a))
+    cbb = kappa_F("CBB", triple, 0.0)
+    # one derivative for the realizer, two for the gradient at its footpoint
+    assert feet == [1.0, 1.0, 1.0]
+    assert cbb.kappa_F == 1.0000000000663931
+    assert kappa_F("CAT", triple, 0.0).kappa_foot == pytest.approx(1.0, abs=1e-6)
+
+
+def test_realizers_of_scanned_roots_across_a_circle_seam():
+    # Z = [pi, 2 pi] and the scan point 0: one run across the seam
+    f = WarpFunction.from_expression("max(sin(t), 0*t)", 1.0)
+    reals = dist_Z_realizers(f, spaces.Circle(2 * math.pi))
+    assert [(float(z), round(step(0.5), 6)) for z, step, _ in reals] == [
+        (0.0, 0.5), (math.pi, round(math.pi - 0.5, 6))]
