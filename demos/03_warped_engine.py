@@ -3,7 +3,7 @@
 On a 1-D base the engine reduces to an interval fiber of length d_F and
 takes the shortest Clairaut-arc candidate (monotone, one turning point,
 riding the leaf over a kink or a boundary) or the path through the zero
-set; the lattice engine answers only the pairs no family solves.
+set, its arcs split at the kinks of f.
 Closed-form spaces give exact answers to check against.
 """
 
@@ -31,6 +31,17 @@ def main():
                        Circle(2 * math.pi))
     got = warped_distance(two, (-0.75, 0.0), (0.5, math.pi), tol=1e-3)
     print("two-piece |t| warp:              %.6f (exact %.6f)" % (got, 0.75 + 0.5))
+
+    # a kink at the peak of 2 - |t - 1|: either side is a cone of slope 1,
+    # and the arc with Clairaut constant c from f = 1.5 over the peak to
+    # f = 1.5 has a closed form
+    tent = WarpedTriple(Interval(0.0, 2.0), WarpFunction.from_expression("2 - abs(t - 1)", 1.0),
+                        Circle(2 * math.pi))
+    c = 1.2
+    ell = 2 * math.acos(c / 2) - 2 * math.acos(c / 1.5)
+    expect = 2 * math.sqrt(4 - c * c) - 2 * math.sqrt(1.5 ** 2 - c * c)
+    got = warped_distance(tent, (0.5, 0.0), (1.5, ell), tol=1e-6)
+    print("tent 2 - |t - 1|, over the kink: %.6f (exact %.6f)" % (got, expect))
 
     # fiber independence: only d_F(u, v) matters, not the fiber's shape
     f = WarpFunction.from_expression("1 + 0.5*sin(t)", 0.5)

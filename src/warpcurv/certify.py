@@ -191,7 +191,7 @@ def build_product(spec, triple):
             return constructions.SuspensionSpace(fiber)
         if np.max(vals) - np.min(vals) < 1e-12 * span and vals[0] > 0:
             return ProductSpace(base, float(vals[0]), fiber)
-    return warped.GridWarpedOracle(triple, tol=spec.tol, grid=spec.grid)
+    return warped.GridWarpedOracle(triple, tol=spec.tol)
 
 
 def product_slack(spec, triple, product):
@@ -397,8 +397,8 @@ def certify(spec):
         "product_sampling", wv.passed, wv.margin, slack,
         "n=%d on %r" % (wv.n_tested, product))
     if isinstance(product, warped.GridWarpedOracle):
-        info.append("distance engine: %d pairs solved by the Clairaut relation, "
-                    "%d lattice fallbacks" % (product.solved, product.fallbacks))
+        info.append("distance engine: %d pairs solved by the Clairaut relation"
+                    % product.solved)
 
     consistent = all(c.passed for c in conditions) == wv.passed
     return CertificationReport(spec, conditions, product_result, consistent,
@@ -412,9 +412,9 @@ def run_distance(spec, u, v, tol=None, geodesic_path=None):
         spec = TripleSpec.from_dict(spec)
     triple = build_triple(spec)
     tol = spec.tol if tol is None else float(tol)
-    value = warped.warped_distance(triple, u, v, tol=tol, grid=spec.grid)
+    value = warped.warped_distance(triple, u, v, tol=tol)
     if geodesic_path is not None:
-        poly = warped.warped_geodesic(triple, u, v, resolution=tol, grid=spec.grid)
+        poly = warped.warped_geodesic(triple, u, v, resolution=tol)
         dump_geodesic(poly, triple, geodesic_path)
     return value
 

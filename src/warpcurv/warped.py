@@ -14,14 +14,12 @@ point beyond either endpoint, and, where such a family's fiber advance
 stops short of ell at its limit point (a kink of f at a minimum, an
 Interval end, a Ray's 0), the family's last arcs followed by a ride
 along the leaf over that point.  The integrals use Gauss-Legendre nodes
-under b = x0 + (x1 - x0)(1 - cos theta)/2, which absorbs the square-root
-singularity of a turning point; the roots ell(c) = ell of every family
-are bracketed on a scan and refined together, and each value carries an
-error bar.  Pairs that no family solves within tol / 2 (arcs across a
-kink of f, say) fall back to the lattice engine: Dijkstra on a product
-grid whose edge weights follow the partition-sum rule (Cartesian chord
-with the min of f over the base segment), then one polish of the
-backtracked path, on grids refined until successive values agree.
+under b = x0 + (x1 - x0)(1 - cos theta)/2 on each piece of an arc, the
+arc split at the kinks of f that the scan profile shows; the map absorbs
+the square-root singularity of a turning point, and of a kink where
+f = c.  The roots ell(c) = ell of every family are bracketed on a scan
+and refined together, and each value carries an error bar; a pair whose
+best candidate's bar exceeds tol / 2 raises ConvergenceError.
 
 The polish minimizes the discrete length
 E(b) = sum_k sqrt((b_{k+1} - b_k)^2 + (f(m_k) ds)^2) over the interior
@@ -41,6 +39,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import OptimizeResult, minimize
+# unused here, but bench/tracer.py hooks warped.coo_matrix and warped.dijkstra by name
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -51,7 +50,7 @@ ZERO_THRESHOLD = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """Grid refinement did not converge; carries the value bracket."""
+    """A distance could not be resolved to tol; carries the value bracket."""
 
     def __init__(self, message, bracket):
         super().__init__(message)
@@ -85,10 +84,6 @@ class WarpFunction:
     def __call__(self, *coords):
         out = np.asarray(self.fn(*[np.asarray(c, dtype=float) for c in coords]), dtype=float)
         return out if out.ndim else float(out)
-
-    def derivative(self, t, h=1e-6):
-        """Central-difference derivative (1-D bases)."""
-        return (self(np.asarray(t) + h) - self(np.asarray(t) - h)) / (2.0 * h)
 
     @classmethod
     def constant(cls, c):
@@ -206,15 +201,6 @@ class WarpedTriple:
             raise ValueError("declared Lipschitz constant %.12g is below the slope %.12g "
                              "of the warp" % (self.warp.lipschitz, slope))
 
-    def points_equal(self, u, v, tol=1e-12):
-        u = as_warped_point(u)
-        v = as_warped_point(v)
-        if self.base.distance(u.base, v.base) > tol:
-            return False
-        if float(self.warp(u.base)) <= ZERO_THRESHOLD:
-            return True
-        return self.fiber.distance(u.fiber, v.fiber) <= tol
-
 
 def domain(base):
     """Bounded window [lo, hi] of a base coordinate, the radius on a disk."""
@@ -301,93 +287,6 @@ def _window(triple, bp, bq, ell):
     return lo, hi, isinstance(b, spaces.Circle)
 
 
-def _grid_coords(lo, hi, n, extra):
-    coords = np.linspace(lo, hi, n + 1)
-    pts = [p for p in extra if lo <= p <= hi]
-    if pts:
-        coords = np.unique(np.concatenate([coords, np.asarray(pts, float)]))
-    return coords
-
-
-def _f_on_grid(triple, coords, zeros):
-    """f at nodes and midpoints, with hinted zeros snapped to exactly 0."""
-    mids = 0.5 * (coords[:-1] + coords[1:])
-    fine = np.empty(2 * len(coords) - 1)
-    fine[0::2] = triple.warp(coords)
-    fine[1::2] = triple.warp(mids)
-    fine[fine < ZERO_THRESHOLD] = 0.0
-    if zeros:
-        zi = np.searchsorted(coords, np.asarray(zeros))
-        zi = np.clip(zi, 0, len(coords) - 1)
-        for k, z in zip(zi, zeros):
-            if abs(coords[k] - z) < 1e-9:
-                fine[2 * k] = 0.0
-    return fine
-
-
-_OFFSETS = [(0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2), (2, -2), (2, -1), (2, 1), (2, 2)]
-
-
-def _grid_dijkstra(triple, coords, fine, ell, m_fiber, ip, iq, wrap=False,
-                   return_path=False):
-    """Shortest path on the (base nodes) x (fiber nodes) lattice."""
-    nb = len(coords)
-    mf = m_fiber
-    hs = ell / mf if mf else 0.0
-    nodes = nb * (mf + 1)
-
-    def nid(i, j):
-        return i * (mf + 1) + j
-
-    src_list, dst_list, w_list = [], [], []
-    fnode = fine[0::2]
-    for di, dj in _OFFSETS:
-        if di == 0:
-            ii = np.arange(nb)
-            db = np.zeros(nb)
-            fmin = fnode
-        else:
-            if nb <= di:
-                continue
-            ii = np.arange(nb - di)
-            db = coords[di:] - coords[:-di]
-            # min of f over the segment from the half-spacing samples
-            fmin = np.minimum.reduce([fine[k: k + 2 * (nb - di) - 1: 2]
-                                      for k in range(2 * di + 1)])
-        # every fiber layer j0 with j0 + dj on the lattice, layer-major
-        j0 = np.arange(max(0, -dj), mf + 1 - max(0, dj))[:, None]
-        w = np.sqrt(db * db + (fmin * (abs(dj) * hs)) ** 2)
-        src_list.append(nid(ii, j0).ravel())
-        dst_list.append(nid(ii + di, j0 + dj).ravel())
-        w_list.append(np.tile(w, len(j0)))
-    if wrap:
-        # identify the first and last base columns (circle seam)
-        jj = np.arange(mf + 1)
-        src_list.append(nid(np.zeros(mf + 1, int), jj))
-        dst_list.append(nid(np.full(mf + 1, nb - 1, int), jj))
-        w_list.append(np.zeros(mf + 1))
-    src = np.concatenate(src_list)
-    dst = np.concatenate(dst_list)
-    w = np.concatenate(w_list)
-    g = coo_matrix((w, (src, dst)), shape=(nodes, nodes))
-    if return_path:
-        dd, pred = dijkstra(g, directed=False, indices=[nid(ip, 0)],
-                            return_predecessors=True)
-        target = nid(iq, mf)
-        path = [target]
-        while path[-1] != nid(ip, 0):
-            p = pred[0, path[-1]]
-            if p < 0:
-                break
-            path.append(p)
-        path = path[::-1]
-        bs = coords[[n // (mf + 1) for n in path]]
-        ss = hs * np.array([n % (mf + 1) for n in path], dtype=float)
-        return float(dd[0, target]), bs, ss
-    dd = dijkstra(g, directed=False, indices=[nid(ip, 0)])
-    return float(dd[0, nid(iq, mf)]), None, None
-
-
 # central-difference step for f' and f'' in the polish Hessian
 POLISH_FD_STEP = 1e-4
 
@@ -471,11 +370,11 @@ def _tridiagonal_newton(fun, x0, hess, bounds, radius, xtol, reflect, **unused):
 
 
 def _polish_path(triple, bs, ss, ell, lo, hi, wrap, n_nodes, wrap_length=None):
-    """Variational refinement of a grid path as a graph b(s).
+    """Variational refinement of a seed path (bs, ss) as a graph b(s).
 
-    Minimizes the discrete warped length E over the interior base values
-    (see the module docstring); this removes the lattice metrication
-    bias of the Dijkstra stage.
+    Resamples the seed on n_nodes fiber values and minimizes the discrete
+    warped length E over the interior base values (see the module
+    docstring); the geodesic of a Clairaut-arc winner is polished so.
     """
     warp = triple.warp
     if wrap:
@@ -553,49 +452,23 @@ def _polish_nodes(ell, tol):
     return int(np.clip(4.0 * ell / math.sqrt(tol), 129, 20001))
 
 
-def _lattice_distance(triple, bp, bq, ell, tol, grid, max_refinements):
-    """Fallback engine: lattice Dijkstra, then one polish of its path, per level.
-
-    Levels double the lattice until two successive polished values agree
-    to tol / 2; returns that value and the polished path (b, s).
-    """
-    base = triple.base
-    lo, hi, wrap = _window(triple, bp, bq, ell)
-    zeros = zero_set(triple.warp, base, lo, hi, warn=triple.warnings)[1] or []
-    n0 = int(grid) if grid else 64
-    n_polish = _polish_nodes(ell, tol)
-    prev = None
-    for level in range(max_refinements):
-        n = n0 * (2 ** level)
-        coords = _grid_coords(lo, hi, n, [bp, bq] + zeros)
-        fine = _f_on_grid(triple, coords, zeros)
-        h = (hi - lo) / n
-        mf = int(grid) if grid else max(4, min(4 * n, int(math.ceil(ell / h))))
-        ip = int(np.argmin(np.abs(coords - bp)))
-        iq = int(np.argmin(np.abs(coords - bq)))
-        _, bs, ss = _grid_dijkstra(triple, coords, fine, ell, mf, ip, iq, wrap=wrap,
-                                   return_path=True)
-        cur, b_nodes, s_nodes = _polish_path(triple, bs, ss, ell, lo, hi, wrap, n_polish,
-                                             wrap_length=base.length if wrap else None)
-        if prev is not None and abs(cur - prev) <= tol / 2.0:
-            return cur, (b_nodes, s_nodes)
-        prev = cur
-    raise ConvergenceError("grid refinement did not converge to tol=%g" % tol,
-                           bracket=(prev - tol, prev + tol))
-
-
 # Gauss-Legendre nodes of the Clairaut quadrature; a candidate's error bar
 # compares its value with the one from twice as many nodes
 CLAIRAUT_NODES = 48
 # nodes of the monotone family's scan, and the clustered share of a turning scan
 CLAIRAUT_SCAN = 24
 # relative floating-point floor of every error bar: a tol below it is
-# unattainable, and such pairs go to the lattice
+# unattainable, and such pairs raise ConvergenceError
 CLAIRAUT_FLOOR = 1e-12
 # pairs per array pass of clairaut_solve
 CLAIRAUT_CHUNK = 64
-# most points of a Ray's scan profile, at the spacing of its domain's scan
+# most points of a Ray's scan profile; a longer window is scanned at a
+# spacing doubled until it fits
 RAY_SCAN_CAP = 16 * (SCAN_POINTS - 1) + 1
+# a kink's second differences stand this many times above their neighbours'
+KINK_RATIO = 64
+# an arc is not split at a kink closer than this many scan spacings to its ends
+KINK_GAP = 1e-6
 
 
 @functools.lru_cache(maxsize=None)
@@ -618,33 +491,98 @@ def _feval(triple):
     return lambda x: np.asarray(warp(x), float)
 
 
-def _arc_terms(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES):
+def _kinks(feval, prof, lo, h, periodic):
+    """Kinks of f seen on the scan profile prof = f(lo + i h): positions, grid indices.
+
+    A kink inside [x_i, x_i+1] puts its slope jump times h into the sum
+    |d2_i| + |d2_i+1| of second differences, where a smooth f puts about
+    f'' h^2 as it does into |d2_i-1| + |d2_i+2|; a kink is a local maximum
+    of that sum KINK_RATIO times above its neighbours'.  Only indices i
+    with the stencil i - 2 .. i + 3 on the profile count, unless it is
+    periodic.  A kink is placed where the one-sided lines meet: through
+    the grid points first, then through points e and 2e either side of
+    the estimate, e shrinking 8-fold per pass.
+    """
+    n = len(prof)
+    # d2[i + 2] is the second difference at i, the profile taken periodic
+    ext = np.concatenate([prof[-3:], prof, prof[:3]])
+    d2 = ext[:-2] - 2.0 * ext[1:-1] + ext[2:]
+    a = np.abs(d2)
+    pair = a[:-1] + a[1:]
+    kink = ((pair[2:n + 2] > KINK_RATIO * (a[1:n + 1] + a[4:n + 4]) + 1e-11 * np.abs(prof))
+            & (pair[2:n + 2] >= pair[1:n + 1]) & (pair[2:n + 2] > pair[3:n + 3]))
+    i = np.flatnonzero(kink if periodic else kink[:n - 3])
+    if not periodic:
+        i = i[i >= 2]
+    if not len(i):
+        return np.empty(0), i
+    x = lo + (i + np.clip(d2[i + 3] / (d2[i + 2] + d2[i + 3]), 0.0, 1.0)) * h
+    e = 0.25 * h
+    for _ in range(4):
+        fl2, fl1, fr1, fr2 = feval(x + e * np.array([-2.0, -1.0, 1.0, 2.0])[:, None])
+        # lines fl1 + sl (t + 1) and fr1 + sr (t - 1) meet at x + e t
+        sl, sr = fl1 - fl2, fr2 - fr1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (fr1 - fl1 - sl - sr) / (sl - sr)
+        x = x + e * np.clip(np.nan_to_num(t), -1.0, 1.0)
+        e *= 0.125
+    return x, i
+
+
+def _arc_terms(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES, kinks=None, gap=0.0):
     """Quadrature nodes b and per-node fiber advance and length terms of the
-    Clairaut arcs from x* to x_lo and to x_hi, each of shape (len(c), 2, n)."""
+    Clairaut arcs from x* to x_lo and to x_hi, each of shape (len(c), 2, P n).
+
+    kinks, one row of positions per arc pair (nan-padded), splits each arc
+    at the kinks strictly inside it, more than gap from its ends, into
+    pieces of n nodes, ordered from x* outward; P is the most pieces of
+    any arc, and an arc with fewer ends in pieces of length 0.
+    """
     u, w = _cos_map_rule(n)
-    span = np.stack([x_lo - xstar, x_hi - xstar], axis=1)[:, :, None]
-    b = xstar[:, None, None] + span * u
+    ends = np.stack([x_lo, x_hi], axis=1)[:, :, None]
+    cuts = [np.broadcast_to(xstar[:, None, None], ends.shape)]
+    if kinks is not None:
+        k = kinks[:, None, :]
+        x0 = xstar[:, None, None]
+        inside = ((k - x0) * (k - ends) < 0) & (np.abs(k - x0) > gap) & (np.abs(k - ends) > gap)
+        order = np.argsort(np.where(inside, np.abs(k - x0), math.inf), axis=2)
+        inside = np.take_along_axis(inside, order, axis=2)
+        m = int(inside.sum(axis=2).max(initial=0))
+        k = np.take_along_axis(np.broadcast_to(k, inside.shape), order, axis=2)
+        cuts.append(np.where(inside, k, ends)[:, :, :m])
+    cuts.append(ends)
+    cuts = np.concatenate(cuts, axis=2)
+    span = (cuts[:, :, 1:] - cuts[:, :, :-1])[..., None]
+    b = cuts[:, :, :-1, None] + span * u
     f = feval(b)
-    cc = c[:, None, None]
+    cc = c[:, None, None, None]
     ww = np.abs(span) * w
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.sqrt((f - cc) * (f + cc))
         advance = np.where(ww > 0, ww * cc / (f * root), 0.0)
         length = np.where(ww > 0, ww * f / root, 0.0)
-    return b, advance, length
+    shape = (len(c), 2, -1)
+    return b.reshape(shape), advance.reshape(shape), length.reshape(shape)
 
 
-def _arcs(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES):
+def _arcs(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES, kinks=None, gap=0.0):
     """Fiber advance and length of the Clairaut arcs from x* to x_lo and to x_hi.
 
     An arc with constant c advances ell = int c db / (f sqrt(f^2 - c^2))
     along the fiber and has length L = int f db / sqrt(f^2 - c^2).  Both
     are inf where f <= c inside an arc, or at an end that is no simple
-    turning point.
+    turning point.  The sum runs piece by piece, both arcs' j-th pieces
+    together, so that pieces of length 0 leave a row's value unchanged.
     """
-    _, advance, length = _arc_terms(feval, xstar, c, x_lo, x_hi, n)
-    advance = advance.reshape(len(c), 2 * n).sum(axis=1)
-    length = length.reshape(len(c), 2 * n).sum(axis=1)
+    sums = []
+    for terms in _arc_terms(feval, xstar, c, x_lo, x_hi, n, kinks, gap)[1:]:
+        pieces = terms.reshape(len(c), 2, -1, n).transpose(0, 2, 1, 3)
+        pieces = pieces.reshape(len(c), -1, 2 * n).sum(axis=2)
+        total = pieces[:, 0]
+        for j in range(1, pieces.shape[1]):
+            total = total + pieces[:, j]
+        sums.append(total)
+    advance, length = sums
     bad = ~(np.isfinite(advance) & np.isfinite(length))
     advance[bad] = math.inf
     length[bad] = math.inf
@@ -735,22 +673,19 @@ def _crossing(feval, above, below, level, iters=48):
 class ClairautSolution:
     """Per-pair results of clairaut_solve.
 
-    value holds the distances and fallback marks the pairs the lattice
-    engine answered.  winner[i] is the curve behind value[i]: ("base",)
-    for no fiber advance, ("z", z) through the zero z, ("leaf", b) along
-    the leaf over the endpoint b, ("arc", start, end, x, c, ride) for
-    Clairaut arcs start -> x -> end with constant c and a ride of fiber
-    length ride along the leaf over x, or ("lattice", bs, ss) for a
-    polished lattice path.
+    value holds the distances.  winner[i] is the curve behind value[i]:
+    ("base",) for no fiber advance, ("z", z) through the zero z, ("leaf",
+    b) along the leaf over the endpoint b, or ("arc", start, end, x, c,
+    ride) for Clairaut arcs start -> x -> end with constant c and a ride
+    of fiber length ride along the leaf over x.
     """
 
-    def __init__(self, value, fallback, winner):
+    def __init__(self, value, winner):
         self.value = value
-        self.fallback = fallback
         self.winner = winner
 
 
-def clairaut_solve(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8):
+def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
     """Distances in B x_f [0, ell] from (bp, 0) to (bq, ell), 1-D bases, per row.
 
     Every candidate below is the length of a curve; the value is their
@@ -765,14 +700,16 @@ def clairaut_solve(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8):
       - rides: where a family's fiber advance at its limit point x (c =
         min f, or a stretch's end) stops short of ell, the arcs of c = f(x)
         and then the leaf over x for the rest of ell.
-    A circle base unwraps bq to bq + kL, k in {-1, 0, 1}.  Each family is
+    A circle base unwraps bq to bq + kL, k in {-1, 0, 1}.  Arcs are split
+    at the kinks of f on the scan profile (_kinks).  Each family is
     scanned for sign changes of ell(c) - ell, all brackets are refined
     together, and a root or ride is valued L + c (ell - ell(c)), with an
     error bar: the change from 2x the quadrature nodes, the bracket bound
-    and a floating-point floor.  A pair goes to the lattice engine
-    (_lattice_distance) when no family solves it, when a ride is not
-    confirmed by 2x the nodes, when a candidate's error bar exceeds tol /
-    2, or when its Ray window needs more than RAY_SCAN_CAP scan points.
+    and a floating-point floor.  A pair raises ConvergenceError with the
+    bracket best -+ bar when no family solves it, when a ride is not
+    confirmed by 2x the nodes, or when a candidate within its error bar of
+    the best has a bar above tol / 2.  A batch gives the values of its
+    pairs solved one at a time, bit for bit.
     """
     base = triple.base
     feval = _feval(triple)
@@ -784,47 +721,41 @@ def clairaut_solve(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8):
     fp, fq = feval(bp), feval(bq)
     d_base = np.asarray(base.dist_pairs(bp, bq), float)
     value = d_base.copy()
-    fallback = np.zeros(len(bp), dtype=bool)
     winner = [("base",)] * len(bp)
     for i in np.flatnonzero(ell > 0):
         if min(fp[i], fq[i]) <= ZERO_THRESHOLD:
             winner[i] = ("z", bp[i] if fp[i] <= ZERO_THRESHOLD else bq[i])
     live = np.flatnonzero((ell > 0) & (fp > ZERO_THRESHOLD) & (fq > ZERO_THRESHOLD))
-    if not len(live):
-        return ClairautSolution(value, fallback, winner)
     # scan profile: f on the grid lo + i h of the domain, extended on a Ray
-    # to every pair's window and taken periodic on a circle
+    # to every pair's window and taken periodic on a circle.  A Ray window
+    # that needs more than RAY_SCAN_CAP points is scanned at h 2^k instead,
+    # k the least that fits, from that pair's window alone
     lo, hi = domain(base)
     h = (hi - lo) / (SCAN_POINTS - 1)
     reach = np.broadcast_to(_window(triple, bp[live], bq[live], ell[live])[1], live.shape)
-    count = SCAN_POINTS
-    if isinstance(base, spaces.Circle):
-        count -= 1
-    elif isinstance(base, spaces.Ray):
-        # a pair whose window needs more than RAY_SCAN_CAP scan points goes
-        # to the lattice, from the leaf path
-        far = reach > lo + h * (RAY_SCAN_CAP - 1)
-        for i in live[far]:
-            value[i] = d_base[i] + min(fp[i], fq[i]) * ell[i]
-            winner[i] = ("leaf", bp[i] if fp[i] <= fq[i] else bq[i])
-        fallback[live[far]] = True
-        live, reach = live[~far], reach[~far]
-        count = max(count, int(math.ceil(float(np.max(reach, initial=0.0)) / h)) + 1)
-    grid_pts = lo + h * np.arange(count)
-    prof = feval(grid_pts)
-    zeros = np.asarray(zero_set(triple.warp, base, lo, grid_pts[-1], warn=triple.warnings,
-                                profile=(grid_pts, prof))[1] or [], float)
-    for s in range(0, len(live), CLAIRAUT_CHUNK):
-        rows = live[s:s + CLAIRAUT_CHUNK]
-        _solve_chunk(triple, feval, prof, lo, h, zeros, rows, bp, bq, ell, d_base,
-                     reach[s:s + CLAIRAUT_CHUNK], tol, value, fallback, winner)
-    for i in np.flatnonzero(fallback):
-        lattice, path = _lattice_distance(triple, bp[i], bq[i], ell[i], tol, grid,
-                                          max_refinements)
-        if lattice < value[i]:
-            value[i] = lattice
-            winner[i] = ("lattice",) + path
-    return ClairautSolution(value, fallback, winner)
+    level = np.zeros(len(live), int)
+    if isinstance(base, spaces.Ray):
+        while True:
+            over = np.ceil((reach - lo) / (h * 2.0 ** level)) >= RAY_SCAN_CAP
+            if not over.any():
+                break
+            level += over
+    for k in np.unique(level):
+        sub, hk, reach_k = live[level == k], h * 2.0 ** k, reach[level == k]
+        count = SCAN_POINTS
+        if isinstance(base, spaces.Circle):
+            count -= 1
+        elif isinstance(base, spaces.Ray):
+            count = max(count, int(math.ceil(float(np.max(reach_k)) / hk)) + 1)
+        grid_pts = lo + hk * np.arange(count)
+        prof = feval(grid_pts)
+        zeros = np.asarray(zero_set(triple.warp, base, lo, grid_pts[-1], warn=triple.warnings,
+                                    profile=(grid_pts, prof))[1] or [], float)
+        kinks = _kinks(feval, prof, lo, hk, isinstance(base, spaces.Circle))
+        for s in range(0, len(sub), CLAIRAUT_CHUNK):
+            _solve_chunk(triple, feval, prof, lo, hk, zeros, kinks, sub[s:s + CLAIRAUT_CHUNK],
+                         bp, bq, ell, d_base, reach_k[s:s + CLAIRAUT_CHUNK], tol, value, winner)
+    return ClairautSolution(value, winner)
 
 
 def _arc_minimum(feval, at, lo, h, x_lo, x_hi):
@@ -851,12 +782,12 @@ def _arc_minimum(feval, at, lo, h, x_lo, x_hi):
     return xm, m, f_lo, f_hi
 
 
-def _solve_chunk(triple, feval, prof, lo, h, zeros, rows, bp, bq, ell, d_base, reach, tol,
-                 value, fallback, winner):
-    """clairaut_solve on the pairs rows; fills value, fallback and winner there.
+def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_base, reach,
+                 tol, value, winner):
+    """clairaut_solve on the pairs rows; fills value and winner there.
 
-    reach is the upper end of each pair's _window (a Ray's scans and zeros
-    stop there).
+    kinks is _kinks of prof.  reach is the upper end of each pair's
+    _window (a Ray's scans, zeros and kinks stop there).
     """
     base = triple.base
     circle = isinstance(base, spaces.Circle)
@@ -890,6 +821,17 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, rows, bp, bq, ell, d_base, r
                 np.minimum(n - 1, np.floor((reach[pair] - lo) / h).astype(int)))
     else:
         last = (np.zeros_like(pair), np.full_like(pair, n - 1))
+    # the kinks that split arcs: every copy on the unwrapped circle, and on a
+    # Ray those that the profile of the pair's own window shows
+    kx, ki = kinks
+    kmat = None
+    if len(kx):
+        if circle:
+            kx = (kx + L * np.arange(-3, 4)[:, None]).ravel()
+        kmat = np.broadcast_to(kx, (len(pair), len(kx)))
+        if isinstance(base, spaces.Ray):
+            own = np.maximum(SCAN_POINTS, np.ceil((reach - lo) / h).astype(int) + 1)
+            kmat = np.where(ki <= own[pair][:, None] - 4, kmat, math.nan)
     # grid index -> coordinate of the boundary leaves: an Interval's ends, a Ray's 0
     edges = {} if circle else {0: lo}
     if isinstance(base, spaces.Interval):
@@ -966,7 +908,8 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, rows, bp, bq, ell, d_base, r
 
     def evaluate(q, turn_q, prob_q, nodes=CLAIRAUT_NODES):
         x, c = _family_point(feval, q, turn_q, xm[prob_q])
-        adv, length = _arcs(feval, x, c, x_lo[prob_q], x_hi[prob_q], nodes)
+        adv, length = _arcs(feval, x, c, x_lo[prob_q], x_hi[prob_q], nodes,
+                            None if kmat is None else kmat[prob_q], KINK_GAP * h)
         return adv - target[prob_q], c, length
 
     cand = []        # (pair, value, error bar, winner)
@@ -994,7 +937,7 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, rows, bp, bq, ell, d_base, r
         err[:len(br)] += np.abs(a[2] - b[2]) * np.abs(hq[:len(br)])
         ride = np.concatenate([np.zeros(len(br)), -h2[len(br):]])
         # a ride that twice the nodes do not confirm leaves its family's
-        # limit unresolved, and the pair to the lattice
+        # limit, and the pair, unresolved
         ok = ride >= 0
         broken[pair[prob_q[~ok]]] = True
         x = np.where(turn_q, q, xm[prob_q])
@@ -1035,26 +978,30 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, rows, bp, bq, ell, d_base, r
     worst = np.zeros(npair)
     np.maximum.at(worst, cp[contest], cerr[contest])
     solved = solves & ~broken & np.isfinite(best) & (worst <= tol / 2.0)
-    # the fallback starts from the exact curves: the leaf path and through Z
-    pick = np.where(solved[cp], True, np.arange(len(cand)) >= cand_solves)
+    unresolved = np.flatnonzero(~solved)
+    if len(unresolved):
+        # with no family, or an unconfirmed ride, the best value bounds the
+        # distance from above and d_B from below
+        i = unresolved[0]
+        bar = worst[i] if solves[i] and not broken[i] else max(worst[i], best[i] - d_base[rows[i]])
+        raise ConvergenceError("no Clairaut candidate resolves (bp, bq, ell) = (%.12g, %.12g, "
+                               "%.12g) to tol=%g" % (bp[rows[i]], bq[rows[i]], ell[rows[i]], tol),
+                               bracket=(float(best[i] - bar), float(best[i] + bar)))
     order = np.lexsort((cval, cp))
-    order = order[pick[order]]
     best_of = order[np.searchsorted(cp[order], np.arange(npair))]
     value[rows] = cval[best_of]
     for i, j in enumerate(best_of):
         winner[rows[i]] = cand[j][3]
-    fallback[rows[~solved]] = True
 
 
-def reduced_distance(triple, bp, bq, ell, tol=1e-3, grid=None, max_refinements=8):
+def reduced_distance(triple, bp, bq, ell, tol=1e-3):
     """Distance in B x_f [0, ell] from (bp, 0) to (bq, ell).
 
     One pair of clairaut_solve on 1-D bases; the disk engine on a disk.
     """
     if not _one_dim(triple.base):
         return _disk_reduced_distance(triple, bp, bq, ell)
-    return float(clairaut_solve(triple, bp, bq, ell, tol=tol, grid=grid,
-                                max_refinements=max_refinements).value[0])
+    return float(clairaut_solve(triple, bp, bq, ell, tol=tol).value[0])
 
 
 # resolution (rings, spokes) and attach reach of the disk-base engine
@@ -1098,13 +1045,12 @@ def _disk_reduced_distance(triple, bp, bq, ell):
                            mf + 1, (bp, 0), (bq, mf), DISK_ENGINE_REACH)
 
 
-def warped_distance(triple, u, v, tol=1e-3, grid=None, max_refinements=8):
+def warped_distance(triple, u, v, tol=1e-3):
     """Distance in B x_f F between warped points u and v."""
     u = as_warped_point(u)
     v = as_warped_point(v)
     ell = float(triple.fiber.distance(u.fiber, v.fiber))
-    return reduced_distance(triple, u.base, v.base, ell, tol=tol, grid=grid,
-                            max_refinements=max_refinements)
+    return reduced_distance(triple, u.base, v.base, ell, tol=tol)
 
 
 def _arc_seed(feval, start, end, x, c, ride, ell):
@@ -1121,12 +1067,12 @@ def _arc_seed(feval, start, end, x, c, ride, ell):
     return bs, ss * (ell / ss[-1])
 
 
-def warped_geodesic(triple, u, v, resolution=1e-3, grid=None, max_refinements=8):
+def warped_geodesic(triple, u, v, resolution=1e-3):
     """Geodesic along the curve that realises the distance, as a GeodesicPolyline.
 
     A Clairaut-arc winner seeds one polish of the discrete length on
-    _polish_nodes(ell, resolution) nodes; a lattice, through-Z, leaf or
-    base path is taken as it is.
+    _polish_nodes(ell, resolution) nodes; a through-Z, leaf or base path
+    is taken as it is.
     """
     u = as_warped_point(u)
     v = as_warped_point(v)
@@ -1134,16 +1080,13 @@ def warped_geodesic(triple, u, v, resolution=1e-3, grid=None, max_refinements=8)
         raise ValueError("geodesic extraction supports 1-D bases only")
     ell = float(triple.fiber.distance(u.fiber, v.fiber))
     bp, bq = float(u.base), float(v.base)
-    win = clairaut_solve(triple, bp, bq, ell, tol=resolution, grid=grid,
-                         max_refinements=max_refinements).winner[0]
+    win = clairaut_solve(triple, bp, bq, ell, tol=resolution).winner[0]
     if win[0] == "arc":
         lo, hi, wrap = _window(triple, bp, bq, ell)
         bs, ss = _arc_seed(_feval(triple), *win[1:], ell)
         _, bs, ss = _polish_path(triple, bs, ss, ell, lo, hi, wrap,
                                  _polish_nodes(ell, resolution),
                                  wrap_length=triple.base.length if wrap else None)
-    elif win[0] == "lattice":
-        bs, ss = win[1:]
     else:
         # the base to the zero or leaf point b, the fiber advance there (no
         # length at a zero), then the base on to bq
@@ -1249,14 +1192,12 @@ class GridWarpedOracle(spaces.MetricOracle):
     bases and scalar-coded fibers only.
     """
 
-    def __init__(self, triple, tol=1e-3, grid=None):
+    def __init__(self, triple, tol=1e-3):
         self.triple = triple
         self.tol = float(tol)
-        self.grid = grid
         self.tol_metric = max(1e-9, 2.0 * self.tol)
-        # pairs answered by the Clairaut solve, and by the lattice fallback
+        # pairs answered by the Clairaut solve
         self.solved = 0
-        self.fallbacks = 0
 
     def _batch(self, pts):
         return np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -1267,11 +1208,9 @@ class GridWarpedOracle(spaces.MetricOracle):
         fx = self.triple.fiber
         ell = np.asarray(fx.dist_pairs(spaces.fiber_coords(fx, xs[:, 1]),
                                        spaces.fiber_coords(fx, ys[:, 1])), float)
-        sol = clairaut_solve(self.triple, xs[:, 0], ys[:, 0], ell, tol=self.tol, grid=self.grid)
-        fallbacks = int(np.count_nonzero(sol.fallback))
-        self.fallbacks += fallbacks
-        self.solved += len(ell) - fallbacks
-        return sol.value
+        value = clairaut_solve(self.triple, xs[:, 0], ys[:, 0], ell, tol=self.tol).value
+        self.solved += len(ell)
+        return value
 
     def sample(self, n, seed):
         g = spaces.rng(seed)
@@ -1288,5 +1227,5 @@ class GridWarpedOracle(spaces.MetricOracle):
 
     def __repr__(self):
         t = self.triple
-        return "GridWarpedOracle(%r x_{%s} %r, tol=%g, grid=%s)" % (
-            t.base, t.warp.expr, t.fiber, self.tol, self.grid)
+        return "GridWarpedOracle(%r x_{%s} %r, tol=%g)" % (
+            t.base, t.warp.expr, t.fiber, self.tol)

@@ -1,4 +1,4 @@
-"""Clairaut solve on 1-D bases: exact laws, boundary arcs, fallback, batching."""
+"""Clairaut solve on 1-D bases: exact laws, boundary arcs, kinks, batching."""
 
 import math
 import re
@@ -62,7 +62,6 @@ def test_random_queries_against_exact_laws(name, t, law, window, tol):
     sol = clairaut_solve(t, b1, b2, ell, tol=tol)
     expect = np.array([law(*q) for q in zip(b1, b2, ell)])
     assert np.max(np.abs(sol.value - expect)) <= tol
-    assert not sol.fallback.any()
 
 
 def test_hyperbolic_turning_scan_starts_at_the_endpoint():
@@ -87,15 +86,42 @@ def test_boundary_arc_of_one_plus_t(ell):
         assert got < 1.5 * ell              # and than the leaf at bp
 
 
-def test_circle_base_against_the_lattice_engine():
-    t = triple(CIRCLE, "2 + cos(t)", 1.0)
-    g = np.random.default_rng(3)
-    for b1, b2, ell in zip(*g.uniform(0.0, TWO_PI, size=(2, 4)), g.uniform(0.2, 3.0, 4)):
-        sol = clairaut_solve(t, b1, b2, ell, tol=1e-4)
-        lattice = warped._lattice_distance(t, b1, b2, ell, 1e-4, None, 8)[0]
-        assert not sol.fallback[0]
-        assert sol.value[0] <= lattice + 1e-7
-        assert sol.value[0] == pytest.approx(lattice, abs=1e-4)
+def tent(peak):
+    """Monotone arc of slope-1 pieces of f over a kink at a maximum of height peak."""
+    def law(f1, f2, c):
+        ell = 2 * math.acos(c / peak) - math.acos(c / f1) - math.acos(c / f2)
+        length = (2 * math.sqrt(peak ** 2 - c ** 2) - math.sqrt(f1 ** 2 - c ** 2)
+                  - math.sqrt(f2 ** 2 - c ** 2))
+        return ell, length
+    return law
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_tent_law_across_a_kink_at_a_maximum(tol):
+    # 2 - |t - 1| is a cone of slope 1 on either side of its peak; an arc
+    # from b1 < 1 to b2 > 1 crosses the kink, which splits its quadrature
+    t = triple(spaces.Interval(0.0, 2.0), "2 - abs(t - 1)", 1.0)
+    g = np.random.default_rng(11)
+    b1, b2 = g.uniform(0.05, 0.95, 25), g.uniform(1.05, 1.95, 25)
+    f1, f2 = 2 - np.abs(b1 - 1), 2 - np.abs(b2 - 1)
+    c = np.minimum(f1, f2) * g.uniform(0.0, 1.0, 25)
+    ell, expect = np.array([tent(2.0)(*q) for q in zip(f1, f2, c)]).T
+    sol = clairaut_solve(t, b1, b2, ell, tol=tol)
+    assert np.max(np.abs(sol.value - expect)) <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_circle_seam_against_the_tent_law(tol):
+    # 2 + |t - pi| on a circle peaks at the seam t = 0 = 2 pi; pairs on
+    # either side of it are joined by arcs across the seam
+    t = triple(CIRCLE, "2 + abs(t - pi)", 1.0, fiber=spaces.Interval(0.0, 3.0))
+    g = np.random.default_rng(12)
+    b1, b2 = TWO_PI - g.uniform(0.05, 1.0, 25), g.uniform(0.05, 1.0, 25)
+    f1, f2 = 2 + np.abs(b1 - math.pi), 2 + np.abs(b2 - math.pi)
+    c = np.minimum(f1, f2) * g.uniform(0.0, 1.0, 25)
+    ell, expect = np.array([tent(2 + math.pi)(*q) for q in zip(f1, f2, c)]).T
+    sol = clairaut_solve(t, b1, b2, ell, tol=tol)
+    assert np.max(np.abs(sol.value - expect)) <= tol
 
 
 LONG_FIBER = spaces.Interval(0.0, 10.0)
@@ -124,45 +150,69 @@ KINK_RIDES = [
 def test_rides_over_a_kink_are_solved(t, query, exact, tol):
     oracle = GridWarpedOracle(t, tol=tol)
     d = oracle.dist_pairs([[query[0], 0.0]], [[query[1], query[2]]])
-    assert (oracle.solved, oracle.fallbacks) == (1, 0)
+    assert oracle.solved == 1
     assert d[0] == pytest.approx(exact, abs=1e-9)
 
 
-def test_kinks_inside_arcs_fall_back_and_are_counted():
-    # arcs across the kinks of |sin 3t| at its minima converge too slowly
-    # for tol / 2, so the lattice answers that pair
-    t = triple(spaces.Interval(0.0, 3.0), "1 + abs(sin(3*t))", 3.0)
-    oracle = GridWarpedOracle(t, tol=1e-3)
+SIN_KINKS = triple(spaces.Interval(0.0, 3.0), "1 + abs(sin(3*t))", 3.0)
+
+
+def test_kinks_inside_arcs_are_solved():
+    # the arc of the first pair crosses the kinks of |sin 3t| at pi / 3 and
+    # 2 pi / 3; split there, it is solved to tol, and its polished geodesic
+    # agrees
+    oracle = GridWarpedOracle(SIN_KINKS, tol=1e-6)
     q = (0.9355, 2.9098, 0.7653)
     d = oracle.dist_pairs([[q[0], 0.0], [0.5, 0.0]], [[q[1], q[2]], [0.6, 0.2]])
-    assert (oracle.solved, oracle.fallbacks) == (1, 1)
-    assert d[0] == pytest.approx(warped._lattice_distance(t, *q, 1e-5, None, 10)[0], abs=1e-3)
+    assert oracle.solved == 2
+    win = clairaut_solve(SIN_KINKS, *q).winner[0]
+    assert win[0] == "arc" and min(win[1:3]) < 2 * math.pi / 3 < max(win[1:3])
+    poly = warped_geodesic(SIN_KINKS, (q[0], 0.0), (q[1], q[2]), resolution=1e-6)
+    assert poly.total_length == pytest.approx(d[0], abs=1e-5)
+
+
+def hyperbolic_plane(b1, b2, ell):
+    """exp(t) on a Ray is the half plane y = e^-t <= 1 of H^2."""
+    y1, y2 = math.exp(-b1), math.exp(-b2)
+    return math.acosh(1 + (ell ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2))
 
 
 def test_steep_warp_on_a_ray_caps_the_scan():
-    # the window of (3.5, 4, pi) reaches past 4 + e^4 pi: more scan points
-    # than RAY_SCAN_CAP, so that pair goes to the lattice
+    # windows of exp(t) past b = 3.6 reach beyond 16 times the domain's
+    # scan, so those pairs are scanned at a doubled spacing; the pairs are
+    # kept where their H^2 geodesic stays below y = 0.95, inside the Ray
     warp = WarpFunction.from_expression("exp(t)", math.exp(4.0))
     sizes = []
     counted = WarpFunction(lambda x: sizes.append(np.size(x)) or warp.fn(x), warp.lipschitz,
                            expr=warp.expr)
     t = WarpedTriple(spaces.Ray(4.0), counted, CIRCLE)
-    pairs = ([3.5, 0.2], [4.0, 0.5], [math.pi, 1.0])
-    sol = clairaut_solve(t, *pairs)
-    assert sol.fallback.tolist() == [True, False]
-    assert max(sizes) <= warped.RAY_SCAN_CAP
-    assert sol.value.tolist() == [reduced_distance(t, *q) for q in zip(*pairs)]
-    assert sol.value[0] == warped._lattice_distance(t, 3.5, 4.0, math.pi, 1e-3, None, 8)[0]
+    g = np.random.default_rng(13)
+    (b1, b2), ell = g.uniform(3.6, 4.0, (2, 200)), g.uniform(1.2, 1.8, 200)
+    y1, y2 = np.exp(-b1), np.exp(-b2)
+    x0 = (ell ** 2 + y2 ** 2 - y1 ** 2) / (2 * ell)
+    top = np.where((x0 > 0) & (x0 < ell), np.hypot(x0, y1), np.maximum(y1, y2))
+    b1, b2, ell = (v[top < 0.95][:30] for v in (b1, b2, ell))
+    reach = warped._window(t, b1, b2, ell)[1]
+    h = 4.0 / (warped.SCAN_POINTS - 1)
+    assert np.count_nonzero(reach > h * (warped.RAY_SCAN_CAP - 1)) >= 10
+    expect = [hyperbolic_plane(*q) for q in zip(b1, b2, ell)]
+    for tol in (1e-3, 1e-6):
+        sizes.clear()
+        single = [reduced_distance(t, *q, tol=tol) for q in zip(b1, b2, ell)]
+        assert max(sizes) <= warped.RAY_SCAN_CAP
+        assert np.max(np.abs(np.subtract(single, expect))) <= tol
+        assert clairaut_solve(t, b1, b2, ell, tol=tol).value.tolist() == single
 
 
 BATCH = [
     triple(spaces.Interval(0.0, 3.0), "1.5 + sin(2*t)", 2.0),
     triple(spaces.Ray(3.0), "sinh(t)", math.cosh(3.0), (0.0,)),
     triple(CIRCLE, "0.3 + 0.1*cos(t)", 0.1, fiber=spaces.Interval(0.0, 3.0)),
+    SIN_KINKS,
 ]
 
 
-@pytest.mark.parametrize("t", BATCH, ids=["sin2t", "ray", "circle"])
+@pytest.mark.parametrize("t", BATCH, ids=["sin2t", "ray", "circle", "kinks"])
 def test_dist_pairs_equals_per_pair_reduced_distance(t):
     oracle = GridWarpedOracle(t, tol=1e-3)
     xs, ys = oracle.sample(40, seed=5), oracle.sample(40, seed=6)
@@ -172,7 +222,7 @@ def test_dist_pairs_equals_per_pair_reduced_distance(t):
     single = [reduced_distance(t, x[0], y[0], fiber.distance(x[1], y[1]), tol=1e-3)
               for x, y in zip(xs, ys)]
     assert np.array_equal(batch, single)
-    assert oracle.solved == 40 and oracle.fallbacks == 0
+    assert oracle.solved == 40
 
 
 ANCHORS = [
@@ -187,6 +237,8 @@ ANCHORS = [
     # rides over a kink, beyond the ends and between them
     KINK_RIDES[2][:2],
     KINK_RIDES[0][:2],
+    # arcs across kinks
+    (SIN_KINKS, (0.9355, 2.9098, 0.7653)),
     # bp = bq at the minimum of f: the leaf path wins
     (triple(spaces.Interval(0.0, 2.0), "1 + (t - 1)**2", 2.0), (1.0, 1.0, 1.0)),
 ]
@@ -216,5 +268,5 @@ def test_certify_reports_engine_counts():
     lines = [ln for ln in rep.human_text().splitlines() if "distance engine" in ln]
     assert len(lines) == 1
     assert re.fullmatch(r"  info: distance engine: [1-9]\d* pairs solved by the Clairaut "
-                        r"relation, 0 lattice fallbacks", lines[0])
+                        r"relation", lines[0])
     assert "engine" not in rep.machine_text()
