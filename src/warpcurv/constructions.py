@@ -193,8 +193,10 @@ class DoubledDisk(MetricOracle):
     Points are rows (sheet, r, theta).  A cross-sheet distance is one
     shortest path over two sheets of the shared polar lattice
     (spaces.polar_lattice, DOUBLED_LATTICE), with zero-cost crossing
-    edges at the boundary nodes on the glue set.  A rim point on the glue
-    set is one point on both sheets.
+    edges at the boundary nodes on the glue set.  The graph of both
+    sheets is built once per disk (_two_sheets) and each pair only
+    attaches its ends to it.  A rim point on the glue set is one point
+    on both sheets.
     """
 
     def __init__(self, disk, glue_arcs):
@@ -225,20 +227,21 @@ class DoubledDisk(MetricOracle):
                 # both): the convex disk geodesic is already shortest
                 out[i] = self.disk.distance(x[1:], y[1:])
             else:
-                lat, edges = self._two_sheets
-                out[i] = lat.path_length(*edges, 2, (x[1:], sx), (y[1:], sy), DOUBLED_REACH)
+                lat, graph = self._two_sheets
+                out[i] = lat.path_length(graph, 2, (x[1:], sx), (y[1:], sy), DOUBLED_REACH)
         return out
 
     @functools.cached_property
     def _two_sheets(self):
-        """The lattice, and its edges on both sheets plus the crossings at glued boundary nodes."""
+        """The lattice, and the graph of its edges on both sheets plus the
+        crossings at glued boundary nodes."""
         lat = spaces.polar_lattice(self.disk.kappa, self.disk.radius, *DOUBLED_LATTICE)
         src, dst, length = lat.edges()
         rim = np.arange(lat.n_rings * lat.n_spokes, len(lat.nodes))
         glue = rim[[self._in_glue(th) for th in lat.nodes[rim, 1]]]
-        return lat, (np.concatenate([2 * src, 2 * src + 1, 2 * glue]),
-                     np.concatenate([2 * dst, 2 * dst + 1, 2 * glue + 1]),
-                     np.concatenate([length, length, np.zeros(len(glue))]))
+        return lat, lat.graph(np.concatenate([2 * src, 2 * src + 1, 2 * glue]),
+                              np.concatenate([2 * dst, 2 * dst + 1, 2 * glue + 1]),
+                              np.concatenate([length, length, np.zeros(len(glue))]), 2)
 
     def sample(self, n, seed):
         g = rng(seed)

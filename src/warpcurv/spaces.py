@@ -306,6 +306,8 @@ class PolarLattice:
     2 pi j / n_spokes), stored in that row of nodes.  Edges follow
     POLAR_MOVES in order and carry the model length of their ends.  All
     arrays are read-only, since every disk of the same shape shares them.
+    graph() turns edges over copies of the nodes into one CSR matrix, and
+    path_length() answers each query on that matrix.
     """
 
     def __init__(self, kappa, radius, n_rings, n_spokes):
@@ -350,26 +352,44 @@ class PolarLattice:
         dth = np.minimum(dth, 2.0 * math.pi - dth)
         return cells, model.side_from_angle(self.kappa, q[0], self.nodes[cells, 0], dth)
 
-    def path_length(self, src, dst, length, n_copies, x, y, reach):
-        """Shortest path between two points over n_copies of the lattice nodes.
+    def graph(self, src, dst, length, n_copies):
+        """Undirected CSR matrix of the given edges, plus a spare source node.
 
-        Node b of copy c is b * n_copies + c, joined by the given edges.
-        x and y are (polar point, copy) pairs; each point is attached to
-        the nodes of its copy within reach.
+        Node b of copy c is b * n_copies + c; the last node, n, has no
+        edges, so that path_length can attach a point to it.  Each
+        unordered pair must appear once: duplicate entries would be summed.
+        The arrays are read-only, so that a cached graph stays as built.
         """
         from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
 
         n = len(self.nodes) * n_copies
-        srcs, dsts, ws = [src], [dst], [length]
-        for node, (q, copy) in ((n, x), (n + 1, y)):
-            cells, w = self.attach(q, reach)
-            srcs.append(np.full(len(cells), node))
-            dsts.append(cells * n_copies + copy)
-            ws.append(w)
-        g = coo_matrix((np.concatenate(ws), (np.concatenate(srcs), np.concatenate(dsts))),
-                       shape=(n + 2, n + 2))
-        return float(dijkstra(g, directed=False, indices=[n])[0, n + 1])
+        g = coo_matrix((length, (src, dst)), shape=(n + 1, n + 1)).tocsr()
+        for a in (g.data, g.indices, g.indptr):
+            a.setflags(write=False)
+        return g
+
+    def path_length(self, graph, n_copies, x, y, reach):
+        """Shortest path between two points over a graph() of n_copies of the nodes.
+
+        x and y are (polar point, copy) pairs; each point is attached to
+        the nodes of its copy within reach.  x's edges fill the spare
+        node's row of a copy of graph, and y's distance is the least
+        d + w over its own attach edges.
+        """
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        n = graph.shape[0] - 1
+        (qx, cx), (qy, cy) = x, y
+        cells, w = self.attach(qx, reach)
+        indptr = graph.indptr.copy()
+        indptr[-1] += len(cells)
+        indices = (cells * n_copies + cx).astype(graph.indices.dtype)
+        g = csr_matrix((np.concatenate([graph.data, w]),
+                        np.concatenate([graph.indices, indices]), indptr), shape=graph.shape)
+        dist = dijkstra(g, directed=False, indices=n)
+        cells, w = self.attach(qy, reach)
+        return float(np.min(dist[cells * n_copies + cy] + w))
 
 
 @functools.lru_cache(maxsize=16)
@@ -378,19 +398,16 @@ def polar_lattice(kappa, radius, n_rings, n_spokes):
     return PolarLattice(kappa, radius, n_rings, n_spokes)
 
 
-# resolution (rings, spokes) and attach reach of non-convex disk distances
-DISK_LATTICE = (96, 192)
-DISK_REACH = 2
-
-
 class ModelDisk(MetricOracle):
     """Closed metric disk of radius R about a point of the model surface.
 
     Points are polar pairs (r, theta).  For kappa > 0 the disk must
     have R < varpi; distances use the ambient model metric, which is
-    intrinsic whenever the disk is convex (R < varpi/2 for kappa > 0).
-    Non-convex spherical disks fall back to a shortest path on the
-    shared polar lattice (polar_lattice, DISK_LATTICE).
+    intrinsic whenever the disk is convex (R <= varpi/2 for kappa > 0).
+    A spherical disk with R > varpi/2 is the sphere less the convex cap
+    r > R: its distance is the model law where the short model arc stays
+    in the disk (_arc_leaves), and the tangent-rim-tangent path around
+    the cap elsewhere (_around_cap).  Such disks have no interpolation.
     """
 
     kind = "ModelDisk"
@@ -402,7 +419,7 @@ class ModelDisk(MetricOracle):
             raise ValueError("spherical disk radius must be < varpi")
         self.kappa = float(kappa)
         self.radius = float(radius)
-        self.convex = not (kappa > 0 and radius >= model.varpi(kappa) / 2.0)
+        self.convex = not (kappa > 0 and radius > model.varpi(kappa) / 2.0)
         self.diameter_hint = 2.0 * radius
 
     def contains(self, x):
@@ -420,11 +437,48 @@ class ModelDisk(MetricOracle):
         d = model.side_from_angle(self.kappa, xs[:, 0], ys[:, 0], dth)
         d = np.atleast_1d(np.asarray(d, float))
         if not self.convex:
-            lat = polar_lattice(self.kappa, self.radius, *DISK_LATTICE)
-            edges = lat.edges()
-            for i in range(len(d)):
-                d[i] = lat.path_length(*edges, 1, (xs[i], 0), (ys[i], 0), DISK_REACH)
+            around = self._arc_leaves(xs[:, 0], ys[:, 0], d)
+            if around.any():
+                d[around] = self._around_cap(xs[around, 0], ys[around, 0], dth[around])
         return d
+
+    # The two helpers below work on the unit sphere: a = sqrt(kappa) r,
+    # A = sqrt(kappa) R, and a point's height is z = cos a.
+
+    def _arc_leaves(self, r1, r2, d):
+        """True for each pair whose short model arc, of length d, enters the cap r > R.
+
+        Along the arc of length w from the first point the height is
+        z(t) = z1 cos t + u_z sin t, u_z = (z2 - z1 cos w) / sin w.  It is
+        lowest at t = atan2(u_z, z1) + pi (mod 2 pi) if that lies on the
+        arc, else at an end; the arc leaves the disk where that is below
+        cos A.
+        """
+        s = math.sqrt(self.kappa)
+        w = s * d
+        z1, z2 = np.cos(s * r1), np.cos(s * r2)
+        sw = np.sin(w)
+        uz = np.divide(z2 - z1 * np.cos(w), sw, out=np.zeros_like(w), where=sw > 0)
+        t_low = (np.arctan2(uz, z1) + math.pi) % (2.0 * math.pi)
+        z_low = np.where((t_low > 0) & (t_low < w), -np.hypot(z1, uz), np.minimum(z1, z2))
+        return z_low < math.cos(s * self.radius)
+
+    def _around_cap(self, r1, r2, dth):
+        """Length of the shortest path around the cap r > R, for pairs whose
+        short arc enters it; dth is their difference in theta, folded to
+        [0, pi].
+
+        The path runs on tangent arcs t_i = acos(cos a_i / cos A) to the
+        rim, which touch it beta_i = acos(tan A / tan a_i) in theta from
+        their ends, and along the rim, of length sin A per radian of theta,
+        between them.
+        """
+        s = math.sqrt(self.kappa)
+        rim = s * self.radius
+        a = np.stack([s * r1, s * r2])
+        t = np.arccos(np.clip(np.cos(a) / math.cos(rim), -1.0, 1.0))
+        beta = np.arccos(np.clip(math.tan(rim) / np.tan(a), -1.0, 1.0))
+        return (t.sum(axis=0) + math.sin(rim) * (dth - beta.sum(axis=0))) / s
 
     def _embed(self, pts):
         """Chart embedding of polar points for interpolation."""

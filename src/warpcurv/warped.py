@@ -30,7 +30,8 @@ vanishes is a pole of the polar-like coordinates (b, s); steps across it
 are reflected instead of clipped, since E has a kink on {f = 0} where a
 clipped path would stall.  Geodesics seed it with the winning curve.
 
-Disk bases keep a coarse lattice engine of their own.
+Disk bases keep a coarse lattice engine of their own: the shared polar
+lattice layered over fiber nodes, one CSR graph per query.
 """
 
 import functools
@@ -1041,8 +1042,8 @@ def _disk_reduced_distance(triple, bp, bq, ell):
     src.append((column + layers[:-1]).ravel())
     dst.append((column + layers[1:]).ravel())
     ws.append(np.repeat(fvals * hs, mf))
-    return lat.path_length(np.concatenate(src), np.concatenate(dst), np.concatenate(ws),
-                           mf + 1, (bp, 0), (bq, mf), DISK_ENGINE_REACH)
+    graph = lat.graph(np.concatenate(src), np.concatenate(dst), np.concatenate(ws), mf + 1)
+    return lat.path_length(graph, mf + 1, (bp, 0), (bq, mf), DISK_ENGINE_REACH)
 
 
 def warped_distance(triple, u, v, tol=1e-3):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from warpcurv import spaces
+from warpcurv import constructions, spaces, warped
 
 
 CATALOG = [
@@ -16,6 +16,11 @@ CATALOG = [
     spaces.ModelDisk(0.0, 1.0),
     spaces.ModelDisk(1.0, 1.2),
     spaces.ModelDisk(-1.0, 1.5),
+    spaces.ModelDisk(1.0, math.pi / 2),
+    spaces.ModelDisk(1.0, 2.0),
+    spaces.ModelDisk(4.0, 0.9),
+    spaces.ModelDisk(1.0, 1.7),
+    spaces.ModelDisk(1.0, 3.0),
 ]
 
 
@@ -91,19 +96,19 @@ def test_rng_streams_independent():
     assert not np.allclose(a, b)
 
 
-# ModelDisk(1, 2) is not convex (R >= varpi / 2), so its distances are
-# lattice paths.  Values pinned from the separate per-pair graph builder
-# this lattice replaced; the last rows are near-antipodal pairs whose
-# paths go around the removed cap.
+# ModelDisk(1, 2) is not convex (R > varpi / 2): it is the sphere less
+# the cap r > R.  Values pinned from the closed form; the last rows are
+# near-antipodal pairs whose short arcs enter the cap, so their paths go
+# around it on tangent arcs and the rim.
 NONCONVEX_DISK_GOLDEN = [
-    ((0.5, 0.0), (1.5, 2.0), 1.7260751376040062),
-    ((1.2, 0.7), (1.9, 3.5), 2.8258749853401977),
-    ((0.3, 5.0), (1.0, 1.9), 1.3000665030557397),
-    ((1.6, 2.2), (1.4, 5.4), 3.0007304190852135),
-    ((0.9, 4.0), (1.99, 0.9), 2.8937350821888503),
-    ((1.8, 0.0), (1.8, 3.1), 2.9290440578042047),
-    ((1.95, 1.0), (1.7, 4.1), 2.922332453646918),
-    ((2.0, 0.3), (2.0, 3.44), 2.8551691600313744),
+    ((0.5, 0.0), (1.5, 2.0), 1.7081618252223747),
+    ((1.2, 0.7), (1.9, 3.5), 2.8182414379976697),
+    ((0.3, 5.0), (1.0, 1.9), 1.2997767957323516),
+    ((1.6, 2.2), (1.4, 5.4), 2.9885564753040317),
+    ((0.9, 4.0), (1.99, 0.9), 2.8875262253357223),
+    ((1.8, 0.0), (1.8, 3.1), 2.9215027488456977),
+    ((1.95, 1.0), (1.7, 4.1), 2.9152017360313662),
+    ((2.0, 0.3), (2.0, 3.44), 2.8551939202326406),
 ]
 
 
@@ -120,6 +125,146 @@ def test_nonconvex_disk_golden():
     assert np.all(got[-3:] > law[-3:] + 0.2)
 
 
+# Spherical disks past the hemisphere, as (kappa, R): the cap r > R is
+# removed.  Oracles below work on the unit sphere, in code of their own.
+NONCONVEX = [(1.0, 2.0), (4.0, 0.9), (1.0, 1.7), (1.0, 3.0)]
+
+
+def _unit(kappa, pts):
+    """Polar points of a spherical disk as unit vectors, the pole at +z."""
+    a = math.sqrt(kappa) * np.asarray(pts, float)[:, 0]
+    th = np.asarray(pts, float)[:, 1]
+    return np.stack([np.sin(a) * np.cos(th), np.sin(a) * np.sin(th), np.cos(a)], axis=1)
+
+
+def _angle(p, q):
+    """Angle between unit rows p and q."""
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=1), np.sum(p * q, axis=1))
+
+
+def _sphere_law(kappa, xs, ys):
+    return _angle(_unit(kappa, xs), _unit(kappa, ys)) / math.sqrt(kappa)
+
+
+def _arc_low(p, q, n=4001):
+    """Least height z on the short great arc between unit rows p and q, from n samples."""
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    w = _angle(p, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vz = np.where(w > 1e-15, (q[:, 2] - np.cos(w) * p[:, 2]) / np.sin(w), 0.0)
+    t = np.linspace(0.0, 1.0, n)[None, :] * w[:, None]
+    return np.min(np.cos(t) * p[:, 2:3] + np.sin(t) * vz[:, None], axis=1)
+
+
+def _rim_minimum(kappa, radius, x, y):
+    """Shortest path from x to y through the rim, found on the rim itself.
+
+    A path around the cap leaves x on a great arc to a rim point it sees
+    (the arc stays in the disk), runs along the rim, and reaches y the
+    same way.  Moving the first rim point on in the direction of travel
+    shortens the path (a great arc is no longer than the rim arc it
+    replaces) for as long as x still sees it, so it sits at the last
+    rim point x sees, found by bisection with sampled arcs; likewise at y.
+    Both directions of travel are tried.
+    """
+    s = math.sqrt(kappa)
+    rim = s * radius
+    p, q = _unit(kappa, [x])[0], _unit(kappa, [y])[0]
+
+    def at(th):
+        return _unit(1.0, [[rim, th]])[0]
+
+    def sees(v, th):
+        return _arc_low(v, at(th))[0] >= math.cos(rim) - 1e-13
+
+    best = math.inf
+    for sign in (1.0, -1.0):
+        ends = []
+        for v, th0, step in ((p, x[1], sign), (q, y[1], -sign)):
+            lo, hi = 0.0, math.pi
+            for _ in range(45):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if sees(v, th0 + step * mid) else (lo, mid)
+            ends.append(th0 + step * lo)
+        gap = (sign * (ends[1] - ends[0])) % (2.0 * math.pi)
+        length = _angle(p, at(ends[0]))[0] + math.sin(rim) * gap + _angle(q, at(ends[1]))[0]
+        best = min(best, length)
+    return best / s
+
+
+def _pairs(disk, n, seed):
+    return disk.sample(n, seed), disk.sample(n, seed + 1)
+
+
+@pytest.mark.parametrize("kappa,radius", NONCONVEX)
+def test_nonconvex_disk_against_arc_sampling_and_the_rim(kappa, radius):
+    disk = spaces.ModelDisk(kappa, radius)
+    assert not disk.convex
+    xs, ys = _pairs(disk, 600, 11)
+    got = disk.dist_pairs(xs, ys)
+    low = _arc_low(_unit(kappa, xs), _unit(kappa, ys))
+    edge = math.cos(math.sqrt(kappa) * radius)
+    inside, around = low >= edge + 1e-6, low < edge - 1e-6
+    assert inside.sum() + around.sum() >= 597 and around.sum() >= 5
+    # the closed form's inside test agrees with the sampled arcs
+    leaves = disk._arc_leaves(xs[:, 0], ys[:, 0], _sphere_law(kappa, xs, ys))
+    assert np.array_equal(leaves[inside | around], around[inside | around])
+    assert np.allclose(got[inside], _sphere_law(kappa, xs[inside], ys[inside]),
+                       rtol=0, atol=1e-12)
+    for i in np.flatnonzero(around)[:25]:
+        assert got[i] == pytest.approx(_rim_minimum(kappa, radius, xs[i], ys[i]), rel=0, abs=1e-8)
+    assert np.all(got[around] > _sphere_law(kappa, xs[around], ys[around]))
+
+
+@pytest.mark.parametrize("kappa,radius", NONCONVEX)
+def test_nonconvex_disk_identity_is_exact(kappa, radius):
+    disk = spaces.ModelDisk(kappa, radius)
+    rim = np.column_stack([np.full(8, radius), np.linspace(0.0, 6.0, 8)])
+    for pts in (disk.sample(50, 4), rim, np.zeros((3, 2))):
+        assert np.all(disk.dist_pairs(pts, pts) == 0.0)
+
+
+@pytest.mark.parametrize("kappa,radius", NONCONVEX)
+def test_nonconvex_disk_continuous_across_the_switch(kappa, radius):
+    disk = spaces.ModelDisk(kappa, radius)
+    s = math.sqrt(kappa)
+    # halfway between the equator and the rim
+    r = (radius + 0.5 * math.pi / s) / 2.0
+    # y runs along the circle of radius r, from beside x to opposite it
+    th = np.linspace(0.01, math.pi, 20001)
+    xs = np.tile([r, 0.0], (len(th), 1))
+    ys = np.column_stack([np.full(len(th), r), th])
+    d = disk.dist_pairs(xs, ys)
+    leaves = disk._arc_leaves(xs[:, 0], ys[:, 0], _sphere_law(kappa, xs, ys))
+    assert not leaves[0] and leaves[-1]
+    # each step moves y by at most sin(s r) / s * dtheta
+    step = math.sin(s * r) / s * (th[1] - th[0])
+    assert np.all(np.abs(np.diff(d)) <= step * (1.0 + 1e-9) + 1e-12)
+
+
+@pytest.mark.parametrize("kappa,radius", NONCONVEX)
+def test_nonconvex_disk_batch_equals_pairs(kappa, radius):
+    disk = spaces.ModelDisk(kappa, radius)
+    xs, ys = _pairs(disk, 200, 21)
+    got = disk.dist_pairs(xs, ys)
+    assert np.array_equal(got, [disk.distance(x, y) for x, y in zip(xs, ys)])
+
+
+def test_hemisphere_is_convex():
+    disk = spaces.ModelDisk(1.0, math.pi / 2)
+    assert disk.convex
+    xs, ys = _pairs(disk, 300, 31)
+    assert np.allclose(disk.dist_pairs(xs, ys), _sphere_law(1.0, xs, ys), rtol=0, atol=1e-12)
+    # two rim points: the short arc runs along the rim's great circle
+    x, y = [math.pi / 2, 0.0], [math.pi / 2, 2.5]
+    assert disk.distance(x, y) == pytest.approx(2.5, rel=0, abs=1e-12)
+    poly = disk.geodesic([1.5, 0.0], [1.5, 3.0], 0.1)
+    assert poly is not None
+    assert poly.total_length == pytest.approx(_sphere_law(1.0, [[1.5, 0.0]], [[1.5, 3.0]])[0],
+                                              rel=0, abs=1e-12)
+
+
 def test_polar_lattice_is_shared_and_read_only():
     lat = spaces.polar_lattice(1.0, 2.0, 8, 16)
     assert spaces.polar_lattice(1.0, 2.0, 8, 16) is lat
@@ -131,6 +276,86 @@ def test_polar_lattice_is_shared_and_read_only():
     cells, w = lat.attach(np.array([0.0, 0.0]), 1)
     assert len(cells) == 6      # rings 0 and 1 only
     assert np.allclose(w[:3], 0.0) and np.allclose(w[3:], 0.25)
+
+
+def _coo_path_length(lat, src, dst, length, n_copies, x, y, reach):
+    """The per-pair builder path_length replaced: one COO graph per query,
+    with x and y as two extra nodes."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = len(lat.nodes) * n_copies
+    srcs, dsts, ws = [src], [dst], [length]
+    for node, (q, copy) in ((n, x), (n + 1, y)):
+        cells, w = lat.attach(q, reach)
+        srcs.append(np.full(len(cells), node))
+        dsts.append(cells * n_copies + copy)
+        ws.append(w)
+    g = coo_matrix((np.concatenate(ws), (np.concatenate(srcs), np.concatenate(dsts))),
+                   shape=(n + 2, n + 2))
+    return float(dijkstra(g, directed=False, indices=[n])[0, n + 1])
+
+
+@pytest.fixture
+def graph_calls(monkeypatch):
+    """Arguments of every PolarLattice.graph call made while the test runs."""
+    calls = []
+    build = spaces.PolarLattice.graph
+
+    def spy(lat, src, dst, length, n_copies):
+        calls.append((lat, src, dst, length, n_copies))
+        return build(lat, src, dst, length, n_copies)
+    monkeypatch.setattr(spaces.PolarLattice, "graph", spy)
+    return calls
+
+
+@pytest.mark.parametrize("glue", [[(0.0, 2 * math.pi)], [(0.0, 2.0)]], ids=["full", "partial"])
+@pytest.mark.parametrize("disk", [spaces.ModelDisk(0.0, 1.0), spaces.ModelDisk(1.0, 1.2)],
+                         ids=repr)
+def test_doubled_disk_graph_is_built_once(graph_calls, disk, glue):
+    doubled = constructions.DoubledDisk(disk, glue)
+    pts = disk.sample(12, 5)
+    xs = np.column_stack([np.zeros(6), pts[:6]])
+    ys = np.column_stack([np.ones(6), pts[6:]])
+    got = np.concatenate([doubled.dist_pairs(xs, ys), doubled.dist_pairs(ys, xs)])
+    assert len(graph_calls) == 1
+    lat, src, dst, length, n_copies = graph_calls[0]
+    want = [_coo_path_length(lat, src, dst, length, 2, (x[1:], round(x[0])), (y[1:], round(y[0])),
+                             constructions.DOUBLED_REACH)
+            for x, y in zip(np.concatenate([xs, ys]), np.concatenate([ys, xs]))]
+    assert n_copies == 2 and np.array_equal(got, want)
+    graph = doubled._two_sheets[1]
+    assert doubled._two_sheets[1] is graph
+    for a in (graph.data, graph.indices, graph.indptr):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("kappa,expr", [(-1.0, "0.8 + 0*r"), (0.0, "1.0 + 0.3*r*cos(theta)")],
+                         ids=["hyperbolic", "flat-varying"])
+def test_disk_engine_graph_matches_the_per_pair_builder(graph_calls, kappa, expr):
+    warp = warped.WarpFunction.from_expression(expr, 0.3, arity=2)
+    triple = warped.WarpedTriple(spaces.ModelDisk(kappa, 1.0), warp, spaces.Circle(2 * math.pi),
+                                 check=False)
+    pts = triple.base.sample(6, 6)
+    for bp, bq, ell in zip(pts[:3], pts[3:], (0.3, 0.9, 2.6)):
+        got = warped.reduced_distance(triple, bp, bq, ell)
+        lat, src, dst, length, n_copies = graph_calls[-1]
+        want = _coo_path_length(lat, src, dst, length, n_copies, (bp, 0), (bq, n_copies - 1),
+                                warped.DISK_ENGINE_REACH)
+        assert got == want
+    assert len(graph_calls) == 3
+
+
+@pytest.mark.parametrize("shape", [constructions.DOUBLED_LATTICE, warped.DISK_ENGINE_LATTICE],
+                         ids=["doubled", "disk-engine"])
+def test_lattice_edges_are_unique(shape):
+    # COO -> CSR sums duplicate entries, so a pair listed twice would
+    # count its length twice
+    lat = spaces.polar_lattice(1.0, 1.0, *shape)
+    src, dst, _ = lat.edges()
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    assert np.all(lo < hi)
+    assert len(np.unique(lo * len(lat.nodes) + hi)) == len(src)
 
 
 def test_geodesic_samples_interpolate():
