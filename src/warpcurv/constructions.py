@@ -2,10 +2,9 @@
 
 Cone and suspension oracles use closed-form distance laws (the grid
 engine agrees with them within grid error); doubling produces explicit
-catalog spaces for 1-D bases and a two-sheet grid oracle for disks.
+catalog spaces for 1-D bases and a two-sheet oracle for disks.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -182,66 +181,45 @@ def scale_space(space, lam):
     return ScaledSpace(space, lam)
 
 
-# resolution (rings, spokes) and attach reach of cross-sheet distances
-DOUBLED_LATTICE = (64, 128)
-DOUBLED_REACH = 2
-
-
 class DoubledDisk(MetricOracle):
     """Two copies of a model disk glued along boundary arcs.
 
-    Points are rows (sheet, r, theta).  A cross-sheet distance is one
-    shortest path over two sheets of the shared polar lattice
-    (spaces.polar_lattice, DOUBLED_LATTICE), with zero-cost crossing
-    edges at the boundary nodes on the glue set.  The graph of both
-    sheets is built once per disk (_two_sheets) and each pair only
-    attaches its ends to it.  A rim point on the glue set is one point
-    on both sheets.
+    Points are rows (sheet, r, theta).  A rim point on the glue set is one
+    point on both sheets.  Two points on one sheet are as far apart as in
+    the disk, since folding a path onto one sheet keeps its length.  A
+    path between the sheets meets the glue set at a first point p, and
+    folding the rest onto the disk shows that it is at least d(x, p) +
+    d(p, y); so the distance across the sheets is the least such sum over
+    the glue arcs (ModelDisk.via_circle), for any disk, convex or not.
     """
 
     def __init__(self, disk, glue_arcs):
         self.disk = disk
         self.glue_arcs = tuple(glue_arcs)  # list of (theta_lo, theta_hi)
         self.diameter_hint = 4.0 * disk.radius
-        self.tol_metric = 4.0 * disk.radius / DOUBLED_LATTICE[0]
+        self.tol_metric = 1e-9
 
     def _batch(self, pts):
         return np.asarray(pts, dtype=float).reshape(-1, 3)
 
-    def _in_glue(self, theta):
-        th = theta % (2.0 * math.pi)
-        return any(lo - 1e-12 <= th <= hi + 1e-12 for lo, hi in self.glue_arcs)
-
-    def _on_glue(self, x):
-        """True for a rim point in the glue set: the same point on both sheets."""
-        return x[1] >= self.disk.radius - 1e-12 and self._in_glue(x[2])
+    def _on_glue(self, pts):
+        """True for each rim point in the glue set: the same point on both sheets."""
+        th = pts[:, 2] % (2.0 * math.pi)
+        glued = np.zeros(len(pts), dtype=bool)
+        for lo, hi in self.glue_arcs:
+            glued |= (lo - 1e-12 <= th) & (th <= hi + 1e-12)
+        return glued & (pts[:, 1] >= self.disk.radius - 1e-12)
 
     def dist_pairs(self, xs, ys):
         xs = self._batch(xs)
         ys = self._batch(ys)
-        out = np.empty(len(xs))
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            sx, sy = int(round(x[0])), int(round(y[0]))
-            if sx == sy or self._on_glue(x) or self._on_glue(y):
-                # one sheet holds both points (a glued rim point lies on
-                # both): the convex disk geodesic is already shortest
-                out[i] = self.disk.distance(x[1:], y[1:])
-            else:
-                lat, graph = self._two_sheets
-                out[i] = lat.path_length(graph, 2, (x[1:], sx), (y[1:], sy), DOUBLED_REACH)
+        out = np.atleast_1d(np.asarray(self.disk.dist_pairs(xs[:, 1:], ys[:, 1:]), float))
+        cross = ((np.round(xs[:, 0]) != np.round(ys[:, 0]))
+                 & ~self._on_glue(xs) & ~self._on_glue(ys))
+        if cross.any():
+            out[cross] = (self.disk.via_circle(xs[cross, 1:], ys[cross, 1:], self.disk.radius,
+                                               self.glue_arcs)[0] if self.glue_arcs else math.inf)
         return out
-
-    @functools.cached_property
-    def _two_sheets(self):
-        """The lattice, and the graph of its edges on both sheets plus the
-        crossings at glued boundary nodes."""
-        lat = spaces.polar_lattice(self.disk.kappa, self.disk.radius, *DOUBLED_LATTICE)
-        src, dst, length = lat.edges()
-        rim = np.arange(lat.n_rings * lat.n_spokes, len(lat.nodes))
-        glue = rim[[self._in_glue(th) for th in lat.nodes[rim, 1]]]
-        return lat, lat.graph(np.concatenate([2 * src, 2 * src + 1, 2 * glue]),
-                              np.concatenate([2 * dst, 2 * dst + 1, 2 * glue + 1]),
-                              np.concatenate([length, length, np.zeros(len(glue))]), 2)
 
     def sample(self, n, seed):
         g = rng(seed)

@@ -201,8 +201,13 @@ def side_from_angle(kappa, a, b, angle):
         out = np.sqrt((a - b) ** 2 + 4.0 * a * b * h)
     elif kappa > 0:
         s = math.sqrt(kappa)
+        # hc = sin^2(s c / 2); its complement is summed directly, so that
+        # atan2 stays well conditioned as c nears varpi
         hc = np.sin(0.5 * s * (a - b)) ** 2 + np.sin(s * a) * np.sin(s * b) * h
-        out = 2.0 / s * np.arcsin(np.sqrt(_clamp(hc, 0.0, 1.0, CLAMP_TOL)))
+        co = (np.cos(0.5 * s * (a + b)) ** 2
+              + np.sin(s * a) * np.sin(s * b) * np.cos(0.5 * angle) ** 2)
+        out = 2.0 / s * np.arctan2(np.sqrt(_clamp(hc, 0.0, 1.0, CLAMP_TOL)),
+                                   np.sqrt(np.maximum(co, 0.0)))
     else:
         s = math.sqrt(-kappa)
         hc = np.sinh(0.5 * s * (a - b)) ** 2 + np.sinh(s * a) * np.sinh(s * b) * h

@@ -6,7 +6,6 @@ points are numpy arrays with one row (or entry) per point, so that
 pairwise distances vectorize.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -295,107 +294,10 @@ def tripod(leg=1.0, n_leaves=3):
     return FiniteMetric(m)
 
 
-# (ring step, spoke step) of each polar lattice edge family, in edge order
-POLAR_MOVES = ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
-
-
-class PolarLattice:
-    """Ring/spoke lattice on a model disk, shared through polar_lattice().
-
-    Node i * n_spokes + j is the polar point (i R / n_rings,
-    2 pi j / n_spokes), stored in that row of nodes.  Edges follow
-    POLAR_MOVES in order and carry the model length of their ends.  All
-    arrays are read-only, since every disk of the same shape shares them.
-    graph() turns edges over copies of the nodes into one CSR matrix, and
-    path_length() answers each query on that matrix.
-    """
-
-    def __init__(self, kappa, radius, n_rings, n_spokes):
-        self.kappa = kappa
-        self.radius = radius
-        self.n_rings = n_rings
-        self.n_spokes = n_spokes
-        rs = np.linspace(0.0, radius, n_rings + 1)
-        ths = np.linspace(0.0, 2.0 * math.pi, n_spokes, endpoint=False)
-        rr, tt = np.meshgrid(rs, ths, indexing="ij")
-        self.nodes = np.stack([rr.ravel(), tt.ravel()], axis=1)
-        idx = np.arange(len(self.nodes)).reshape(n_rings + 1, n_spokes)
-        src, dst, length = [], [], []
-        for di, dj in POLAR_MOVES:
-            src.append(idx[: n_rings + 1 - di].ravel())
-            dst.append(np.roll(idx, -dj, axis=1)[di:].ravel())
-            ring = model.side_from_angle(kappa, rs[: n_rings + 1 - di], rs[di:],
-                                         2.0 * math.pi / n_spokes * abs(dj))
-            length.append(np.repeat(ring, n_spokes))
-        self._move_ends = np.cumsum([len(e) for e in src])
-        self._src = np.concatenate(src)
-        self._dst = np.concatenate(dst)
-        self._length = np.concatenate(length)
-        for a in (self.nodes, self._src, self._dst, self._length):
-            a.setflags(write=False)
-
-    def edges(self, n_moves=len(POLAR_MOVES)):
-        """(src, dst, length) of the first n_moves edge families."""
-        end = self._move_ends[n_moves - 1]
-        return self._src[:end], self._dst[:end], self._length[:end]
-
-    def attach(self, q, reach):
-        """Nodes within reach rings and spokes of polar point q, and their model distances to q."""
-        nr, ns = self.n_rings, self.n_spokes
-        i0 = int(np.clip(round(q[0] / self.radius * nr), 0, nr))
-        j0 = int(round(q[1] / (2.0 * math.pi) * ns)) % ns
-        steps = np.arange(-reach, reach + 1)
-        rings = i0 + steps
-        rings = rings[(rings >= 0) & (rings <= nr)]
-        cells = (rings[:, None] * ns + (j0 + steps) % ns).ravel()
-        dth = np.abs(q[1] - self.nodes[cells, 1]) % (2.0 * math.pi)
-        dth = np.minimum(dth, 2.0 * math.pi - dth)
-        return cells, model.side_from_angle(self.kappa, q[0], self.nodes[cells, 0], dth)
-
-    def graph(self, src, dst, length, n_copies):
-        """Undirected CSR matrix of the given edges, plus a spare source node.
-
-        Node b of copy c is b * n_copies + c; the last node, n, has no
-        edges, so that path_length can attach a point to it.  Each
-        unordered pair must appear once: duplicate entries would be summed.
-        The arrays are read-only, so that a cached graph stays as built.
-        """
-        from scipy.sparse import coo_matrix
-
-        n = len(self.nodes) * n_copies
-        g = coo_matrix((length, (src, dst)), shape=(n + 1, n + 1)).tocsr()
-        for a in (g.data, g.indices, g.indptr):
-            a.setflags(write=False)
-        return g
-
-    def path_length(self, graph, n_copies, x, y, reach):
-        """Shortest path between two points over a graph() of n_copies of the nodes.
-
-        x and y are (polar point, copy) pairs; each point is attached to
-        the nodes of its copy within reach.  x's edges fill the spare
-        node's row of a copy of graph, and y's distance is the least
-        d + w over its own attach edges.
-        """
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
-
-        n = graph.shape[0] - 1
-        (qx, cx), (qy, cy) = x, y
-        cells, w = self.attach(qx, reach)
-        indptr = graph.indptr.copy()
-        indptr[-1] += len(cells)
-        indices = (cells * n_copies + cx).astype(graph.indices.dtype)
-        g = csr_matrix((np.concatenate([graph.data, w]),
-                        np.concatenate([graph.indices, indices]), indptr), shape=graph.shape)
-        dist = dijkstra(g, directed=False, indices=n)
-        cells, w = self.attach(qy, reach)
-        return float(np.min(dist[cells * n_copies + cy] + w))
-
-
-@functools.lru_cache(maxsize=16)
-def polar_lattice(kappa, radius, n_rings, n_spokes):
-    """The PolarLattice of this shape, built once per process."""
-    return PolarLattice(kappa, radius, n_rings, n_spokes)
+# angles per full turn of a via_circle scan, points of each zoom grid, zoom passes
+CIRCLE_SCAN = 64
+CIRCLE_ZOOM = 17
+CIRCLE_PASSES = 8
 
 
 class ModelDisk(MetricOracle):
@@ -408,6 +310,9 @@ class ModelDisk(MetricOracle):
     r > R: its distance is the model law where the short model arc stays
     in the disk (_arc_leaves), and the tangent-rim-tangent path around
     the cap elsewhere (_around_cap).  Such disks have no interpolation.
+    via_circle minimises d(x, p) + d(p, y) over the points p of arcs of a
+    circle r = rho: the cross-sheet distance of a DoubledDisk, and the
+    path through a zero circle of a radial warp.
     """
 
     kind = "ModelDisk"
@@ -479,6 +384,56 @@ class ModelDisk(MetricOracle):
         t = np.arccos(np.clip(np.cos(a) / math.cos(rim), -1.0, 1.0))
         beta = np.arccos(np.clip(math.tan(rim) / np.tan(a), -1.0, 1.0))
         return (t.sum(axis=0) + math.sin(rim) * (dth - beta.sum(axis=0))) / s
+
+    def via_circle(self, xs, ys, rho, arcs=((0.0, 2.0 * math.pi),)):
+        """Least d(x, p) + d(p, y) over p = (rho, theta), theta on the arcs, per pair.
+
+        Returns the values and the minimising thetas.  Each arc (lo, hi),
+        lo <= hi <= lo + 2 pi, is scanned at CIRCLE_SCAN angles per turn,
+        its ends, and the angles of x and y where they lie on it, so that
+        the dip of a point near the circle is sampled at its bottom.  Every
+        local minimum of the scan is refined by CIRCLE_PASSES zooms on a
+        CIRCLE_ZOOM-point grid over its two neighbouring intervals.  Each
+        value is d(x, p) + d(p, y) at a point p of the arcs.
+        """
+        xs, ys = self._batch(xs), self._batch(ys)
+        n = len(xs)
+
+        def total(pair, theta):
+            p = np.stack([np.full(theta.size, float(rho)), theta.ravel()], axis=1)
+            d = self.dist_pairs(xs[pair.ravel()], p) + self.dist_pairs(p, ys[pair.ravel()])
+            return d.reshape(theta.shape)
+
+        pair, lo_b, hi_b = [], [], []
+        for lo, hi in arcs:
+            grid = np.linspace(lo, hi, max(2, int(math.ceil(CIRCLE_SCAN * (hi - lo)
+                                                            / (2.0 * math.pi)))) + 1)
+            own = lo + (np.stack([xs[:, 1], ys[:, 1]], axis=1) - lo) % (2.0 * math.pi)
+            own = np.where(own <= hi, own, lo)
+            th = np.sort(np.concatenate([np.broadcast_to(grid, (n, len(grid))), own], axis=1),
+                         axis=1)
+            g = total(np.repeat(np.arange(n)[:, None], th.shape[1], axis=1), th)
+            pad = np.full((n, 1), math.inf)
+            left = np.concatenate([pad, g[:, :-1]], axis=1)
+            right = np.concatenate([g[:, 1:], pad], axis=1)
+            i, j = np.nonzero((g <= left) & (g <= right))
+            pair.append(i)
+            lo_b.append(th[i, np.maximum(j - 1, 0)])
+            hi_b.append(th[i, np.minimum(j + 1, th.shape[1] - 1)])
+        pair, lo_b, hi_b = (np.concatenate(v) for v in (pair, lo_b, hi_b))
+        r = np.arange(len(pair))
+        for _ in range(CIRCLE_PASSES):
+            th = lo_b[:, None] + (hi_b - lo_b)[:, None] * np.linspace(0.0, 1.0, CIRCLE_ZOOM)
+            g = total(np.repeat(pair[:, None], CIRCLE_ZOOM, axis=1), th)
+            j = np.argmin(g, axis=1)
+            lo_b = th[r, np.maximum(j - 1, 0)]
+            hi_b = th[r, np.minimum(j + 1, CIRCLE_ZOOM - 1)]
+        best = np.full(n, math.inf)
+        np.minimum.at(best, pair, g[r, j])
+        theta = np.full(n, math.nan)
+        win = g[r, j] == best[pair]
+        theta[pair[win]] = th[r, j][win]
+        return best, theta
 
     def _embed(self, pts):
         """Chart embedding of polar points for interpolation."""

@@ -30,8 +30,8 @@ vanishes is a pole of the polar-like coordinates (b, s); steps across it
 are reflected instead of clipped, since E has a kink on {f = 0} where a
 clipped path would stall.  Geodesics seed it with the winning curve.
 
-Disk bases keep a coarse lattice engine of their own: the shared polar
-lattice layered over fiber nodes, one CSR graph per query.
+On a ModelDisk base with a radial warp f(r), warpcurv.radial does the same
+with two conserved constants, a = sn^2 dtheta/dt and c = f^2 ds/dt.
 """
 
 import functools
@@ -81,6 +81,8 @@ class WarpFunction:
         self.zeros = zeros if isinstance(zeros, str) else tuple(float(z) for z in zeros)
         self.expr = expr
         self.arity = int(arity)
+        # a disk warp of r alone, known only for expressions without theta
+        self.radial = False
 
     def __call__(self, *coords):
         out = np.asarray(self.fn(*[np.asarray(c, dtype=float) for c in coords]), dtype=float)
@@ -129,7 +131,9 @@ class WarpFunction:
                 env["theta"] = theta
                 return np.broadcast_to(np.asarray(eval(code, {"__builtins__": {}}, env),
                                                   dtype=float), np.shape(r)).copy()
-        return cls(fn, lipschitz, zeros=zeros, expr=expr, arity=arity)
+        out = cls(fn, lipschitz, zeros=zeros, expr=expr, arity=arity)
+        out.radial = arity == 2 and "theta" not in code.co_names
+        return out
 
 
 class WarpedPoint:
@@ -963,21 +967,13 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_
         jz = np.argmin(via, axis=1)
         usable = np.isfinite(via[np.arange(npair), jz])
         cand += [(i, via[i, jz[i]], 0.0, ("z", zeros[jz[i]])) for i in np.flatnonzero(usable)]
-    cp = np.array([c[0] for c in cand], int)
-    cval = np.array([c[1] for c in cand], float)
-    cerr = np.array([c[2] for c in cand], float)
-    cerr += CLAIRAUT_FLOOR * np.maximum(1.0, np.abs(cval))
+    cp, cval, best, worst, best_of = _contest(cand, npair)
     # a pair is solved when a Clairaut family, a zero or an exact leaf
     # (f has a local minimum at bp = bq) gives a candidate, every family
     # that falls short of ell rides at its limit, and no candidate within
     # its error bar of the best has a bar above tol / 2
     solves = leaf_ok | usable
     solves[cp[:cand_solves]] = True
-    best = np.full(npair, math.inf)
-    np.minimum.at(best, cp, cval)
-    contest = cval - cerr <= best[cp]
-    worst = np.zeros(npair)
-    np.maximum.at(worst, cp[contest], cerr[contest])
     solved = solves & ~broken & np.isfinite(best) & (worst <= tol / 2.0)
     unresolved = np.flatnonzero(~solved)
     if len(unresolved):
@@ -988,62 +984,41 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_
         raise ConvergenceError("no Clairaut candidate resolves (bp, bq, ell) = (%.12g, %.12g, "
                                "%.12g) to tol=%g" % (bp[rows[i]], bq[rows[i]], ell[rows[i]], tol),
                                bracket=(float(best[i] - bar), float(best[i] + bar)))
-    order = np.lexsort((cval, cp))
-    best_of = order[np.searchsorted(cp[order], np.arange(npair))]
     value[rows] = cval[best_of]
     for i, j in enumerate(best_of):
         winner[rows[i]] = cand[j][3]
 
 
+def _contest(cand, npair):
+    """Candidates (pair, value, error bar, winner) of pairs 0..npair - 1:
+    their pairs and values, each pair's best value, the largest bar of the
+    candidates whose bar reaches that best (every bar plus the
+    floating-point floor), and the index of each pair's best candidate."""
+    cp = np.array([c[0] for c in cand], int)
+    cval = np.array([c[1] for c in cand], float)
+    cerr = np.array([c[2] for c in cand], float)
+    cerr += CLAIRAUT_FLOOR * np.maximum(1.0, np.abs(cval))
+    best = np.full(npair, math.inf)
+    np.minimum.at(best, cp, cval)
+    contest = cval - cerr <= best[cp]
+    worst = np.zeros(npair)
+    np.maximum.at(worst, cp[contest], cerr[contest])
+    order = np.lexsort((cval, cp))
+    best_of = order[np.minimum(np.searchsorted(cp[order], np.arange(npair)), len(cp) - 1)]
+    return cp, cval, best, worst, best_of
+
+
 def reduced_distance(triple, bp, bq, ell, tol=1e-3):
     """Distance in B x_f [0, ell] from (bp, 0) to (bq, ell).
 
-    One pair of clairaut_solve on 1-D bases; the disk engine on a disk.
+    One pair of clairaut_solve on 1-D bases, of radial.radial_solve on a disk.
     """
-    if not _one_dim(triple.base):
-        return _disk_reduced_distance(triple, bp, bq, ell)
-    return float(clairaut_solve(triple, bp, bq, ell, tol=tol).value[0])
-
-
-# resolution (rings, spokes) and attach reach of the disk-base engine
-DISK_ENGINE_LATTICE = (48, 96)
-DISK_ENGINE_REACH = 1
-
-
-def _disk_reduced_distance(triple, bp, bq, ell):
-    """Coarse product-grid engine for ModelDisk bases (no polish stage).
-
-    Layers the first four moves of the base's polar lattice over fiber
-    nodes j * ell / mf, with min-f fiber weights and vertical edges.
-    """
-    disk = triple.base
-    bp = np.asarray(bp, float).reshape(2)
-    bq = np.asarray(bq, float).reshape(2)
-    if ell <= 0 or float(triple.warp(bp[0], bp[1])) <= ZERO_THRESHOLD \
-            or float(triple.warp(bq[0], bq[1])) <= ZERO_THRESHOLD:
-        return disk.distance(bp, bq)
-    lat = spaces.polar_lattice(disk.kappa, disk.radius, *DISK_ENGINE_LATTICE)
-    mf = max(4, min(32, int(math.ceil(ell / (disk.radius / lat.n_rings)))))
-    hs = ell / mf
-    fvals = np.asarray(triple.warp(lat.nodes[:, 0], lat.nodes[:, 1]), float)
-    fvals[fvals < ZERO_THRESHOLD] = 0.0
-    bsrc, bdst, dbase = lat.edges(4)
-    fmin = np.minimum(fvals[bsrc], fvals[bdst])
-    layers = np.arange(mf + 1)
-    src, dst, ws = [], [], []
-    for dj in (-1, 0, 1):
-        j0 = layers[max(0, -dj): mf + 1 - max(0, dj)]
-        w = np.sqrt(dbase ** 2 + (fmin * abs(dj) * hs) ** 2)
-        src.append((bsrc[:, None] * (mf + 1) + j0).ravel())
-        dst.append((bdst[:, None] * (mf + 1) + j0 + dj).ravel())
-        ws.append(np.repeat(w, len(j0)))
-    # vertical moves at fixed base point
-    column = np.arange(len(fvals))[:, None] * (mf + 1)
-    src.append((column + layers[:-1]).ravel())
-    dst.append((column + layers[1:]).ravel())
-    ws.append(np.repeat(fvals * hs, mf))
-    graph = lat.graph(np.concatenate(src), np.concatenate(dst), np.concatenate(ws), mf + 1)
-    return lat.path_length(graph, mf + 1, (bp, 0), (bq, mf), DISK_ENGINE_REACH)
+    if _one_dim(triple.base):
+        return float(clairaut_solve(triple, bp, bq, ell, tol=tol).value[0])
+    # imported on first use: only disk bases need it, and the package import
+    # should not pay for compiling it
+    from .radial import radial_solve
+    return float(radial_solve(triple, bp, bq, ell, tol=tol).value[0])
 
 
 def warped_distance(triple, u, v, tol=1e-3):

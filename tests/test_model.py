@@ -119,6 +119,14 @@ def test_side_from_angle_limits():
     assert model.side_from_angle(1.0, 1.0, 1.0, math.pi) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [1.0, 4.0])
+def test_side_from_angle_is_exact_at_antipodes(kappa):
+    # sides a and varpi - a at angle pi span a half great circle
+    a = rng(3, stream=13).uniform(0.0, model.varpi(kappa), 10000)
+    c = model.side_from_angle(kappa, a, model.varpi(kappa) - a, math.pi)
+    assert np.max(np.abs(c - model.varpi(kappa))) <= 1e-12
+
+
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0, 4.0])
 def test_triangle_angles_match_angle_from_sides(kappa):
     g = rng(8, stream=12)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from warpcurv import constructions, spaces, warped
+from warpcurv import constructions, spaces
 
 
 CATALOG = [
@@ -265,97 +265,42 @@ def test_hemisphere_is_convex():
                                               rel=0, abs=1e-12)
 
 
-def test_polar_lattice_is_shared_and_read_only():
-    lat = spaces.polar_lattice(1.0, 2.0, 8, 16)
-    assert spaces.polar_lattice(1.0, 2.0, 8, 16) is lat
-    src, dst, length = lat.edges()
-    assert len(src) == len(dst) == len(length) == 16 * (9 + 8 * 5 + 7 * 2)
-    assert len(lat.edges(4)[0]) == 16 * (9 + 8 * 3)
-    with pytest.raises(ValueError):
-        length[0] = 0.0
-    cells, w = lat.attach(np.array([0.0, 0.0]), 1)
-    assert len(cells) == 6      # rings 0 and 1 only
-    assert np.allclose(w[:3], 0.0) and np.allclose(w[3:], 0.25)
+def _rim_scan(disk, x, y, arcs, n=200001):
+    """min over a dense grid of rim points p of d(x, p) + d(p, y), then a
+    golden-section search on the best grid interval."""
+    best = math.inf
+    for lo, hi in arcs:
+        th = np.linspace(lo, hi, n)
+        rim = np.stack([np.full(n, disk.radius), th], axis=1)
+        g = disk.dist_pairs(np.repeat([x], n, axis=0), rim) + disk.dist_pairs(rim,
+                                                                             np.repeat([y], n,
+                                                                                       axis=0))
+        k = int(np.argmin(g))
+        a, b = th[max(k - 1, 0)], th[min(k + 1, n - 1)]
 
-
-def _coo_path_length(lat, src, dst, length, n_copies, x, y, reach):
-    """The per-pair builder path_length replaced: one COO graph per query,
-    with x and y as two extra nodes."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    n = len(lat.nodes) * n_copies
-    srcs, dsts, ws = [src], [dst], [length]
-    for node, (q, copy) in ((n, x), (n + 1, y)):
-        cells, w = lat.attach(q, reach)
-        srcs.append(np.full(len(cells), node))
-        dsts.append(cells * n_copies + copy)
-        ws.append(w)
-    g = coo_matrix((np.concatenate(ws), (np.concatenate(srcs), np.concatenate(dsts))),
-                   shape=(n + 2, n + 2))
-    return float(dijkstra(g, directed=False, indices=[n])[0, n + 1])
-
-
-@pytest.fixture
-def graph_calls(monkeypatch):
-    """Arguments of every PolarLattice.graph call made while the test runs."""
-    calls = []
-    build = spaces.PolarLattice.graph
-
-    def spy(lat, src, dst, length, n_copies):
-        calls.append((lat, src, dst, length, n_copies))
-        return build(lat, src, dst, length, n_copies)
-    monkeypatch.setattr(spaces.PolarLattice, "graph", spy)
-    return calls
+        def total(t):
+            p = [disk.radius, t]
+            return float(disk.distance(x, p) + disk.distance(p, y))
+        for _ in range(80):
+            m1, m2 = b - 0.618 * (b - a), a + 0.618 * (b - a)
+            a, b = (a, m2) if total(m1) < total(m2) else (m1, b)
+        best = min(best, g[k], total(0.5 * (a + b)))
+    return best
 
 
 @pytest.mark.parametrize("glue", [[(0.0, 2 * math.pi)], [(0.0, 2.0)]], ids=["full", "partial"])
-@pytest.mark.parametrize("disk", [spaces.ModelDisk(0.0, 1.0), spaces.ModelDisk(1.0, 1.2)],
-                         ids=repr)
-def test_doubled_disk_graph_is_built_once(graph_calls, disk, glue):
+@pytest.mark.parametrize("disk", [spaces.ModelDisk(0.0, 1.0), spaces.ModelDisk(1.0, 1.2),
+                                  spaces.ModelDisk(1.0, 2.0)], ids=repr)
+def test_doubled_disk_cross_sheet_against_a_rim_scan(disk, glue):
     doubled = constructions.DoubledDisk(disk, glue)
     pts = disk.sample(12, 5)
     xs = np.column_stack([np.zeros(6), pts[:6]])
     ys = np.column_stack([np.ones(6), pts[6:]])
     got = np.concatenate([doubled.dist_pairs(xs, ys), doubled.dist_pairs(ys, xs)])
-    assert len(graph_calls) == 1
-    lat, src, dst, length, n_copies = graph_calls[0]
-    want = [_coo_path_length(lat, src, dst, length, 2, (x[1:], round(x[0])), (y[1:], round(y[0])),
-                             constructions.DOUBLED_REACH)
-            for x, y in zip(np.concatenate([xs, ys]), np.concatenate([ys, xs]))]
-    assert n_copies == 2 and np.array_equal(got, want)
-    graph = doubled._two_sheets[1]
-    assert doubled._two_sheets[1] is graph
-    for a in (graph.data, graph.indices, graph.indptr):
-        assert not a.flags.writeable
-
-
-@pytest.mark.parametrize("kappa,expr", [(-1.0, "0.8 + 0*r"), (0.0, "1.0 + 0.3*r*cos(theta)")],
-                         ids=["hyperbolic", "flat-varying"])
-def test_disk_engine_graph_matches_the_per_pair_builder(graph_calls, kappa, expr):
-    warp = warped.WarpFunction.from_expression(expr, 0.3, arity=2)
-    triple = warped.WarpedTriple(spaces.ModelDisk(kappa, 1.0), warp, spaces.Circle(2 * math.pi),
-                                 check=False)
-    pts = triple.base.sample(6, 6)
-    for bp, bq, ell in zip(pts[:3], pts[3:], (0.3, 0.9, 2.6)):
-        got = warped.reduced_distance(triple, bp, bq, ell)
-        lat, src, dst, length, n_copies = graph_calls[-1]
-        want = _coo_path_length(lat, src, dst, length, n_copies, (bp, 0), (bq, n_copies - 1),
-                                warped.DISK_ENGINE_REACH)
-        assert got == want
-    assert len(graph_calls) == 3
-
-
-@pytest.mark.parametrize("shape", [constructions.DOUBLED_LATTICE, warped.DISK_ENGINE_LATTICE],
-                         ids=["doubled", "disk-engine"])
-def test_lattice_edges_are_unique(shape):
-    # COO -> CSR sums duplicate entries, so a pair listed twice would
-    # count its length twice
-    lat = spaces.polar_lattice(1.0, 1.0, *shape)
-    src, dst, _ = lat.edges()
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    assert np.all(lo < hi)
-    assert len(np.unique(lo * len(lat.nodes) + hi)) == len(src)
+    want = [_rim_scan(disk, x[1:], y[1:], glue) for x, y in zip(xs, ys)]
+    assert np.max(np.abs(got[:6] - want)) <= 1e-9
+    assert np.array_equal(got[:6], got[6:])
+    assert np.array_equal(got[:6], [doubled.distance(x, y) for x, y in zip(xs, ys)])
 
 
 def test_geodesic_samples_interpolate():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from warpcurv import spaces, warped
+from warpcurv import radial, spaces, warped
 from warpcurv.warped import (WarpFunction, WarpedTriple, clairaut_check,
                              recover_warp, warped_distance, warped_geodesic)
 
@@ -289,20 +289,20 @@ def _constant_disk_triple(kappa, c, fiber):
     return WarpedTriple(spaces.ModelDisk(kappa, 1.0), warp, fiber, check=False)
 
 
-# Disk-base engine values for constant warps, pinned from the engine's
-# own per-query graph builder before it moved onto the shared polar
-# lattice.  Rows: base point, fiber point of u, then of v, and the value.
+# Disk-base distances for constant warps: the product law hypot(d_B, c ell),
+# which the test recomputes.  Rows: base point, fiber point of u, then of v,
+# and the value.
 DISK_ENGINE_GOLDEN = [
     (-1.0, 0.8, spaces.Circle(2 * math.pi), [
-        ((0.3, 0.4), 0.0, (0.8, 2.2), 0.7, 1.1664067683532344),
-        ((0.0, 0.0), 1.0, (1.0, 3.0), 1.25, 1.0735641935939635),
-        ((0.95, 5.9), 2.0, (0.9, 0.3), 2.08, 0.7135751782170086),
-        ((0.5, 1.0), 3.0, (0.55, 1.1), 3.03, 0.09822469544821127)]),
+        ((0.3, 0.4), 0.0, (0.8, 2.2), 0.7, 1.0815633366835307),
+        ((0.0, 0.0), 1.0, (1.0, 3.0), 1.25, 1.019803902718557),
+        ((0.95, 5.9), 2.0, (0.9, 0.3), 2.08, 0.702113529870658),
+        ((0.5, 1.0), 3.0, (0.55, 1.1), 3.03, 0.07800130226930989)]),
     (0.0, 1.2, spaces.Interval(0.0, 2.0), [
-        ((0.6, 1.0), 0.1, (0.5, 3.5), 0.8, 1.4431864388791353),
-        ((1.0, 0.0), 0.0, (1.0, 3.14), 0.25, 2.1405720075670662),
-        ((0.2, 4.0), 1.5, (0.7, 5.0), 1.58, 0.6862972303431599),
-        ((0.0, 2.0), 2.0, (0.05, 2.0), 1.97, 0.07182585153805056)]),
+        ((0.6, 1.0), 0.1, (0.5, 3.5), 0.8, 1.340256008875976),
+        ((1.0, 0.0), 0.0, (1.0, 3.14), 0.25, 2.0223742144952004),
+        ((0.2, 4.0), 1.5, (0.7, 5.0), 1.58, 0.6228413556893287),
+        ((0.0, 2.0), 2.0, (0.05, 2.0), 1.97, 0.06161168720299747)]),
 ]
 
 
@@ -312,5 +312,78 @@ def test_disk_engine_golden(kappa, c, fiber, rows):
     triple = _constant_disk_triple(kappa, c, fiber)
     for bu, fu, bv, fv, expect in rows:
         got = warped_distance(triple, (np.array(bu), fu), (np.array(bv), fv))
-        assert got == pytest.approx(expect, rel=1e-12, abs=0)
-        assert got >= triple.base.distance(bu, bv) - 1e-12
+        law = math.hypot(triple.base.distance(bu, bv), c * fiber.distance(fu, fv))
+        assert expect == pytest.approx(law, rel=1e-15, abs=1e-15)
+        assert got == pytest.approx(expect, rel=0, abs=1e-9)
+
+
+# ---------------------------------------------------------------- radial warps on disks
+
+def s3_triple():
+    """ModelDisk(1, pi/2) x_{cos r} Circle(2 pi): the round S^3 as the join of
+    two great circles."""
+    warp = WarpFunction.from_expression("cos(r)", 1.0, arity=2)
+    return WarpedTriple(spaces.ModelDisk(1.0, math.pi / 2), warp, spaces.Circle(2 * math.pi),
+                        check=False)
+
+
+def s3_law(x, y, ell):
+    cos_d = (math.cos(x[0]) * math.cos(y[0]) * math.cos(ell)
+             + math.sin(x[0]) * math.sin(y[0]) * math.cos(x[1] - y[1]))
+    return math.acos(min(1.0, max(-1.0, cos_d)))
+
+
+def s3_pairs():
+    """Uniform pairs of S^3, pairs within 1e-3 .. 1e-1 of antipodal, and
+    pairs at fiber distance pi, whose geodesics pass through Z = {r = pi/2}."""
+    g = np.random.default_rng(17)
+
+    def radius():
+        return 0.5 * math.acos(1.0 - 2.0 * g.random())
+    pairs = [((radius(), 2 * math.pi * g.random()), (radius(), 2 * math.pi * g.random()),
+              math.pi * g.random()) for _ in range(24)]
+    for _ in range(8):
+        r, th, eps = radius(), 2 * math.pi * g.random(), 10 ** g.uniform(-3, -1)
+        pairs.append(((r, th), (abs(min(r + eps * g.normal(), math.pi / 2)),
+                                th + math.pi + eps * g.normal()), math.pi - abs(eps * g.normal())))
+    pairs += [((radius(), 2 * math.pi * g.random()), (radius(), 2 * math.pi * g.random()),
+               math.pi) for _ in range(4)]
+    return pairs
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_s3_law_on_the_disk_join(tol):
+    t = s3_triple()
+    pairs = s3_pairs()
+    sol = [radial.radial_solve(t, np.array(x), np.array(y), ell, tol=tol) for x, y, ell in pairs]
+    err = [abs(s.value[0] - s3_law(x, y, ell)) for s, (x, y, ell) in zip(sol, pairs)]
+    assert max(err) <= tol
+    # at fiber distance pi the path through the rim, where cos r = 0, wins
+    assert all(s.winner[0][0] == "z" for s in sol[-4:])
+    kinds = {s.winner[0][1] for s in sol[:-4] if s.winner[0][0] == "arc"}
+    assert kinds == {"monotone", "inner", "outer", "both"}
+
+
+@pytest.mark.parametrize("kappa,radius", [(-1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0)],
+                         ids=["hyperbolic", "flat", "spherical", "nonconvex"])
+def test_constant_disk_warp_is_pythagorean(kappa, radius):
+    warp = WarpFunction.from_expression("0.8 + 0*r", 0.0, arity=2)
+    t = WarpedTriple(spaces.ModelDisk(kappa, radius), warp, spaces.Circle(2 * math.pi),
+                     check=False)
+    pts = t.base.sample(24, 9)
+    ell = np.random.default_rng(9).uniform(0.0, 2.5, 12)
+    law = np.hypot(t.base.dist_pairs(pts[:12], pts[12:]), 0.8 * ell)
+    for tol in (1e-3, 1e-6):
+        got = radial.radial_solve(t, pts[:12], pts[12:], ell, tol=tol).value
+        assert np.max(np.abs(got - law)) <= tol
+        one = [warped.reduced_distance(t, x, y, e, tol=tol) for x, y, e in zip(pts[:12], pts[12:],
+                                                                               ell)]
+        assert np.max(np.abs(got - one)) <= 1e-12
+
+
+def test_non_radial_disk_warp_is_rejected():
+    warp = WarpFunction.from_expression("1 + 0.3*r*cos(theta)", 0.3, arity=2)
+    t = WarpedTriple(spaces.ModelDisk(0.0, 1.0), warp, spaces.Circle(2 * math.pi), check=False)
+    with pytest.raises(ValueError, match="radial"):
+        warped_distance(t, (np.array([0.2, 0.0]), 0.0), (np.array([0.5, 1.0]), 1.0))
+    assert WarpFunction.from_expression("1 + 0.3*r", 0.3, arity=2).radial
