@@ -20,6 +20,8 @@ INF = math.inf
 # and C = SLACK_FACTOR * (1 + Lip(f)).
 SLACK_FACTOR = 4.0
 EXACT_SLACK = 1e-9
+# spec files parse with libyaml when PyYAML was built with it
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class SpecError(ValueError):
@@ -68,7 +70,7 @@ class TripleSpec:
     def from_file(cls, path):
         try:
             with open(path) as fh:
-                doc = yaml.safe_load(fh)
+                doc = yaml.load(fh, Loader=_YAML_LOADER)
         except OSError as e:
             raise SpecError("cannot read spec: %s" % e)
         except yaml.YAMLError as e:

@@ -13,8 +13,11 @@ of model.triangle_angles per block of BLOCK quadruples evaluates each
 triangle once; the (1+3) angle sums and the (2+2) splits are then read
 from that (triangle x vertex) angle table.
 
-The sampler bends its near-collinear quadruples with one
-space.interpolate_pairs call for all of them.
+The distance stack takes one space.dist_pairs call per block of BLOCK
+quadruples, its six pair columns concatenated; a one-quadruple margin,
+and so each witness-shrink trial, is one call.  The sampler bends its
+near-collinear quadruples with one space.interpolate_pairs call for all
+of them.
 """
 
 import itertools
@@ -26,8 +29,9 @@ from .model import angle_from_sides, perimeters, side_from_angle, triangle_angle
 from .spaces import missing_rows, rng
 
 TWO_PI = 2.0 * math.pi
-# quadruples per call of the angle kernel: large enough to amortize the
-# per-call overhead, small enough that its temporaries stay in cache
+# quadruples per call of the angle kernel and of space.dist_pairs: large
+# enough to amortize the per-call overhead, small enough that their
+# temporaries stay in cache
 BLOCK = 1024
 
 
@@ -162,14 +166,23 @@ def _batch_for(kind):
 
 
 def _dmat_stack(space, groups):
-    """Distance stack for point groups of shape (m, 4) in batch encoding."""
+    """Distance stack for point groups of shape (m, 4) in batch encoding.
+
+    One space.dist_pairs call per block of BLOCK quadruples answers the
+    block's six pair columns, concatenated pair-major, so an engine with
+    per-call set-up pays it once per block instead of six times.  The
+    stack is not answered in one call: the temporaries of a call over all
+    6 m pairs outgrow the cache and slow the closed forms down.
+    """
     m = len(groups)
     D = np.zeros((m, 4, 4))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = space.dist_pairs(groups[:, i], groups[:, j])
-            D[:, i, j] = d
-            D[:, j, i] = d
+    for lo in range(0, m, BLOCK):
+        g = groups[lo:lo + BLOCK]
+        xs, ys = (np.swapaxes(g[:, ends], 0, 1).reshape((-1,) + g.shape[2:])
+                  for ends in (_IU, _JU))
+        d = np.asarray(space.dist_pairs(xs, ys), float).reshape(len(_PAIRS), len(g)).T
+        D[lo:lo + BLOCK, _IU, _JU] = d
+        D[lo:lo + BLOCK, _JU, _IU] = d
     return D
 
 

@@ -439,7 +439,7 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
     if len(rows):
         found |= _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell,
                                     d_base, leaf, snap, cand)
-    _, cval, best, worst, best_of = _contest(cand, npair)
+    _, cval, best, worst, best_of = _contest(*list(zip(*cand))[:3], npair)
     solves = found | (len(zeros) > 0)
     for i in live:
         if not solves[i] or not worst[i] <= tol / 2.0:

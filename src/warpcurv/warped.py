@@ -34,6 +34,7 @@ On a ModelDisk base with a radial warp f(r), warpcurv.radial does the same
 with two conserved constants, a = sn^2 dtheta/dt and c = f^2 ds/dt.
 """
 
+import ast
 import functools
 import math
 
@@ -64,6 +65,9 @@ _SAFE_ENV = {
     "abs": np.abs, "min": np.minimum, "max": np.maximum,
     "pi": math.pi, "e": math.e,
 }
+# syntax a warp expression may use besides names, numbers and calls by name
+_EXPR_NODES = (ast.BinOp, ast.UnaryOp, ast.Compare, ast.operator, ast.unaryop, ast.cmpop,
+               ast.Load)
 
 
 class WarpFunction:
@@ -112,27 +116,48 @@ class WarpFunction:
 
     @classmethod
     def from_expression(cls, expr, lipschitz, zeros=(), arity=1):
-        """Build from a restricted expression in t (or r, theta)."""
-        code = compile(expr, "<warp>", "eval")
-        for name in code.co_names:
-            if name not in _SAFE_ENV and name not in ("t", "r", "theta"):
-                raise ValueError("unknown name in warp expression: %s" % name)
+        """Build from a restricted expression in t (or r, theta).
 
-        if arity == 1:
-            def fn(t):
-                env = dict(_SAFE_ENV)
-                env["t"] = t
-                return np.broadcast_to(np.asarray(eval(code, {"__builtins__": {}}, env),
-                                                  dtype=float), np.shape(t)).copy()
-        else:
-            def fn(r, theta):
-                env = dict(_SAFE_ENV)
-                env["r"] = r
-                env["theta"] = theta
-                return np.broadcast_to(np.asarray(eval(code, {"__builtins__": {}}, env),
-                                                  dtype=float), np.shape(r)).copy()
+        The expression is parsed once, checked to hold only arithmetic,
+        comparisons, numbers, calls of the _SAFE_ENV functions and the
+        names t, r, theta and those of _SAFE_ENV, and compiled into one
+        lambda of t (or r, theta) whose globals are _SAFE_ENV.  Its value
+        is a fresh float array of the shape of the first argument.
+        """
+        try:
+            tree = ast.parse(expr, "<warp>", mode="eval")
+        except SyntaxError as e:
+            raise ValueError("warp expression does not parse: %s" % e)
+        names = set()
+        for node in ast.walk(tree.body):
+            if isinstance(node, ast.Name):
+                if node.id not in _SAFE_ENV and node.id not in ("t", "r", "theta"):
+                    raise ValueError("unknown name in warp expression: %s" % node.id)
+                names.add(node.id)
+            elif isinstance(node, ast.Call):
+                if not isinstance(node.func, ast.Name) or node.keywords:
+                    raise ValueError("warp expressions may only call functions by name")
+            elif isinstance(node, ast.Constant):
+                if type(node.value) not in (int, float):
+                    raise ValueError("non-numeric constant in warp expression: %r" % node.value)
+            elif not isinstance(node, _EXPR_NODES):
+                raise ValueError("%s is not allowed in a warp expression" % type(node).__name__)
+        params = ("t",) if arity == 1 else ("r", "theta")
+        lam = ast.Expression(ast.Lambda(ast.arguments(
+            posonlyargs=[], args=[ast.arg(p) for p in params], kwonlyargs=[], kw_defaults=[],
+            defaults=[]), tree.body))
+        body = eval(compile(ast.fix_missing_locations(lam), "<warp>", "eval"),
+                    dict(_SAFE_ENV, __builtins__={}))
+
+        def fn(*coords):
+            out = np.asarray(body(*coords), dtype=float)
+            shape = np.shape(coords[0])
+            if out.shape != shape:
+                return np.broadcast_to(out, shape).copy()
+            # no call returns a view of its arguments, but "t" returns t itself
+            return out.copy() if out is coords[0] or out is coords[-1] else out
         out = cls(fn, lipschitz, zeros=zeros, expr=expr, arity=arity)
-        out.radial = arity == 2 and "theta" not in code.co_names
+        out.radial = arity == 2 and "theta" not in names
         return out
 
 
@@ -489,11 +514,12 @@ def _cos_map_rule(n):
 
 
 def _feval(triple):
-    """f on base coordinates, unwrapped coordinates taken mod L on a circle."""
-    warp, base = triple.warp, triple.base
+    """f on arrays of base coordinates, unwrapped coordinates taken mod L on a
+    circle; it calls the warp's function directly, as the arrays are float."""
+    fn, base = triple.warp.fn, triple.base
     if isinstance(base, spaces.Circle):
-        return lambda x: np.asarray(warp(np.mod(x, base.length)), float)
-    return lambda x: np.asarray(warp(x), float)
+        return lambda x: np.asarray(fn(np.mod(x, base.length)), float)
+    return lambda x: np.asarray(fn(x), float)
 
 
 def _kinks(feval, prof, lo, h, periodic):
@@ -638,14 +664,60 @@ def _illinois(evaluate, a, b, goal, max_iter=100):
     return a, b
 
 
-def _records(vals, m):
-    """Positions of the running-minimum records of vals below m, f > 0.
+class _Profile:
+    """The scan profile f(lo + i h), i < n, in blocks with their minima.
 
-    A record falls below every earlier value by more than a relative
-    1e-12, so the roundoff of f on a flat stretch makes none.
+    values holds the profile, twice around on a circle so that every scan
+    of less than a full turn is one index range of it.  It is cut into
+    blocks of about sqrt(len(values)) points, and a scan reads only the
+    blocks that hold a value below its starting minimum: no other block
+    can hold a record or lower the running minimum.
     """
-    prev = np.minimum.accumulate(np.concatenate([[m], vals]))[:-1]
-    return np.flatnonzero((vals < prev - 1e-12 * np.abs(prev)) & (vals > ZERO_THRESHOLD))
+
+    def __init__(self, prof, periodic):
+        self.n = len(prof)
+        self.values = np.concatenate([prof, prof]) if periodic else prof
+        size = len(self.values)
+        self.width = w = 2 ** ((size.bit_length() + 1) // 2)
+        # padded is values, +inf on to whole blocks; block_min[b] is the
+        # least value of block b
+        self.padded = np.full(-(-size // w) * w, math.inf)
+        self.padded[:size] = self.values
+        self.block_min = self.padded.reshape(-1, w).min(axis=1)
+
+    def records(self, u0, step, count, m):
+        """Running-minimum records of the scans u0, u0 + step, ... of count[k]
+        indices of values each.
+
+        A record of scan k falls below m[k] and every earlier value of its
+        scan by more than a relative 1e-12, so the roundoff of f on a flat
+        stretch makes none, and has f > 0.  Returns the scan and the
+        position in it of every record, scan by scan, each in scan order.
+        """
+        w, nb = self.width, len(self.block_min)
+        # the j-th block of each scan in scan order, kept where its least
+        # value is below m
+        blocks = (u0 // w)[:, None] + step[:, None] * np.arange(nb)
+        last = (u0 + step * (count - 1)) // w
+        kept = ((step[:, None] * (last[:, None] - blocks) >= 0) & (count > 0)[:, None]
+                & (self.block_min[np.clip(blocks, 0, nb - 1)] < m[:, None]))
+        run, j = np.nonzero(kept)
+        if not len(run):
+            return run, run
+        s = step[run][:, None]
+        idx = np.where(s > 0, 0, w - 1) + blocks[run, j][:, None] * w + s * np.arange(w)
+        pos = s * (idx - u0[run][:, None])
+        vals = np.where((pos >= 0) & (pos < count[run][:, None]), self.padded[idx], math.inf)
+        # the least value before each point: m and the kept blocks before
+        # its own (a table of block minima, one row per scan), then the
+        # points before it in its block
+        table = np.full((len(u0), nb + 1), math.inf)
+        table[:, 0] = m
+        table[run, j + 1] = vals.min(axis=1)
+        carry = np.minimum.accumulate(table, axis=1)[run, j]
+        prev = np.minimum.accumulate(np.concatenate([carry[:, None], vals[:, :-1]], axis=1), axis=1)
+        row, col = np.nonzero((vals < prev - 1e-12 * np.abs(prev)) & (vals > ZERO_THRESHOLD))
+        return run[row], pos[row, col]
 
 
 def _argmin_zoom(feval, lo, hi, iters=12, k=17):
@@ -690,6 +762,25 @@ class ClairautSolution:
         self.winner = winner
 
 
+class _Winners:
+    """The winner sequence of clairaut_solve, each tuple built on access
+    from its pair's kind code (an index into NAMES) and arguments."""
+
+    NAMES = ("base", "z", "leaf", "arc")
+    ARITY = (0, 1, 1, 5)
+
+    def __init__(self, kind, args):
+        self.kind = kind
+        self.args = args
+
+    def __len__(self):
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        k = self.kind[i]
+        return (self.NAMES[k],) + tuple(self.args[i, :self.ARITY[k]])
+
+
 def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
     """Distances in B x_f [0, ell] from (bp, 0) to (bq, ell), 1-D bases, per row.
 
@@ -726,10 +817,10 @@ def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
     fp, fq = feval(bp), feval(bq)
     d_base = np.asarray(base.dist_pairs(bp, bq), float)
     value = d_base.copy()
-    winner = [("base",)] * len(bp)
-    for i in np.flatnonzero(ell > 0):
-        if min(fp[i], fq[i]) <= ZERO_THRESHOLD:
-            winner[i] = ("z", bp[i] if fp[i] <= ZERO_THRESHOLD else bq[i])
+    # winners as kind codes of _Winners and their arguments, one row per pair
+    kind = np.where((ell > 0) & (np.minimum(fp, fq) <= ZERO_THRESHOLD), 1, 0)
+    args = np.zeros((len(bp), 5))
+    args[:, 0] = np.where(fp <= ZERO_THRESHOLD, bp, bq)
     live = np.flatnonzero((ell > 0) & (fp > ZERO_THRESHOLD) & (fq > ZERO_THRESHOLD))
     # scan profile: f on the grid lo + i h of the domain, extended on a Ray
     # to every pair's window and taken periodic on a circle.  A Ray window
@@ -757,46 +848,51 @@ def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
         zeros = np.asarray(zero_set(triple.warp, base, lo, grid_pts[-1], warn=triple.warnings,
                                     profile=(grid_pts, prof))[1] or [], float)
         kinks = _kinks(feval, prof, lo, hk, isinstance(base, spaces.Circle))
+        scan = _Profile(prof, isinstance(base, spaces.Circle))
         for s in range(0, len(sub), CLAIRAUT_CHUNK):
-            _solve_chunk(triple, feval, prof, lo, hk, zeros, kinks, sub[s:s + CLAIRAUT_CHUNK],
-                         bp, bq, ell, d_base, reach_k[s:s + CLAIRAUT_CHUNK], tol, value, winner)
-    return ClairautSolution(value, winner)
+            _solve_chunk(triple, feval, scan, lo, hk, zeros, kinks,
+                         sub[s:s + CLAIRAUT_CHUNK], bp, bq, ell, d_base,
+                         reach_k[s:s + CLAIRAUT_CHUNK], tol, value, kind, args)
+    return ClairautSolution(value, _Winners(kind, args))
 
 
-def _arc_minimum(feval, at, lo, h, x_lo, x_hi):
+def _arc_minimum(feval, scan, lo, h, x_lo, x_hi):
     """Where f is least on each [x_lo, x_hi], that least value, f(x_lo), f(x_hi).
 
-    The minimum is at the lower end, or at the lowest scan point inside
-    refined by _argmin_zoom.
+    The minimum is at the lower end, or at the first of the lowest scan
+    points inside refined by _argmin_zoom; the points inside all arcs are
+    read in one pass, one row per arc.
     """
     f_lo, f_hi = feval(x_lo), feval(x_hi)
     xm, m = np.where(f_lo <= f_hi, x_lo, x_hi), np.minimum(f_lo, f_hi)
-    zoom = []
-    for k in range(len(x_lo)):
-        inner = np.arange(int(math.floor((x_lo[k] - lo) / h)) + 1,
-                          int(math.ceil((x_hi[k] - lo) / h)))
-        if len(inner):
-            j = inner[np.argmin(at(inner))]
-            if at(j) < m[k]:
-                zoom.append((k, lo + j * h))
-    if zoom:
-        ks, g = (np.array(v) for v in zip(*zoom))
+    first = np.floor((x_lo - lo) / h).astype(int) + 1
+    count = np.ceil((x_hi - lo) / h).astype(int) - first
+    gi = first[:, None] + np.arange(max(int(count.max(initial=0)), 1))
+    vals = np.where(gi - first[:, None] < count[:, None], scan.values[gi % scan.n], math.inf)
+    least = vals.min(axis=1)
+    ks = np.flatnonzero(least < m)
+    if len(ks):
+        g = lo + (first + np.argmax(vals == least[:, None], axis=1))[ks] * h
         x, fx = _argmin_zoom(feval, np.maximum(g - h, x_lo[ks]), np.minimum(g + h, x_hi[ks]))
-        low = fx < m[ks]
-        xm[ks[low]], m[ks[low]] = x[low], fx[low]
+        lower = fx < m[ks]
+        xm[ks[lower]], m[ks[lower]] = x[lower], fx[lower]
     return xm, m, f_lo, f_hi
 
 
-def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_base, reach,
-                 tol, value, winner):
-    """clairaut_solve on the pairs rows; fills value and winner there.
+def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_base,
+                 reach, tol, value, kind, args):
+    """clairaut_solve on the pairs rows; fills value, kind and args there.
 
-    kinks is _kinks of prof.  reach is the upper end of each pair's
-    _window (a Ray's scans, zeros and kinks stop there).
+    scan is the _Profile of the scan profile prof, kinks is _kinks of
+    prof.  reach is the upper end of each pair's _window (a Ray's scans,
+    zeros and kinks stop there).  The scan nodes of every family of every
+    problem are built in array passes over all problems at once; the
+    outward scans read only the blocks of the profile where a record can
+    lie (_Profile.records).
     """
     base = triple.base
     circle = isinstance(base, spaces.Circle)
-    npair, n = len(rows), len(prof)
+    npair, n = len(rows), scan.n
     # problems: one per pair, three per pair on a circle (bq unwrapped)
     if circle:
         L = base.length
@@ -811,10 +907,7 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_
     x_lo, x_hi = np.minimum(start, end), np.maximum(start, end)
     target = ell[rows][pair]
 
-    def at(i):
-        return prof[np.mod(i, n)] if circle else prof[i]
-
-    xm, m, f_lo, f_hi = _arc_minimum(feval, at, lo, h, x_lo, x_hi)
+    xm, m, f_lo, f_hi = _arc_minimum(feval, scan, lo, h, x_lo, x_hi)
     # outward grid indices past each end, first to last: to the window end,
     # or less than a full turn on a circle
     first = (np.ceil((x_lo - lo) / h).astype(int) - 1, np.floor((x_hi - lo) / h).astype(int) + 1)
@@ -837,79 +930,94 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_
         if isinstance(base, spaces.Ray):
             own = np.maximum(SCAN_POINTS, np.ceil((reach - lo) / h).astype(int) + 1)
             kmat = np.where(ki <= own[pair][:, None] - 4, kmat, math.nan)
-    # grid index -> coordinate of the boundary leaves: an Interval's ends, a Ray's 0
-    edges = {} if circle else {0: lo}
-    if isinstance(base, spaces.Interval):
-        edges[n - 1] = base.b
 
-    # scan nodes: (problem, segment, turning?, parameter, limit?); a bracket
-    # needs two consecutive nodes of one segment, and the last node of a
-    # segment is the family's limit
-    node_prob, node_seg, node_turn, node_p, node_limit = [], [], [], [], []
-    crossings = []       # (node index, above, below, level) for stretch starts
-    tails = []           # (node index, grid index, outward step) for stretch ends
-    leaf_ok = np.zeros(npair, dtype=bool)
-    seg = 0
-    c_scan = np.sin(0.5 * math.pi * np.arange(CLAIRAUT_SCAN + 1) / CLAIRAUT_SCAN)
+    # outward scans: scan 2k + side of problem k reads the grid indices
+    # first, first + step, ..., last, down from x_lo (side 0) or up from
+    # x_hi (side 1); u0 is its first index of scan.values
+    step = np.tile([-1, 1], len(pair))
+    g0 = np.stack(first, axis=1).ravel()
+    count = np.maximum((np.stack(last, axis=1).ravel() - g0) * step + 1, 0)
+    u0 = g0 % n + np.where(step < 0, n, 0) if circle else g0
+    # records, and the stretches of adjacent records, each a family of
+    # turning points, by scan and outward: s0 and s1 index their first and
+    # last records, r0..r1 their positions in their scan
+    rrun, rpos = scan.records(u0, step, count, np.repeat(m, 2))
+    opens = np.ones(len(rrun), dtype=bool)
+    opens[1:] = (rrun[1:] != rrun[:-1]) | (rpos[1:] - rpos[:-1] > 1)
+    s0 = np.flatnonzero(opens)
+    s1 = np.flatnonzero(np.append(opens[1:], len(rrun) > 0))
+    srun = rrun[s0]
+    s = step[srun]
+    r0, r1 = rpos[s0], rpos[s1]
+    ns = len(srun)
+    sprob, side = srun // 2, srun % 2
+    leading = np.ones(ns, dtype=bool)
+    leading[1:] = srun[1:] != srun[:-1]
+    # nodes of a stretch: its head, then its picks in order: its ends and
+    # those of the CLAIRAUT_SCAN records of its scan, clustered at the
+    # scan's start e, that it holds
     ranks = (np.arange(CLAIRAUT_SCAN) / CLAIRAUT_SCAN) ** 2
-    for k in range(len(pair)):
-        if x_hi[k] > x_lo[k] and m[k] > ZERO_THRESHOLD:
-            node_prob += [k] * len(c_scan)
-            node_seg += [seg] * len(c_scan)
-            node_turn += [False] * len(c_scan)
-            node_p += list(m[k] * c_scan)
-            node_limit += [False] * CLAIRAUT_SCAN + [True]
-            seg += 1
-        adjacent = False
-        for side, step, e, fe in ((0, -1, x_lo[k], f_lo[k]), (1, 1, x_hi[k], f_hi[k])):
-            idx = np.arange(first[side][k], last[side][k] + step, step)
-            vals = at(idx)
-            rec = _records(vals, m[k])
-            if not len(rec):
-                continue
-            adjacent |= rec[0] == 0
-            # one segment per stretch of adjacent records; nodes: the stretch
-            # ends, and CLAIRAUT_SCAN records clustered at e
-            brk = np.flatnonzero(np.diff(rec) > 1)
-            r0s = rec[np.concatenate([[0], brk + 1])]
-            r1s = rec[np.concatenate([brk, [len(rec) - 1]])]
-            pick = np.unique(np.concatenate([rec[(len(rec) * ranks).astype(int)], r0s, r1s]))
-            for j, (r0, r1) in enumerate(zip(r0s, r1s)):
-                # a stretch starts where f falls to the minimum before it: m
-                # at e itself, or at a crossing found by bisection
-                head = e
-                if not (j == 0 and r0 == 0 and fe <= m[k]):
-                    head = e if r0 == 0 else lo + idx[r0 - 1] * h
-                    level = m[k] if j == 0 else vals[r1s[j - 1]]
-                    crossings.append((len(node_p), head, lo + idx[r0] * h, level))
-                inner = pick[(pick >= r0) & (pick <= r1)]
-                tails.append((len(node_p) + len(inner), idx[r1], step))
-                node_prob += [k] * (len(inner) + 1)
-                node_seg += [seg] * (len(inner) + 1)
-                node_turn += [True] * (len(inner) + 1)
-                node_p += [head] + list(lo + idx[inner] * h)
-                node_limit += [False] * len(inner) + [True]
-                seg += 1
-        if x_hi[k] == x_lo[k] and not adjacent:
-            leaf_ok[pair[k]] = True       # f has a local minimum at bp = bq
-    prob = np.array(node_prob, int)
-    turn = np.array(node_turn, bool)
-    p = np.array(node_p, float)
-    node_seg = np.array(node_seg, int)
-    limit = np.array(node_limit, bool)
-    if crossings:
-        ci, above, below, level = (np.array(v) for v in zip(*crossings))
-        p[ci] = _crossing(feval, above, below, level)
-    if tails:
-        # a stretch ends at a boundary leaf, or else at the minimum of f
-        # within one grid step of its last record, nearest e (a flat bottom
-        # is ridden at its near end), unless f vanishes there
-        ti, g, step = (np.array(v) for v in zip(*tails))
-        tail = np.array([edges.get(j, math.nan) for j in g])
+    nrec = np.bincount(rrun, minlength=len(count))
+    scanned = np.flatnonzero(nrec)
+    pick = np.zeros(len(rrun), dtype=bool)
+    pick[(np.searchsorted(rrun, scanned)[:, None]
+          + (nrec[scanned, None] * ranks).astype(int)).ravel()] = True
+    pick[s0] = pick[s1] = True
+    picks = np.flatnonzero(pick)
+    pick_st, pick_r = np.searchsorted(s0, picks, side="right") - 1, rpos[picks]
+    # a stretch starts where f falls to the minimum before it: m at e
+    # itself, or at a crossing found by bisection below the grid point
+    # before its first record (e for the first point of a scan)
+    e = np.where(side == 0, x_lo[sprob], x_hi[sprob])
+    head = np.where(r0 == 0, e, lo + (g0[srun] + s * (r0 - 1)) * h)
+    fe = np.where(side == 0, f_lo[sprob], f_hi[sprob])
+    crossed = np.flatnonzero(~(leading & (r0 == 0) & (fe <= m[sprob])))
+    leaf_ok = np.zeros(npair, dtype=bool)
+    adjacent = np.zeros(len(pair), dtype=bool)
+    adjacent[sprob[leading & (r0 == 0)]] = True
+    leaf_ok[pair[(x_hi == x_lo) & ~adjacent]] = True      # f has a local minimum at bp = bq
+
+    # scan nodes: (problem, segment, turning?, parameter, limit?), ordered by
+    # problem, then the monotone family and the stretches outward, side 0
+    # first; a bracket needs two consecutive nodes of one segment, and the
+    # last node of a segment is the family's limit
+    c_scan = np.sin(0.5 * math.pi * np.arange(CLAIRAUT_SCAN + 1) / CLAIRAUT_SCAN)
+    mono = np.flatnonzero((x_hi > x_lo) & (m > ZERO_THRESHOLD))
+    nm = len(mono) * len(c_scan)
+    prob = np.concatenate([np.repeat(mono, len(c_scan)), sprob, sprob[pick_st]])
+    stretch = np.concatenate([np.zeros(nm, int), np.arange(ns), pick_st])
+    sub = np.concatenate([np.tile(np.arange(len(c_scan)), len(mono)), np.full(ns, -1), pick_r])
+    turn = np.arange(len(prob)) >= nm
+    ordered = np.lexsort((sub, stretch, turn, prob))
+    slot = np.empty_like(ordered)
+    slot[ordered] = np.arange(len(ordered))
+    prob, turn = prob[ordered], turn[ordered]
+    p = np.concatenate([(m[mono, None] * c_scan).ravel(), head,
+                        lo + (g0[srun][pick_st] + s[pick_st] * pick_r) * h])[ordered]
+    limit = np.concatenate([sub[:nm] == CLAIRAUT_SCAN, np.zeros(ns, bool),
+                            pick_r == r1[pick_st]])[ordered]
+    node_seg = np.cumsum(np.concatenate([sub[:nm] == 0, np.ones(ns, bool),
+                                         np.zeros(len(picks), bool)])[ordered])
+    if len(crossed):
+        end_u = (u0[srun] + s * r1)[crossed - 1]
+        level = np.where(leading[crossed], m[sprob[crossed]], scan.values[end_u])
+        p[slot[nm + crossed]] = _crossing(feval, head[crossed],
+                                          lo + (g0[srun] + s * r0)[crossed] * h, level)
+    if ns:
+        # a stretch ends at a boundary leaf (an Interval's ends, a Ray's 0),
+        # or else at the minimum of f within one grid step of its last
+        # record, nearest e (a flat bottom is ridden at its near end),
+        # unless f vanishes there
+        g = g0[srun] + s * r1
+        tail = np.full(ns, math.nan)
+        if not circle:
+            tail[g == 0] = lo
+        if isinstance(base, spaces.Interval):
+            tail[g == n - 1] = base.b
         free = np.flatnonzero(np.isnan(tail))
-        x, fx = _argmin_zoom(feval, lo + (g - step)[free] * h, lo + (g + step)[free] * h)
+        x, fx = _argmin_zoom(feval, lo + (g - s)[free] * h, lo + (g + s)[free] * h)
         tail[free] = np.where(fx > ZERO_THRESHOLD, x, lo + g[free] * h)
-        p[ti] = tail
+        p[slot[nm + ns + np.searchsorted(picks, s1)]] = tail
 
     def evaluate(q, turn_q, prob_q, nodes=CLAIRAUT_NODES):
         x, c = _family_point(feval, q, turn_q, xm[prob_q])
@@ -917,7 +1025,14 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_
                             None if kmat is None else kmat[prob_q], KINK_GAP * h)
         return adv - target[prob_q], c, length
 
-    cand = []        # (pair, value, error bar, winner)
+    def group(i, val, err, code, *wargs):
+        """Candidates of the pairs i: values, error bars, winner kind codes
+        of _Winners and winner arguments."""
+        padded = np.zeros((len(i), 5))
+        padded[:, :len(wargs)] = np.stack(wargs, axis=1)
+        return i, val, np.broadcast_to(err, len(i)), np.full(len(i), code), padded
+
+    groups = []
     broken = np.zeros(npair, dtype=bool)
     if len(p):
         hv, cv, Lv = evaluate(p, turn, prob)
@@ -946,15 +1061,15 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_
         ok = ride >= 0
         broken[pair[prob_q[~ok]]] = True
         x = np.where(turn_q, q, xm[prob_q])
-        cand += [(pair[k], est[j], err[j], ("arc", start[k], end[k], x[j], cq[j], ride[j]))
-                 for j, k in enumerate(prob_q) if ok[j] and np.isfinite(est[j])]
-    cand_solves = len(cand)
+        keep = ok & np.isfinite(est)
+        groups.append(group(pair[prob_q][keep], est[keep], err[keep], 3, start[prob_q][keep],
+                            end[prob_q][keep], x[keep], cq[keep], ride[keep]))
+    cand_solves = len(groups[0][0]) if groups else 0
     # through a zero, and the leaf path over the endpoint with the smaller f
     b0, b1, ell_r = bp[rows], bq[rows], ell[rows]
     f0, f1 = feval(b0), feval(b1)
     leaf = d_base[rows] + np.minimum(f0, f1) * ell_r
-    for i in range(npair):
-        cand.append((i, leaf[i], 0.0, ("leaf", b0[i] if f0[i] <= f1[i] else b1[i])))
+    groups.append(group(np.arange(npair), leaf, 0.0, 2, np.where(f0 <= f1, b0, b1)))
     usable = np.zeros(npair, dtype=bool)
     if len(zeros):
         zz = np.tile(zeros, npair)
@@ -966,8 +1081,10 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_
             via[zeros[None, :] > reach[:, None]] = math.inf
         jz = np.argmin(via, axis=1)
         usable = np.isfinite(via[np.arange(npair), jz])
-        cand += [(i, via[i, jz[i]], 0.0, ("z", zeros[jz[i]])) for i in np.flatnonzero(usable)]
-    cp, cval, best, worst, best_of = _contest(cand, npair)
+        i = np.flatnonzero(usable)
+        groups.append(group(i, via[i, jz[i]], 0.0, 1, zeros[jz[i]]))
+    cp, cval, cerr, ckind, cargs = (np.concatenate(c) for c in zip(*groups))
+    cp, cval, best, worst, best_of = _contest(cp, cval, cerr, npair)
     # a pair is solved when a Clairaut family, a zero or an exact leaf
     # (f has a local minimum at bp = bq) gives a candidate, every family
     # that falls short of ell rides at its limit, and no candidate within
@@ -985,19 +1102,18 @@ def _solve_chunk(triple, feval, prof, lo, h, zeros, kinks, rows, bp, bq, ell, d_
                                "%.12g) to tol=%g" % (bp[rows[i]], bq[rows[i]], ell[rows[i]], tol),
                                bracket=(float(best[i] - bar), float(best[i] + bar)))
     value[rows] = cval[best_of]
-    for i, j in enumerate(best_of):
-        winner[rows[i]] = cand[j][3]
+    kind[rows] = ckind[best_of]
+    args[rows] = cargs[best_of]
 
 
-def _contest(cand, npair):
-    """Candidates (pair, value, error bar, winner) of pairs 0..npair - 1:
-    their pairs and values, each pair's best value, the largest bar of the
-    candidates whose bar reaches that best (every bar plus the
+def _contest(cp, cval, cerr, npair):
+    """Candidates of pairs 0..npair - 1, as their pairs, values and error
+    bars: those pairs and values, each pair's best value, the largest bar
+    of the candidates whose bar reaches that best (every bar plus the
     floating-point floor), and the index of each pair's best candidate."""
-    cp = np.array([c[0] for c in cand], int)
-    cval = np.array([c[1] for c in cand], float)
-    cerr = np.array([c[2] for c in cand], float)
-    cerr += CLAIRAUT_FLOOR * np.maximum(1.0, np.abs(cval))
+    cp = np.asarray(cp, int)
+    cval = np.asarray(cval, float)
+    cerr = np.asarray(cerr, float) + CLAIRAUT_FLOOR * np.maximum(1.0, np.abs(cval))
     best = np.full(npair, math.inf)
     np.minimum.at(best, cp, cval)
     contest = cval - cerr <= best[cp]

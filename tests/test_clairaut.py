@@ -1,6 +1,8 @@
 """Clairaut solve on 1-D bases: exact laws, boundary arcs, kinks, batching."""
 
+import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -270,3 +272,27 @@ def test_certify_reports_engine_counts():
     assert re.fullmatch(r"  info: distance engine: [1-9]\d* pairs solved by the Clairaut "
                         r"relation", lines[0])
     assert "engine" not in rep.machine_text()
+
+
+GOLDEN_TRIPLES = {
+    "sin_cap": triple(spaces.Interval(0.0, 2.0), "sin(t)", 1.0, (0.0,)),
+    "sinh_ray": triple(spaces.Ray(1.5), "sinh(t)", math.cosh(1.5), (0.0,)),
+    "circle_seam": triple(CIRCLE, "0.3 + 0.1*cos(t)", 0.1),
+    "kinked": triple(spaces.Interval(0.0, 3.0), "1 + abs(sin(3*t))", 3.0),
+}
+# 64 pairs per triple (uniform pairs, leaf pairs bp = bq, base pairs ell =
+# 0, pairs near both ends or either side of the seam, and pairs at a zero
+# or a local minimum of f) with their distances and winner kinds at two
+# tols, as hex floats, recorded from the solve that built its scan nodes
+# in a loop over pairs; the array build must reproduce them bit for bit
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "clairaut_golden.json").read_text())
+
+
+@pytest.mark.parametrize("tol", ["0.001", "1e-06"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRIPLES))
+def test_clairaut_golden(name, tol):
+    rows = GOLDEN[name]
+    bp, bq, ell = np.array([[float.fromhex(x) for x in q] for q in rows["pairs"]]).T
+    sol = clairaut_solve(GOLDEN_TRIPLES[name], bp, bq, ell, tol=float(tol))
+    assert [float(v).hex() for v in sol.value] == rows[tol]["value"]
+    assert [sol.winner[i][0] for i in range(len(bp))] == rows[tol]["kind"]

@@ -1,11 +1,16 @@
 """Command-line interface tests with frozen golden reports."""
 
+import importlib
 import math
 
 import pytest
+import yaml
 
 from warpcurv import convexity, spaces, warped
 from warpcurv.cli import main
+
+# the module: the package exports its certify function under the same name
+spec_module = importlib.import_module("warpcurv.certify")
 
 SUSP_SPEC = (
     "side: CBB\nkappa: 1.0\n"
@@ -108,8 +113,27 @@ def test_sample_verb(capsys):
 def test_input_error_exit_code(capsys, tmp_path):
     assert main(["certify", str(tmp_path / "nope.yaml")]) == 3
     bad = tmp_path / "bad.yaml"
-    bad.write_text("side: CAT\n")
-    assert main(["certify", str(bad)]) == 3
+    for text in ("side: CAT\n", "side: [CAT\n", "side: CAT\n  kappa: 0\n", "{side: CAT\n"):
+        bad.write_text(text)
+        assert main(["certify", str(bad)]) == 3
+        assert capsys.readouterr().out == ""
+
+
+def test_spec_loaders_agree(tmp_path, monkeypatch):
+    # spec files parse with libyaml where PyYAML has it; the pure-Python
+    # loader must read every spec of these tests the same way
+    assert spec_module._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    texts = [SUSP_SPEC, CONE_SHORT_CAT_SPEC, FLAT_SPEC,
+             SUSP_SPEC.replace("{expr: sin(t), lipschitz: 1.0, zeros: [0.0, 3.141592653589793]}",
+                               "{expr: '2.0 + sin(t)', lipschitz: 1.0, zeros: []}")]
+    for k, text in enumerate(texts):
+        path = tmp_path / ("spec%d.yaml" % k)
+        path.write_text(text)
+        specs = []
+        for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+            monkeypatch.setattr(spec_module, "_YAML_LOADER", loader)
+            specs.append(vars(spec_module.TripleSpec.from_file(str(path))))
+        assert specs[0] == specs[1]
 
 
 def test_disk_base_spec_rejected(capsys, tmp_path):

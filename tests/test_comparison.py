@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from warpcurv import comparison, model, spaces
+from warpcurv.certify import ProductSpace
 from warpcurv.comparison import Quadruple, sample_comparisons
-from warpcurv.constructions import ConeSpace, SuspensionSpace
+from warpcurv.constructions import ConeSpace, DoubledDisk, SuspensionSpace
 from warpcurv.spaces import rng
+from warpcurv.warped import GridWarpedOracle, WarpedTriple, WarpFunction
 
 
 def _plane_quadruples(n, seed):
@@ -216,3 +218,44 @@ def test_batch_margins_match_per_angle_reference(name, kappa):
             got, want = batch(D, kappa), ref(D, kappa)
             assert got.shape == want.shape == (size,)
             assert np.array_equal(got, want), (name, kappa, size, batch.__name__)
+
+
+def _grid_oracle():
+    warp = WarpFunction.from_expression("0.3 + 0.1*cos(t)", 0.1)
+    return GridWarpedOracle(WarpedTriple(spaces.Circle(2 * math.pi), warp,
+                                         spaces.Interval(0.0, 3.0)))
+
+
+STACK_SPACES = {
+    "interval": lambda: spaces.Interval(0.0, 3.0),
+    "circle": lambda: spaces.Circle(5.0),
+    "cone": lambda: ConeSpace(spaces.Circle(7.0), 1.0, r_max=2.0),
+    "suspension": lambda: SuspensionSpace(spaces.Circle(2 * math.pi)),
+    "product": lambda: ProductSpace(spaces.Interval(0.0, 2.0), 0.7, spaces.Circle(2 * math.pi)),
+    "doubled": lambda: DoubledDisk(spaces.ModelDisk(0.0, 1.0), [(0.0, 2.0)]),
+    "grid": _grid_oracle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SPACES))
+def test_dmat_stack_is_one_call_per_block(name, monkeypatch):
+    if name == "grid":
+        # a Clairaut solve over 6 (BLOCK + 1) pairs takes seconds; a small
+        # block exercises the same block boundaries
+        monkeypatch.setattr(comparison, "BLOCK", 16)
+    block = comparison.BLOCK
+    space = STACK_SPACES[name]()
+    calls = []
+    dist_pairs = space.dist_pairs
+    monkeypatch.setattr(space, "dist_pairs", lambda xs, ys: calls.append(len(xs))
+                        or dist_pairs(xs, ys))
+    pts = space._batch(space.sample(4 * (block + 1), seed=9))
+    for m in (1, block, block + 1):
+        groups = pts[:4 * m].reshape((m, 4) + pts.shape[1:])
+        calls.clear()
+        D = comparison._dmat_stack(space, groups)
+        assert len(calls) == math.ceil(m / block)
+        ref = np.zeros((m, 4, 4))
+        for i, j in itertools.combinations(range(4), 2):
+            ref[:, i, j] = ref[:, j, i] = dist_pairs(groups[:, i], groups[:, j])
+        assert np.array_equal(D, ref), (name, m)

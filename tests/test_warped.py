@@ -44,6 +44,62 @@ def test_warp_function_validation():
         WarpFunction.from_expression("__import__('os')", 1.0)
 
 
+# every warp expression of the tests and of bench/workloads.py
+WARP_EXPRESSIONS = [
+    "t", "t*t", "0.4*t", "0.7", "0.8", "2.0", "1 + t", "1.0 + 0.5*t", "1.0 + t - 300*t*t",
+    "2.0 * (1.0 + 0.25*t)", "1 + 0.3*t**2", "1 + (t - 1)**2", "t*t*t - t", "abs(t)",
+    "abs(t - 0.5)", "abs(t - 1.5)", "abs(t - 3)", "abs(t*(t - 1.5))", "1 + abs(t - 1)",
+    "1 + abs(t - 2)", "2 - abs(t - 1)", "1 + t + abs(t - 1)", "2 + abs(t - pi)",
+    "1 + abs(t - 1) - 1.75*max(t - 2, 0*t)", "max(t - 1, 0*t)", "max(sin(t), 0*t)",
+    "sin(t)", "cos(t)", "2 + cos(t)", "2.0 + sin(t)", "0.3 + 0.1*cos(t)", "1.5 + sin(2*t)",
+    "1 + abs(sin(3*t))", "1 - cos(2*pi*t/5)", "2.0 + cos(2*pi*t/5.0)", "sinh(t)", "cosh(t)",
+    "cosh(t) - 0.2*t*t*t", "exp(t)",
+]
+DISK_EXPRESSIONS = ["cos(r)", "1.5 - r", "0.8 + 0*r", "1.2 + 0*r", "1.0 + 0.0*r", "1 + 0.3*r",
+                    "1 + 0.3*r*cos(theta)", "1.0 + 0.3*r*cos(theta)"]
+WARP_INPUTS = [0.7, np.array(1.3), np.linspace(-0.5, 3.5, 41),
+               np.linspace(-0.5, 3.5, 42).reshape(6, 7)]
+
+
+def _numpy_warp(expr, *coords):
+    """expr evaluated by plain numpy, broadcast to the first coordinate's shape."""
+    names = dict(zip(("t",) if len(coords) == 1 else ("r", "theta"), coords))
+    out = eval(expr, {"__builtins__": {}}, dict(warped._SAFE_ENV, **names))
+    return np.broadcast_to(np.asarray(out, dtype=float), np.shape(coords[0]))
+
+
+@pytest.mark.parametrize("expr", WARP_EXPRESSIONS + DISK_EXPRESSIONS)
+def test_compiled_warp_is_bit_identical_to_numpy(expr):
+    arity = 2 if expr in DISK_EXPRESSIONS else 1
+    fn = WarpFunction.from_expression(expr, 1.0, arity=arity).fn
+    for x in WARP_INPUTS:
+        coords = (x,) if arity == 1 else (x, np.multiply(x, 2.0))
+        got = fn(*coords)
+        assert isinstance(got, np.ndarray) and got.dtype == float
+        assert got.shape == np.shape(x)
+        assert got.tobytes() == np.ascontiguousarray(_numpy_warp(expr, *coords)).tobytes()
+
+
+def test_compiled_warp_broadcasts_and_copies():
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    for expr in ("0.7", "pi", "2.0 * 3"):
+        out = WarpFunction.from_expression(expr, 0.0).fn(x)
+        assert out.shape == (3, 4) and np.all(out == out.flat[0])
+    out = WarpFunction.from_expression("t", 1.0).fn(x)
+    assert np.array_equal(out, x) and not np.shares_memory(out, x)
+    out[0, 0] = 99.0
+    assert x[0, 0] == 0.0
+    theta = WarpFunction.from_expression("theta", 1.0, arity=2).fn(x, x + 1.0)
+    assert theta.shape == (3, 4) and theta[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("expr", ["t), (t", "t.__class__", "lambda: 1", "__import__('os')",
+                                  "sin(t, out=t)", "[t, t]", "'t'"])
+def test_warp_expression_rejects_everything_but_arithmetic(expr):
+    with pytest.raises(ValueError):
+        WarpFunction.from_expression(expr, 1.0)
+
+
 def test_cone_basic_distances():
     t = cone_triple()
     assert warped_distance(t, (1.0, 0.0), (1.0, math.pi / 2), tol=1e-3) == pytest.approx(
