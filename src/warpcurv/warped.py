@@ -21,14 +21,10 @@ f = c.  The roots ell(c) = ell of every family are bracketed on a scan
 and refined together, and each value carries an error bar; a pair whose
 best candidate's bar exceeds tol / 2 raises ConvergenceError.
 
-The polish minimizes the discrete length
-E(b) = sum_k sqrt((b_{k+1} - b_k)^2 + (f(m_k) ds)^2) over the interior
-nodes of a graph b(s) by trust-region Newton: the Hessian of E is
-tridiagonal, so each step is one banded solve.  f' and f'' at the
-midpoints m_k come from central differences.  A base bound where f
-vanishes is a pole of the polar-like coordinates (b, s); steps across it
-are reflected instead of clipped, since E has a kink on {f = 0} where a
-clipped path would stall.  Geodesics seed it with the winning curve.
+A geodesic is the winning curve itself, sampled: each piece of each arc
+at the ends of equal cells of theta under the same map, with the fiber
+parameter the running sum of the advance integrand at the cell midpoints,
+so that no node sits on the 0/0 of a turning point.
 
 On a ModelDisk base with a radial warp f(r), warpcurv.radial does the same
 with two conserved constants, a = sn^2 dtheta/dt and c = f^2 ds/dt.
@@ -39,9 +35,9 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.optimize import OptimizeResult, minimize
-# unused here, but bench/tracer.py hooks warped.coo_matrix and warped.dijkstra by name
+# unused here, but bench/tracer.py hooks warped.minimize, warped.coo_matrix and
+# warped.dijkstra by name
+from scipy.optimize import minimize
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -317,168 +313,8 @@ def _window(triple, bp, bq, ell):
     return lo, hi, isinstance(b, spaces.Circle)
 
 
-# central-difference step for f' and f'' in the polish Hessian
-POLISH_FD_STEP = 1e-4
-
-
-def _tridiagonal_newton(fun, x0, hess, bounds, radius, xtol, reflect, **unused):
-    """Trust-region Newton method for a tridiagonal Hessian.
-
-    A custom ``method`` for ``scipy.optimize.minimize``: ``hess(x)``
-    returns the gradient and the Hessian, the latter in the (3, n) form
-    of ``scipy.linalg.solve_banded``; ``bounds`` is one ``(lo, hi)`` pair
-    for every variable, or None.  Variables on a bound whose gradient
-    points outward are held fixed (projected Newton), and a step that
-    crosses a bound flagged in ``reflect`` is mirrored back across it.
-    A failed solve or a non-descent direction gets a Levenberg shift.
-    The infinity norm of each step is capped by the trust radius, which
-    starts at ``radius``, doubles on an accepted step and shrinks by 4
-    on a rejected one; only steps that lower ``fun`` are accepted.
-    Stops after 200 steps, when the free gradient is below 1e-12, after
-    an accepted step no longer than ``xtol``, when the radius falls below
-    ``xtol``, or when the predicted decrease is below the roundoff of
-    ``fun``; that last step is taken unless it raises ``fun`` measurably.
-    """
-    lo, hi = bounds if bounds is not None else (-np.inf, np.inf)
-    x = np.clip(np.asarray(x0, float), lo, hi)
-    e = fun(x)
-    nfev, nit = 1, 0
-    noise = 64.0 * np.finfo(float).eps * abs(e)
-    moved = True
-    while nit < 200 and radius > xtol:
-        if moved:
-            g, ab = hess(x)
-            fixed = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
-            g = np.where(fixed, 0.0, g)
-            if not len(x) or np.max(np.abs(g)) <= 1e-12 \
-                    or not (np.all(np.isfinite(g)) and np.all(np.isfinite(ab))):
-                break
-            ab = ab.copy()
-            ab[1, fixed] = 1.0
-            ab[0, 1:][fixed[1:] | fixed[:-1]] = 0.0
-            ab[2, :-1][fixed[1:] | fixed[:-1]] = 0.0
-            shift = 0.0
-            while True:
-                shifted = ab.copy()
-                shifted[1] += shift
-                try:
-                    newton = solve_banded((1, 1), shifted, -g)
-                except (np.linalg.LinAlgError, ValueError):
-                    newton = None
-                if newton is not None and np.all(np.isfinite(newton)) and g @ newton < 0:
-                    break
-                shift = max(10.0 * shift, 1e-10 * (1.0 + np.max(np.abs(ab[1]))))
-        nit += 1
-        step = min(radius, np.max(np.abs(newton)))
-        p = newton * (step / np.max(np.abs(newton)))
-        # model decrease -(g.p + p.H.p / 2), H tridiagonal
-        hp = ab[1] * p
-        hp[:-1] += ab[0, 1:] * p[1:]
-        hp[1:] += ab[2, :-1] * p[:-1]
-        predicted = -(g @ p + 0.5 * (p @ hp))
-        x_new = x + p
-        # a step across a reflecting bound is mirrored back into the box
-        if reflect[0]:
-            x_new = np.where(x_new < lo, 2.0 * lo - x_new, x_new)
-        if reflect[1]:
-            x_new = np.where(x_new > hi, 2.0 * hi - x_new, x_new)
-        x_new = np.clip(x_new, lo, hi)
-        e_new = fun(x_new)
-        nfev += 1
-        if predicted <= noise:
-            # below the roundoff of fun: take the step unless it is worse
-            if e_new <= e + noise:
-                x, e = x_new, e_new
-            break
-        moved = e_new < e
-        if moved:
-            x, e = x_new, e_new
-            if step <= xtol:
-                break
-        radius = 2.0 * radius if moved else 0.25 * radius
-    return OptimizeResult(x=x, fun=e, nit=nit, nfev=nfev, success=True)
-
-
-def _polish_path(triple, bs, ss, ell, lo, hi, wrap, n_nodes, wrap_length=None):
-    """Variational refinement of a seed path (bs, ss) as a graph b(s).
-
-    Resamples the seed on n_nodes fiber values and minimizes the discrete
-    warped length E over the interior base values (see the module
-    docstring); the geodesic of a Clairaut-arc winner is polished so.
-    """
-    warp = triple.warp
-    if wrap:
-        # unwrap the base coordinate so the path is continuous
-        L = wrap_length
-        db = np.diff(bs)
-        db = np.where(db > L / 2, db - L, np.where(db < -L / 2, db + L, db))
-        bs = np.concatenate([[bs[0]], bs[0] + np.cumsum(db)])
-
-    s_mono = np.maximum.accumulate(ss)
-    s_grid = np.linspace(0.0, ell, n_nodes)
-    # collapse duplicate s values so np.interp sees increasing knots
-    keep = np.concatenate([[True], np.diff(s_mono) > 1e-15])
-    b_init = np.interp(s_grid, s_mono[keep], bs[keep])
-    # pin the endpoints: paths with base movement at constant fiber
-    # parameter (through-Z candidates) are not graphs over s, and the
-    # interpolation above would otherwise lose an endpoint
-    b_init[0] = bs[0]
-    b_init[-1] = bs[-1]
-    ds = ell / (n_nodes - 1)
-    b0, b1 = b_init[0], b_init[-1]
-    h = POLISH_FD_STEP
-
-    def feval(x):
-        return np.asarray(warp(np.mod(x, wrap_length) if wrap else x), float)
-
-    def path(binter):
-        b = np.concatenate([[b0], binter, [b1]])
-        return b, 0.5 * (b[:-1] + b[1:])
-
-    def energy(binter):
-        b, mid = path(binter)
-        return float(np.sum(np.sqrt(np.diff(b) ** 2 + (feval(mid) * ds) ** 2)))
-
-    def derivatives(binter):
-        """Gradient and banded Hessian, from one warp call at mid-h, mid, mid+h."""
-        b, mid = path(binter)
-        fl, fm, fr = feval(np.concatenate([mid - h, mid, mid + h])).reshape(3, -1)
-        d1 = (fr - fl) / (2.0 * h)
-        d2 = (fr - 2.0 * fm + fl) / (h * h)
-        # segment length s(u, m) = sqrt(u^2 + ds^2 f(m)^2), u = b_{k+1} - b_k
-        u = np.diff(b)
-        g2 = (fm * ds) ** 2
-        s = np.maximum(np.sqrt(u * u + g2), 1e-12 * ds)
-        s_u = u / s
-        s_m = ds * ds * fm * d1 / s
-        s_uu = g2 / s ** 3
-        s_um = -s_u * s_m / s
-        s_mm = (ds * ds * (d1 * d1 + fm * d2) - s_m * s_m) / s
-        # chain rule through u = b_{k+1} - b_k and m = (b_k + b_{k+1}) / 2
-        grad = np.zeros(n_nodes)
-        grad[:-1] += 0.5 * s_m - s_u
-        grad[1:] += 0.5 * s_m + s_u
-        diag = np.zeros(n_nodes)
-        diag[:-1] += s_uu - s_um + 0.25 * s_mm
-        diag[1:] += s_uu + s_um + 0.25 * s_mm
-        off = 0.25 * s_mm - s_uu
-        ab = np.zeros((3, n_nodes - 2))
-        ab[0, 1:] = off[1:-1]
-        ab[1] = diag[1:-1]
-        ab[2, :-1] = off[1:-1]
-        return grad[1:-1], ab
-
-    res = minimize(energy, b_init[1:-1], method=_tridiagonal_newton, hess=derivatives,
-                   bounds=None if wrap else (lo, hi),
-                   options={"radius": 0.05 * (hi - lo), "xtol": 1e-9 * (hi - lo),
-                            "reflect": (feval(lo) <= ZERO_THRESHOLD,
-                                        feval(hi) <= ZERO_THRESHOLD)})
-    b = np.concatenate([[b0], res.x, [b1]])
-    return res.fun, b, s_grid
-
-
-def _polish_nodes(ell, tol):
-    """Node count of a polished path: the midpoint rule's error then stays below tol."""
+def _geodesic_nodes(ell, tol):
+    """Node count of a geodesic polyline: its length error then stays below tol."""
     return int(np.clip(4.0 * ell / math.sqrt(tol), 129, 20001))
 
 
@@ -560,9 +396,10 @@ def _kinks(feval, prof, lo, h, periodic):
     return x, i
 
 
-def _arc_terms(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES, kinks=None, gap=0.0):
-    """Quadrature nodes b and per-node fiber advance and length terms of the
-    Clairaut arcs from x* to x_lo and to x_hi, each of shape (len(c), 2, P n).
+def _arc_terms(feval, xstar, c, x_lo, x_hi, kinks, gap, n=CLAIRAUT_NODES):
+    """Piece ends, of shape (len(c), 2, P + 1), and per-node fiber advance and
+    length terms, of shape (len(c), 2, P n), of the Clairaut arcs from x* to
+    x_lo and to x_hi.
 
     kinks, one row of positions per arc pair (nan-padded), splits each arc
     at the kinks strictly inside it, more than gap from its ends, into
@@ -571,18 +408,17 @@ def _arc_terms(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES, kinks=None, gap=0.
     """
     u, w = _cos_map_rule(n)
     ends = np.stack([x_lo, x_hi], axis=1)[:, :, None]
-    cuts = [np.broadcast_to(xstar[:, None, None], ends.shape)]
-    if kinks is not None:
+    x0 = xstar[:, None, None]
+    cuts = [np.broadcast_to(x0, ends.shape)]
+    if kinks.shape[1]:
         k = kinks[:, None, :]
-        x0 = xstar[:, None, None]
         inside = ((k - x0) * (k - ends) < 0) & (np.abs(k - x0) > gap) & (np.abs(k - ends) > gap)
         order = np.argsort(np.where(inside, np.abs(k - x0), math.inf), axis=2)
         inside = np.take_along_axis(inside, order, axis=2)
         m = int(inside.sum(axis=2).max(initial=0))
         k = np.take_along_axis(np.broadcast_to(k, inside.shape), order, axis=2)
         cuts.append(np.where(inside, k, ends)[:, :, :m])
-    cuts.append(ends)
-    cuts = np.concatenate(cuts, axis=2)
+    cuts = np.concatenate(cuts + [ends], axis=2)
     span = (cuts[:, :, 1:] - cuts[:, :, :-1])[..., None]
     b = cuts[:, :, :-1, None] + span * u
     f = feval(b)
@@ -593,10 +429,10 @@ def _arc_terms(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES, kinks=None, gap=0.
         advance = np.where(ww > 0, ww * cc / (f * root), 0.0)
         length = np.where(ww > 0, ww * f / root, 0.0)
     shape = (len(c), 2, -1)
-    return b.reshape(shape), advance.reshape(shape), length.reshape(shape)
+    return cuts, advance.reshape(shape), length.reshape(shape)
 
 
-def _arcs(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES, kinks=None, gap=0.0):
+def _arcs(feval, xstar, c, x_lo, x_hi, kinks, gap, n=CLAIRAUT_NODES):
     """Fiber advance and length of the Clairaut arcs from x* to x_lo and to x_hi.
 
     An arc with constant c advances ell = int c db / (f sqrt(f^2 - c^2))
@@ -606,7 +442,7 @@ def _arcs(feval, xstar, c, x_lo, x_hi, n=CLAIRAUT_NODES, kinks=None, gap=0.0):
     together, so that pieces of length 0 leave a row's value unchanged.
     """
     sums = []
-    for terms in _arc_terms(feval, xstar, c, x_lo, x_hi, n, kinks, gap)[1:]:
+    for terms in _arc_terms(feval, xstar, c, x_lo, x_hi, kinks, gap, n)[1:]:
         pieces = terms.reshape(len(c), 2, -1, n).transpose(0, 2, 1, 3)
         pieces = pieces.reshape(len(c), -1, 2 * n).sum(axis=2)
         total = pieces[:, 0]
@@ -822,14 +658,34 @@ def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
     args = np.zeros((len(bp), 5))
     args[:, 0] = np.where(fp <= ZERO_THRESHOLD, bp, bq)
     live = np.flatnonzero((ell > 0) & (fp > ZERO_THRESHOLD) & (fq > ZERO_THRESHOLD))
-    # scan profile: f on the grid lo + i h of the domain, extended on a Ray
-    # to every pair's window and taken periodic on a circle.  A Ray window
-    # that needs more than RAY_SCAN_CAP points is scanned at h 2^k instead,
-    # k the least that fits, from that pair's window alone
+    lo = domain(base)[0]
+    for sub, hk, reach, zeros, kinks, scan in _scan_levels(triple, feval, bp[live], bq[live],
+                                                           ell[live]):
+        sub = live[sub]
+        for s in range(0, len(sub), CLAIRAUT_CHUNK):
+            chunk = slice(s, s + CLAIRAUT_CHUNK)
+            _solve_chunk(triple, feval, scan, lo, hk, zeros, kinks[chunk], sub[chunk], bp, bq,
+                         ell, d_base, reach[chunk], tol, value, kind, args)
+    return ClairautSolution(value, _Winners(kind, args))
+
+
+def _scan_levels(triple, feval, bp, bq, ell):
+    """Per scan level of the pairs (bp, bq, ell): its pairs' indices, grid
+    spacing h, their _window ends, the zeros of f, the kinks that split
+    their arcs (a nan-padded row per pair) and its _Profile.
+
+    The profile is f on lo + i h, extended on a Ray to every pair's window
+    and periodic on a circle; a Ray window of more than RAY_SCAN_CAP points
+    is scanned at h 2^k, k the least that fits.  The kinks are those of
+    _kinks, copied around the unwrapped circle, and on a Ray those that the
+    profile of the pair's own window shows.
+    """
+    base = triple.base
+    circle = isinstance(base, spaces.Circle)
     lo, hi = domain(base)
     h = (hi - lo) / (SCAN_POINTS - 1)
-    reach = np.broadcast_to(_window(triple, bp[live], bq[live], ell[live])[1], live.shape)
-    level = np.zeros(len(live), int)
+    reach = np.broadcast_to(_window(triple, bp, bq, ell)[1], bp.shape)
+    level = np.zeros(len(bp), int)
     if isinstance(base, spaces.Ray):
         while True:
             over = np.ceil((reach - lo) / (h * 2.0 ** level)) >= RAY_SCAN_CAP
@@ -837,23 +693,24 @@ def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
                 break
             level += over
     for k in np.unique(level):
-        sub, hk, reach_k = live[level == k], h * 2.0 ** k, reach[level == k]
+        pairs, hk = np.flatnonzero(level == k), h * 2.0 ** k
         count = SCAN_POINTS
-        if isinstance(base, spaces.Circle):
+        if circle:
             count -= 1
         elif isinstance(base, spaces.Ray):
-            count = max(count, int(math.ceil(float(np.max(reach_k)) / hk)) + 1)
+            count = max(count, int(math.ceil(float(np.max(reach[pairs])) / hk)) + 1)
         grid_pts = lo + hk * np.arange(count)
         prof = feval(grid_pts)
         zeros = np.asarray(zero_set(triple.warp, base, lo, grid_pts[-1], warn=triple.warnings,
                                     profile=(grid_pts, prof))[1] or [], float)
-        kinks = _kinks(feval, prof, lo, hk, isinstance(base, spaces.Circle))
-        scan = _Profile(prof, isinstance(base, spaces.Circle))
-        for s in range(0, len(sub), CLAIRAUT_CHUNK):
-            _solve_chunk(triple, feval, scan, lo, hk, zeros, kinks,
-                         sub[s:s + CLAIRAUT_CHUNK], bp, bq, ell, d_base,
-                         reach_k[s:s + CLAIRAUT_CHUNK], tol, value, kind, args)
-    return ClairautSolution(value, _Winners(kind, args))
+        kx, ki = _kinks(feval, prof, lo, hk, circle)
+        if circle:
+            kx = (kx + base.length * np.arange(-3, 4)[:, None]).ravel()
+        kinks = np.broadcast_to(kx, (len(pairs), len(kx)))
+        if isinstance(base, spaces.Ray):
+            own = np.maximum(SCAN_POINTS, np.ceil((reach[pairs] - lo) / hk).astype(int) + 1)
+            kinks = np.where(ki <= own[:, None] - 4, kinks, math.nan)
+        yield pairs, hk, reach[pairs], zeros, kinks, _Profile(prof, circle)
 
 
 def _arc_minimum(feval, scan, lo, h, x_lo, x_hi):
@@ -883,9 +740,9 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
                  reach, tol, value, kind, args):
     """clairaut_solve on the pairs rows; fills value, kind and args there.
 
-    scan is the _Profile of the scan profile prof, kinks is _kinks of
-    prof.  reach is the upper end of each pair's _window (a Ray's scans,
-    zeros and kinks stop there).  The scan nodes of every family of every
+    scan, zeros, kinks (the rows of these pairs) and reach (the
+    upper end of each pair's _window, where a Ray's scans and zeros stop)
+    are those of their _scan_levels.  The scan nodes of every family of every
     problem are built in array passes over all problems at once; the
     outward scans read only the blocks of the profile where a record can
     lie (_Profile.records).
@@ -919,17 +776,7 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
                 np.minimum(n - 1, np.floor((reach[pair] - lo) / h).astype(int)))
     else:
         last = (np.zeros_like(pair), np.full_like(pair, n - 1))
-    # the kinks that split arcs: every copy on the unwrapped circle, and on a
-    # Ray those that the profile of the pair's own window shows
-    kx, ki = kinks
-    kmat = None
-    if len(kx):
-        if circle:
-            kx = (kx + L * np.arange(-3, 4)[:, None]).ravel()
-        kmat = np.broadcast_to(kx, (len(pair), len(kx)))
-        if isinstance(base, spaces.Ray):
-            own = np.maximum(SCAN_POINTS, np.ceil((reach - lo) / h).astype(int) + 1)
-            kmat = np.where(ki <= own[pair][:, None] - 4, kmat, math.nan)
+    kinks = kinks[pair]
 
     # outward scans: scan 2k + side of problem k reads the grid indices
     # first, first + step, ..., last, down from x_lo (side 0) or up from
@@ -1021,8 +868,8 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
 
     def evaluate(q, turn_q, prob_q, nodes=CLAIRAUT_NODES):
         x, c = _family_point(feval, q, turn_q, xm[prob_q])
-        adv, length = _arcs(feval, x, c, x_lo[prob_q], x_hi[prob_q], nodes,
-                            None if kmat is None else kmat[prob_q], KINK_GAP * h)
+        adv, length = _arcs(feval, x, c, x_lo[prob_q], x_hi[prob_q], kinks[prob_q],
+                            KINK_GAP * h, nodes)
         return adv - target[prob_q], c, length
 
     def group(i, val, err, code, *wargs):
@@ -1145,26 +992,49 @@ def warped_distance(triple, u, v, tol=1e-3):
     return reduced_distance(triple, u.base, v.base, ell, tol=tol)
 
 
-def _arc_seed(feval, start, end, x, c, ride, ell):
-    """Polyline (b, s) along the Clairaut arcs start -> x -> end, riding the
-    leaf over x for a fiber length ride; s is rescaled to end at ell."""
-    b, ds, _ = _arc_terms(feval, np.array([x]), np.array([c]), np.array([start]),
-                          np.array([end]))
-    (b1, b2), (d1, d2) = b[0], np.nan_to_num(ds[0], posinf=0.0)
-    s1 = np.cumsum(d1[::-1]) - 0.5 * d1[::-1]
-    sx = float(np.sum(d1))
-    s2 = sx + ride + np.cumsum(d2) - 0.5 * d2
-    bs = np.concatenate([[start], b1[::-1], [x, x], b2, [end]])
-    ss = np.concatenate([[0.0], s1, [sx, sx + ride], s2, [sx + ride + np.sum(d2)]])
+def _arc_path(feval, start, end, x, c, ride, ell, kinks, gap, n):
+    """Polyline (b, s) along the Clairaut arcs start -> x -> end, split at the
+    kinks as clairaut_solve splits them, riding the leaf over x for a fiber
+    length ride; s is rescaled to end at ell.
+
+    Each piece p0 -> p1 of an arc, and the ride, gets a share of the n cells
+    in proportion to its fiber advance (as a grid even in s would), rounded
+    up.  A piece's nodes are the ends of its cells of equal theta under b =
+    p0 + (p1 - p0)(1 - cos theta) / 2, and s is the running sum of the
+    advance integrand c / (f sqrt(f^2 - c^2)) db/dtheta at the cell
+    midpoints.
+    """
+    cuts, advance, _ = _arc_terms(feval, np.array([x]), np.array([c]), np.array([start]),
+                                  np.array([end]), kinks, gap)
+    p0, p1 = cuts[0, :, :-1].ravel(), cuts[0, :, 1:].ravel()
+    advance = advance[0].reshape(len(p0), CLAIRAUT_NODES).sum(axis=1)
+    total = np.sum(advance) + ride
+    cells = np.ceil(n * advance / total).astype(int)
+    piece = np.repeat(np.arange(len(p0)), cells)
+    k = np.arange(len(piece)) - np.repeat(np.cumsum(cells) - cells, cells)
+    m, span = cells[piece], (p1 - p0)[piece]
+    # theta at the cell ends and midpoints
+    theta = math.pi * (k + np.array([[1.0], [0.5]])) / m
+    b, mid = p0[piece] + span * 0.5 * (1.0 - np.cos(theta))
+    b = np.where(k + 1 == m, p1[piece], b)
+    f = feval(mid)
+    ds = c / (f * np.sqrt((f - c) * (f + c))) * np.abs(span) * 0.5 * np.sin(theta[1]) * math.pi / m
+    # the arc from start to x, the ride, and the arc on to end
+    back = piece < len(p0) // 2
+    s0, nr = np.cumsum(np.append(0.0, ds[back][::-1])), int(math.ceil(n * ride / total))
+    bs = np.concatenate([b[back][::-1], np.full(nr + 1, x), b[~back]])
+    ss = np.concatenate([s0[:-1], s0[-1] + np.linspace(0.0, ride, nr + 1),
+                         s0[-1] + ride + np.cumsum(ds[~back])])
     return bs, ss * (ell / ss[-1])
 
 
 def warped_geodesic(triple, u, v, resolution=1e-3):
     """Geodesic along the curve that realises the distance, as a GeodesicPolyline.
 
-    A Clairaut-arc winner seeds one polish of the discrete length on
-    _polish_nodes(ell, resolution) nodes; a through-Z, leaf or base path
-    is taken as it is.
+    A Clairaut-arc winner is sampled on about _geodesic_nodes(ell,
+    resolution) nodes (_arc_path); a through-Z, leaf or base path, or arcs
+    that never leave x (a leaf through a maximum of f), is the leaf path
+    over its point, sampled at spacing resolution.
     """
     u = as_warped_point(u)
     v = as_warped_point(v)
@@ -1173,16 +1043,16 @@ def warped_geodesic(triple, u, v, resolution=1e-3):
     ell = float(triple.fiber.distance(u.fiber, v.fiber))
     bp, bq = float(u.base), float(v.base)
     win = clairaut_solve(triple, bp, bq, ell, tol=resolution).winner[0]
-    if win[0] == "arc":
-        lo, hi, wrap = _window(triple, bp, bq, ell)
-        bs, ss = _arc_seed(_feval(triple), *win[1:], ell)
-        _, bs, ss = _polish_path(triple, bs, ss, ell, lo, hi, wrap,
-                                 _polish_nodes(ell, resolution),
-                                 wrap_length=triple.base.length if wrap else None)
+    if win[0] == "arc" and not win[1] == win[2] == win[3]:
+        feval = _feval(triple)
+        (_, h, _, _, kinks, _), = _scan_levels(triple, feval, np.array([bp]), np.array([bq]),
+                                               np.array([ell]))
+        bs, ss = _arc_path(feval, *win[1:], ell, kinks, KINK_GAP * h,
+                           _geodesic_nodes(ell, resolution))
     else:
-        # the base to the zero or leaf point b, the fiber advance there (no
-        # length at a zero), then the base on to bq
-        b = bp if win[0] == "base" else win[1]
+        # the base to the zero or leaf point b (x for arcs that never leave it),
+        # the fiber advance there (no length at a zero), then the base to bq
+        b = bp if win[0] == "base" else win[3 if win[0] == "arc" else 1]
         n1, n2 = (max(2, int(abs(y - x) / resolution) + 1) for x, y in ((bp, b), (b, bq)))
         nr = max(2, int(float(triple.warp(b)) * ell / resolution) + 1)
         bs = np.concatenate([np.linspace(bp, b, n1), np.full(nr, b), np.linspace(b, bq, n2)])

@@ -161,8 +161,8 @@ SIN_KINKS = triple(spaces.Interval(0.0, 3.0), "1 + abs(sin(3*t))", 3.0)
 
 def test_kinks_inside_arcs_are_solved():
     # the arc of the first pair crosses the kinks of |sin 3t| at pi / 3 and
-    # 2 pi / 3; split there, it is solved to tol, and its polished geodesic
-    # agrees
+    # 2 pi / 3; split there, it is solved to tol, and its geodesic, sampled
+    # piece by piece, agrees
     oracle = GridWarpedOracle(SIN_KINKS, tol=1e-6)
     q = (0.9355, 2.9098, 0.7653)
     d = oracle.dist_pairs([[q[0], 0.0], [0.5, 0.0]], [[q[1], q[2]], [0.6, 0.2]])
@@ -171,6 +171,18 @@ def test_kinks_inside_arcs_are_solved():
     assert win[0] == "arc" and min(win[1:3]) < 2 * math.pi / 3 < max(win[1:3])
     poly = warped_geodesic(SIN_KINKS, (q[0], 0.0), (q[1], q[2]), resolution=1e-6)
     assert poly.total_length == pytest.approx(d[0], abs=1e-5)
+
+
+def test_geodesics_across_kinks_match_the_distance():
+    # the arcs of 1 + |sin 3t| are sampled piece by piece between the kinks
+    # that the solve split them at
+    g = spaces.rng(7, 1)
+    for _ in range(20):
+        b1, b2 = g.uniform(0.0, 3.0, 2)
+        ell = g.uniform(0.0, math.pi)
+        d = warped_distance(SIN_KINKS, (b1, 0.0), (b2, ell), tol=1e-6)
+        poly = warped_geodesic(SIN_KINKS, (b1, 0.0), (b2, ell), resolution=1e-6)
+        assert abs(poly.total_length - d) <= 1e-6
 
 
 def hyperbolic_plane(b1, b2, ell):

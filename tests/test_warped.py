@@ -1,6 +1,7 @@
 """Warped-product distance engine tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,9 +154,8 @@ def spherical_law(t1, t2, dphi):
 # where a path that settles on the pole would give the through-Z value
 ROADMAP_QUERY = (0.2446, 2.3958, 2.8675)
 POLE_GRAZING = (2.988346479567784, 2.259677075984764, 2.5626991003635142)
-# great circles passing 0.061 from t = pi and 0.030 from t = 0: polish
-# steps toward such a pole overshoot it, and a path clipped onto the pole
-# stalls at the through-Z value
+# great circles passing 0.061 from t = pi and 0.030 from t = 0, where a
+# path that settles on the pole would give the through-Z value
 NEAR_SOUTH_POLE = (1.5362121631693724, 3.0485883642240674, 2.4369057379950423)
 NEAR_NORTH_POLE = (1.268385764481704, 0.3199367073107595, 3.0405214951131048)
 
@@ -170,41 +170,29 @@ def test_suspension_error_within_tol(query):
     assert abs(got - spherical_law(t1, t2, ell)) <= 1e-3
 
 
-def _discrete_length_gradient(b, ell):
-    """dE/db of E = sum sqrt(db^2 + (sin(mid) ds)^2), with the exact f'."""
-    ds = ell / (len(b) - 1)
-    db = np.diff(b)
-    mid = 0.5 * (b[:-1] + b[1:])
-    seg = np.sqrt(db ** 2 + (np.sin(mid) * ds) ** 2)
-    t_u = db / seg
-    t_m = 0.5 * np.sin(mid) * np.cos(mid) * ds * ds / seg
-    grad = np.zeros(len(b))
-    grad[:-1] += t_m - t_u
-    grad[1:] += t_m + t_u
-    return grad[1:-1]
+@pytest.mark.parametrize("resolution", [1e-3, 1e-6])
+@pytest.mark.parametrize("query", [ROADMAP_QUERY, POLE_GRAZING, NEAR_SOUTH_POLE,
+                                   NEAR_NORTH_POLE],
+                         ids=["near_antipodal", "pole_grazing", "near_south_pole",
+                              "near_north_pole"])
+def test_suspension_geodesic_is_the_great_circle(query, resolution):
+    t1, t2, ell = query
+    poly = warped_geodesic(suspension_triple(), (t1, 0.0), (t2, ell), resolution=resolution)
+    assert abs(poly.total_length - spherical_law(t1, t2, ell)) <= 0.05 * resolution
+    bs = np.asarray(poly.base_points, float)
+    assert np.all((bs >= 0.0) & (bs <= math.pi))
 
 
-def test_newton_polish_stationary_and_start_independent():
-    t = suspension_triple()
-    t1, t2, ell = POLE_GRAZING
-    n = int(np.clip(4.0 * ell / math.sqrt(1e-3), 129, 20001))
-    chord = warped._polish_path(t, np.array([t1, t2]), np.array([0.0, ell]),
-                                ell, 0.0, math.pi, False, n)
-    # the exact great circle, sampled as (colatitude, longitude)
-    p = np.array([math.sin(t1), 0.0, math.cos(t1)])
-    q = np.array([math.sin(t2) * math.cos(ell), math.sin(t2) * math.sin(ell), math.cos(t2)])
-    w = math.acos(float(p @ q))
-    tau = np.linspace(0.0, 1.0, 4001)[:, None]
-    xyz = (np.sin((1 - tau) * w) * p + np.sin(tau * w) * q) / math.sin(w)
-    circle = warped._polish_path(t, np.arccos(np.clip(xyz[:, 2], -1, 1)),
-                                 np.arctan2(xyz[:, 1], xyz[:, 0]), ell, 0.0, math.pi,
-                                 False, n)
-    for _, b, _ in (chord, circle):
-        grad = _discrete_length_gradient(b, ell)
-        free = (b[1:-1] > 0.0) & (b[1:-1] < math.pi)
-        assert np.max(np.abs(grad[free])) <= 1e-9
-    assert chord[0] == pytest.approx(circle[0], abs=1e-9)
-    assert abs(chord[0] - spherical_law(t1, t2, ell)) <= 1e-4
+def test_equator_geodesic_is_the_leaf_path():
+    # the winning arcs start, turn and end at the maximum pi / 2 of f: the
+    # equator itself, with no arc to sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poly = warped_geodesic(suspension_triple(), (math.pi / 2, 0.0), (math.pi / 2, 0.4),
+                               resolution=1e-3)
+    assert np.all(np.asarray(poly.base_points) == math.pi / 2)
+    assert poly.total_length == pytest.approx(0.4, abs=1e-12)
+    assert len(poly) >= 8
 
 
 def test_two_piece_through_zero():
