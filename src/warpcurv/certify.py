@@ -12,6 +12,7 @@ import numpy as np
 import yaml
 
 from . import comparison, constructions, convexity, spaces, warped
+from .constructions import ProductSpace
 from .model import varpi
 
 INF = math.inf
@@ -144,37 +145,6 @@ def build_triple(spec):
     except ValueError as e:
         raise SpecError(str(e))
     return triple
-
-
-class ProductSpace(spaces.MetricOracle):
-    """B x_c F for constant warp c > 0: the scaled product metric."""
-
-    def __init__(self, base, c, fiber):
-        self.base = base
-        self.c = float(c)
-        self.fiber = fiber
-
-    def _batch(self, pts):
-        return np.asarray(pts, dtype=float).reshape(len(pts), -1)
-
-    def dist_pairs(self, xs, ys):
-        xs = self._batch(xs)
-        ys = self._batch(ys)
-        db = self.base.dist_pairs(xs[:, :-1].squeeze(-1) if xs.shape[1] == 2 else xs[:, :-1],
-                                  ys[:, :-1].squeeze(-1) if ys.shape[1] == 2 else ys[:, :-1])
-        df = self.fiber.dist_pairs(xs[:, -1], ys[:, -1])
-        return np.sqrt(np.asarray(db, float) ** 2 + (self.c * np.asarray(df, float)) ** 2)
-
-    def sample(self, n, seed):
-        bs = np.atleast_2d(self.base._batch(self.base.sample(n, seed)))
-        if bs.shape[0] == 1 and n > 1:
-            bs = bs.T
-        bs = bs.reshape(n, -1)
-        fs = np.asarray(self.fiber._batch(self.fiber.sample(n, seed + 1)), float).reshape(n, -1)
-        return np.hstack([bs, fs[:, :1]])
-
-    def __repr__(self):
-        return "ProductSpace(%r, c=%g, %r)" % (self.base, self.c, self.fiber)
 
 
 def build_product(spec, triple):

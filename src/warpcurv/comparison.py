@@ -11,7 +11,8 @@ Both batch margins read the upper triangle of each 4x4 distance matrix.
 A quadruple has 4 triangles and 12 (vertex, pair) angles, and one call
 of model.triangle_angles per block of BLOCK quadruples evaluates each
 triangle once; the (1+3) angle sums and the (2+2) splits are then read
-from that (triangle x vertex) angle table.
+from that (triangle x vertex) angle table.  The model takes one branch
+per sign of kappa, so a quadruple's margin does not depend on its batch.
 
 The distance stack takes one space.dist_pairs call per block of BLOCK
 quadruples, its six pair columns concatenated; a one-quadruple margin,
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .model import angle_from_sides, perimeters, side_from_angle, triangle_angles
+from .model import angle_from_sides, side_from_angle, triangle_angles
 from .spaces import missing_rows, rng
 
 TWO_PI = 2.0 * math.pi
@@ -96,19 +97,14 @@ def _margins(D, kappa, margin):
     """Apply margin(angle table) to each quadruple of a (..., 4, 4) stack.
 
     Sides come from the upper triangle of D.  The kernel runs once per
-    block of BLOCK quadruples, with the series switch of each of the
-    four triangles decided over the whole stack.
+    block of BLOCK quadruples.
     """
     D = np.asarray(D, dtype=float)
     d = D.reshape((-1, 4, 4))
-    blocks = [d[lo:lo + BLOCK, _IU, _JU].T[_SIDES] for lo in range(0, len(d), BLOCK)]
-    big = np.zeros((4, 1))
-    for sides in blocks:
-        big = np.maximum(big, np.max(perimeters(*sides), axis=(0, 2))[:, None])
     out = np.empty(len(d))
-    for k, sides in enumerate(blocks):
-        ang = triangle_angles(kappa, *sides, big=big)
-        out[k * BLOCK:(k + 1) * BLOCK] = margin(ang.reshape(12, -1))
+    for lo in range(0, len(d), BLOCK):
+        sides = d[lo:lo + BLOCK, _IU, _JU].T[_SIDES]
+        out[lo:lo + BLOCK] = margin(triangle_angles(kappa, *sides).reshape(12, -1))
     return out.reshape(D.shape[:-2])
 
 

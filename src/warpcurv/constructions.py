@@ -1,4 +1,5 @@
-"""Cones, suspensions, scalings, and the partial-boundary double B-dagger.
+"""Cones, suspensions, constant-warp products, scalings, and the
+partial-boundary double B-dagger.
 
 Cone and suspension oracles use closed-form distance laws (the grid
 engine agrees with them within grid error); doubling produces explicit
@@ -138,6 +139,37 @@ class SuspensionSpace(MetricOracle):
 
     def __repr__(self):
         return "SuspensionSpace(fiber=%r)" % (self.fiber,)
+
+
+class ProductSpace(MetricOracle):
+    """B x_c F for constant warp c > 0: the scaled product metric."""
+
+    def __init__(self, base, c, fiber):
+        self.base = base
+        self.c = float(c)
+        self.fiber = fiber
+
+    def _batch(self, pts):
+        return np.asarray(pts, dtype=float).reshape(len(pts), -1)
+
+    def dist_pairs(self, xs, ys):
+        xs = self._batch(xs)
+        ys = self._batch(ys)
+        db = self.base.dist_pairs(xs[:, :-1].squeeze(-1) if xs.shape[1] == 2 else xs[:, :-1],
+                                  ys[:, :-1].squeeze(-1) if ys.shape[1] == 2 else ys[:, :-1])
+        df = self.fiber.dist_pairs(xs[:, -1], ys[:, -1])
+        return np.sqrt(np.asarray(db, float) ** 2 + (self.c * np.asarray(df, float)) ** 2)
+
+    def sample(self, n, seed):
+        bs = np.atleast_2d(self.base._batch(self.base.sample(n, seed)))
+        if bs.shape[0] == 1 and n > 1:
+            bs = bs.T
+        bs = bs.reshape(n, -1)
+        fs = np.asarray(self.fiber._batch(self.fiber.sample(n, seed + 1)), float).reshape(n, -1)
+        return np.hstack([bs, fs[:, :1]])
+
+    def __repr__(self):
+        return "ProductSpace(%r, c=%g, %r)" % (self.base, self.c, self.fiber)
 
 
 class ScaledSpace(MetricOracle):

@@ -6,8 +6,7 @@ the endpoint values; concavity means it lies above.
 
 sinusoidal_test interpolates all sampled base geodesics in one
 interpolate_pairs call, evaluates f once on all their nodes, and
-computes the supports of every subinterval in one padded array pass;
-each support keeps the sn/cs branch its own length decides.
+computes the supports of every subinterval in one padded array pass.
 """
 
 import math
@@ -106,20 +105,18 @@ def _supports(kappa, ss, f1, f2):
     """Two-point sinusoidal supports through (0, f1), (L, f2) on each row of ss.
 
     Row i is the grid of one support, increasing from 0 to L = ss[i, -1]
-    and padded with L; its sn/cs branch is the one L decides.  Returns
-    (kept, y): the rows whose endpoint interpolation is regular, and y on
-    those rows.  A row is singular when sn(L) = 0, which happens for
-    L >= varpi at kappa > 0.
+    and padded with L.  Returns (kept, y): the rows whose endpoint
+    interpolation is regular, and y on those rows.  A row is singular when
+    sn(L) = 0, which happens for L >= varpi at kappa > 0.
     """
     L = ss[:, -1]
-    snl = model.by_branch(model.sn, kappa, L)
+    snl = model.sn(kappa, L)
     kept = np.ones(len(L), dtype=bool)
     if kappa > 0:
         kept = ~((L >= model.varpi(kappa) - 1e-12) | (np.abs(snl) < 1e-12))
     ss, L, f1, f2 = ss[kept], L[kept], f1[kept], f2[kept]
-    beta = (f2 - f1 * model.by_branch(model.cs, kappa, L)) / snl[kept]
-    y = (f1[:, None] * model.by_branch(model.cs, kappa, ss, L)
-         + beta[:, None] * model.by_branch(model.sn, kappa, ss, L))
+    beta = (f2 - f1 * model.cs(kappa, L)) / snl[kept]
+    y = f1[:, None] * model.cs(kappa, ss) + beta[:, None] * model.sn(kappa, ss)
     return kept, y
 
 
@@ -184,9 +181,11 @@ def _directions(base, p, signs=(1, -1)):
     """Admissible unit directions at p, as step functions h -> point.
 
     On a 1-D base, signs picks the increasing (1) and decreasing (-1)
-    directions.
+    directions.  A disk without interpolation raises ValueError.
     """
     if isinstance(base, spaces.ModelDisk):
+        if not base.convex:
+            raise ValueError("%r has no geodesics to step along" % (base,))
         dirs = []
         n = 16
         targets = [base.boundary_point(2.0 * math.pi * k / n) for k in range(n)]

@@ -1,8 +1,11 @@
 """Trigonometry of the constant-curvature model surfaces.
 
-Everything here is a pure function of its inputs.  Angles are reals in
-[0, pi]; the distinguished value Undefined is represented by nan so that
-the batch routines can stay fully vectorized.
+Everything here is a pure, elementwise function of its inputs: each
+function takes one formula per sign of kappa (Euclidean forms at
+kappa = 0, sin/cos at kappa > 0, sinh/cosh at kappa < 0) for every
+argument, so no value depends on the batch it is computed in.  Angles
+are reals in [0, pi]; the distinguished value Undefined is represented
+by nan so that the batch routines can stay fully vectorized.
 
 triangle_angles is the one kernel of the half-angle law: it returns all
 three angles of each triangle in a stack and evaluates the three excess
@@ -21,12 +24,6 @@ UNDEFINED = float("nan")
 CLAMP_TOL = 1e-12
 CHART_TOL = 1e-9
 
-# Below this value of |kappa| * scale^2 the Euclidean branch is used;
-# the stable half-angle formulas make the switch seamless.
-SERIES_CUT = 1e-14
-# sn and cs take their series where |kappa| * max|t|^2 is below this
-SNCS_SERIES_CUT = 1e-8
-
 
 def is_defined(angle):
     """True if a model angle (or an array of them) is not Undefined."""
@@ -43,47 +40,27 @@ def varpi(kappa):
 def sn(kappa, t):
     """Solution of y'' + kappa y = 0 with y(0)=0, y'(0)=1."""
     t = np.asarray(t, dtype=float)
-    scale2 = kappa * np.max(np.abs(t), initial=0.0) ** 2
-    if abs(scale2) < SNCS_SERIES_CUT:
-        out = t * (1.0 - kappa * t * t / 6.0 + kappa * kappa * t ** 4 / 120.0)
-    elif kappa > 0:
+    if kappa > 0:
         s = math.sqrt(kappa)
         out = np.sin(s * t) / s
-    else:
+    elif kappa < 0:
         s = math.sqrt(-kappa)
         out = np.sinh(s * t) / s
+    else:
+        out = 1.0 * t
     return out if out.ndim else float(out)
 
 
 def cs(kappa, t):
     """Derivative of sn: cos-type solution with y(0)=1, y'(0)=0."""
     t = np.asarray(t, dtype=float)
-    scale2 = kappa * np.max(np.abs(t), initial=0.0) ** 2
-    if abs(scale2) < SNCS_SERIES_CUT:
-        out = 1.0 - kappa * t * t / 2.0 + kappa * kappa * t ** 4 / 24.0
-    elif kappa > 0:
+    if kappa > 0:
         out = np.cos(math.sqrt(kappa) * t)
-    else:
+    elif kappa < 0:
         out = np.cosh(math.sqrt(-kappa) * t)
+    else:
+        out = np.ones_like(t)
     return out if out.ndim else float(out)
-
-
-def by_branch(fn, kappa, t, scale=None):
-    """sn or cs (fn) of each row of t on the branch of its own call.
-
-    fn picks its series branch from the largest |t| of a call.  Here
-    scale[i] stands for that largest value of the call row t[i] replaces
-    (t itself, elementwise, by default), so a batch gets the branches its
-    rows would get one call at a time.
-    """
-    t = np.asarray(t, dtype=float)
-    scale = t if scale is None else np.asarray(scale, dtype=float)
-    series = np.abs(kappa * np.abs(scale) ** 2) < SNCS_SERIES_CUT
-    out = np.empty_like(t)
-    for rows in (series, ~series):
-        if np.any(rows):
-            out[rows] = fn(kappa, t[rows])
-    return out
 
 
 def _clamp(x, lo, hi, tol):
@@ -94,17 +71,6 @@ def _clamp(x, lo, hi, tol):
     if np.any(bad):
         out = np.where(bad, np.nan, out)
     return out
-
-
-def perimeters(x, y, z):
-    """Each angle's own perimeter: (y + z) + x, (z + x) + y, (x + y) + z.
-
-    Stacked along a new leading axis, in the order of triangle_angles.
-    Their maximum over a stack is the scale that decides the series
-    switch there.
-    """
-    s = _stack(x, y, z)
-    return _pair_sums(s) + s
 
 
 def _stack(x, y, z):
@@ -120,7 +86,7 @@ def _pair_sums(s):
     return out
 
 
-def triangle_angles(kappa, x, y, z, strict=False, big=None):
+def triangle_angles(kappa, x, y, z, strict=False):
     """Model angles of the triangles with sides x, y, z, opposite each side.
 
     Vectorized; returns an array of shape (3,) + the broadcast shape,
@@ -133,7 +99,7 @@ def triangle_angles(kappa, x, y, z, strict=False, big=None):
 
     Uses the half-angle law of cosines in product form,
     tan^2(C/2) = g(c+a-b) g(c+b-a) / (g(a+b+c) g(a+b-c)), with g the
-    half-argument sin/identity/sinh of the branch.  This is free of
+    half-argument sin/identity/sinh of the sign of kappa.  This is free of
     cancellation for thin triangles in both the C -> 0 and C -> pi
     regimes and agrees with the Euclidean formula as kappa -> 0.  The
     three excess terms g(a+b-c) of a triangle are evaluated once and
@@ -142,20 +108,11 @@ def triangle_angles(kappa, x, y, z, strict=False, big=None):
     its g(a+b+c).  Excesses within 1e-12 of zero (relative to that
     perimeter) are snapped to exact degeneracy, so collinear points
     produce exact angles 0 and pi.
-
-    The identity branch is taken where |kappa| * big^2 < SERIES_CUT.
-    big defaults to the largest perimeter in the stack; pass the
-    largest of perimeters() over a larger stack, per leading row if need
-    be, to evaluate that stack in blocks with the same branches.
     """
     s = _stack(x, y, z)
     pair = _pair_sums(s)
     perim = pair + s
     exc = pair - s
-    if big is None:
-        big = np.max(perim, initial=0.0)
-    with np.errstate(invalid="ignore"):
-        series = abs(kappa) * np.asarray(big) * big < SERIES_CUT
     snap = 1e-12 * np.maximum(perim, 1.0)
     # zero[i, l]: excess l snapped to 0 at the scale of the angle opposite side i
     zero = np.abs(exc) < snap[:, None]
@@ -168,20 +125,19 @@ def triangle_angles(kappa, x, y, z, strict=False, big=None):
         bad |= np.any(s > w, axis=0)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        g = np.where(zero, 0.0, _g(kappa, exc, series))
+        g = np.where(zero, 0.0, _g(kappa, exc))
         num = g[[0, 1, 2], [1, 2, 0]] * g[[0, 1, 2], [2, 0, 1]]
-        den = _g(kappa, perim, series) * g[[0, 1, 2], [0, 1, 2]]
+        den = _g(kappa, perim) * g[[0, 1, 2], [0, 1, 2]]
         ang = 2.0 * np.arctan2(np.sqrt(np.maximum(num, 0.0)), np.sqrt(np.maximum(den, 0.0)))
     return np.where(bad, np.nan, ang)
 
 
-def _g(kappa, t, series):
-    """g of the half-angle law: t/2 on the series branch, else sin or sinh of sqrt|kappa| t/2."""
-    if np.all(series):
+def _g(kappa, t):
+    """g of the half-angle law: t/2 at kappa = 0, else sin or sinh of sqrt|kappa| t/2."""
+    if kappa == 0:
         return 0.5 * t
     s = math.sqrt(abs(kappa))
-    out = np.sin(0.5 * s * t) if kappa > 0 else np.sinh(0.5 * s * t)
-    return np.where(series, 0.5 * t, out) if np.any(series) else out
+    return np.sin(0.5 * s * t) if kappa > 0 else np.sinh(0.5 * s * t)
 
 
 def angle_from_sides(kappa, a, b, c, strict=False):
@@ -196,8 +152,7 @@ def side_from_angle(kappa, a, b, angle):
         np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(angle, dtype=float)
     )
     h = np.sin(0.5 * angle) ** 2
-    big = max(np.max(a, initial=0.0), np.max(b, initial=0.0))
-    if abs(kappa) * big * big < SERIES_CUT:
+    if kappa == 0:
         out = np.sqrt((a - b) ** 2 + 4.0 * a * b * h)
     elif kappa > 0:
         s = math.sqrt(kappa)

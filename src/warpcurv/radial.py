@@ -16,8 +16,8 @@ import numpy as np
 
 from . import model, spaces
 from .warped import (SCAN_POINTS, ZERO_THRESHOLD, ClairautSolution, ConvergenceError,
-                     WarpedTriple, WarpFunction, _argmin_zoom, _contest, _cos_map_rule,
-                     clairaut_solve)
+                     WarpedTriple, WarpFunction, _contest, _cos_map_rule, clairaut_solve,
+                     zero_set)
 
 
 # Gauss-Legendre nodes per piece of a radial arc, and of the bracket scan
@@ -44,24 +44,6 @@ def _radial_profile(warp):
     if not getattr(warp, "radial", False):
         raise ValueError("a disk base needs a radial warp: an expression in r with no theta")
     return lambda r: np.asarray(warp(r, np.zeros_like(r)), float)
-
-
-def _radial_zeros(prof, radius, lipschitz):
-    """Radii of the circles where f vanishes: the ends of each zero run of the
-    scan, and each dip of the scan, below the declared Lipschitz constant
-    times the spacing, that zooms below ZERO_THRESHOLD."""
-    rs = np.linspace(0.0, radius, SCAN_POINTS)
-    vals = prof(rs)
-    low = vals < ZERO_THRESHOLD
-    edge = low & ~(np.concatenate([[False], low[:-1]]) & np.concatenate([low[1:], [False]]))
-    zeros = list(rs[edge])
-    mid, left, right = vals[1:-1], vals[:-2], vals[2:]
-    dip = np.flatnonzero((mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
-                         & (mid <= lipschitz * (rs[1] - rs[0])) & ~low[1:-1]) + 1
-    if len(dip):
-        x, fx = _argmin_zoom(prof, rs[dip - 1], rs[dip + 1])
-        zeros += list(x[fx < ZERO_THRESHOLD])
-    return np.unique(zeros)
 
 
 def _potential(prof, kappa, a, c, r):
@@ -414,7 +396,16 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
     leaf = d_base + np.minimum(f1, f2) * ell
     for i in live:
         cand.append((i, leaf[i], 0.0, ("leaf", r1[i] if f1[i] <= f2[i] else r2[i])))
-    zeros = _radial_zeros(prof, radius, triple.warp.lipschitz)
+    # the radius [0, R] as a 1-D base, for the zero circles and the theta = 0 pairs
+    ray = WarpedTriple(spaces.Interval(0.0, radius),
+                       WarpFunction(prof, triple.warp.lipschitz, expr=triple.warp.expr),
+                       triple.fiber, check=False)
+    zeros = np.unique(zero_set(ray.warp, ray.base)[1])
+    # of each run of adjacent scan points, only its ends
+    run = np.diff(zeros) < 1.5 * radius / (SCAN_POINTS - 1)
+    inner = np.zeros(len(zeros), dtype=bool)
+    inner[1:-1] = run[:-1] & run[1:]
+    zeros = zeros[~inner]
     z_in = np.array([np.max(zeros[zeros <= x], initial=0.0) for x in lo])
     z_out = np.array([np.min(zeros[zeros >= x], initial=radius) for x in hi])
     crossed = np.array([np.any((zeros >= x) & (zeros <= y)) for x, y in zip(lo, hi)])
@@ -429,9 +420,6 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
     theta = np.where(snapped, 0.0, theta)
     flat = np.array([i for i in live if theta[i] == 0.0 and not crossed[i]], int)
     if len(flat):
-        ray = WarpedTriple(spaces.Interval(0.0, radius),
-                           WarpFunction(prof, triple.warp.lipschitz, expr=triple.warp.expr),
-                           triple.fiber, check=False)
         sol = clairaut_solve(ray, r1[flat], r2[flat], ell[flat], tol=0.5 * tol)
         cand += [(i, sol.value[k], snap[i], sol.winner[k]) for k, i in enumerate(flat)]
         found[flat] = True

@@ -486,10 +486,8 @@ class ModelDisk(MetricOracle):
         # slerp on the sphere / hyperboloid through sn/cs coefficients
         k = self.kappa
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = ((ey - model.by_branch(model.cs, k, d)[:, None] * ex)
-                 / model.by_branch(model.sn, k, d)[:, None])
-            p = (model.by_branch(model.cs, k, ts * d)[:, None] * ex
-                 + model.by_branch(model.sn, k, ts * d)[:, None] * v)
+            v = (ey - model.cs(k, d)[:, None] * ex) / model.sn(k, d)[:, None]
+            p = model.cs(k, ts * d)[:, None] * ex + model.sn(k, ts * d)[:, None] * v
         out = self._unembed(p)
         near = d < 1e-15
         out[near] = xs[near]

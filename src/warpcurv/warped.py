@@ -214,8 +214,11 @@ class WarpedTriple:
 
         Every declared zero must have f <= ZERO_THRESHOLD, and the declared
         Lipschitz constant, with relative slack 1e-9, must bound every
-        difference quotient of f on the validation grid.
+        difference quotient of f on the validation grid.  Any other base
+        raises ValueError.
         """
+        if not _one_dim(self.base):
+            raise ValueError("hints are checked on 1-D bases only, not on %r" % (self.base,))
         for z in self.warp.zeros:
             fz = float(self.warp(z))
             if fz > ZERO_THRESHOLD:
@@ -272,7 +275,10 @@ def zero_set(f, base, lo=None, hi=None, warn=None, profile=None):
     Returns ("boundary", None) for a hinted boundary zero set on disks,
     else ("points", [roots]).  Hinted roots on a 1-D base are filtered to
     the window; otherwise the roots are the scan points where f <
-    ZERO_THRESHOLD, at most 64 on a disk, and a scan that finds roots
+    ZERO_THRESHOLD, at most 64 on a disk.  On a 1-D scan, each interior
+    dip no higher than the declared Lipschitz constant times the spacing
+    is zoomed by _argmin_zoom, and its minimum is a root where it is below
+    ZERO_THRESHOLD; the roots stay sorted.  A scan that finds roots
     without hints adds its warning to the list warn, once.  profile is
     the scan (points, values), warp_profile on the window when omitted.
     """
@@ -285,9 +291,17 @@ def zero_set(f, base, lo=None, hi=None, warn=None, profile=None):
     if hints and not disk:
         return "points", [z for z in hints if lo - 1e-12 <= z <= hi + 1e-12]
     pts, vals = profile if profile is not None else warp_profile(f, base, lo=lo, hi=hi)
-    roots = list(pts[vals < ZERO_THRESHOLD])
+    low = vals < ZERO_THRESHOLD
+    roots = list(pts[low])
     if disk:
         roots = roots[:64]
+    else:
+        mid, left, right = vals[1:-1], vals[:-2], vals[2:]
+        dip = np.flatnonzero((mid <= left) & (mid <= right) & ((mid < left) | (mid < right))
+                             & (mid <= f.lipschitz * (pts[1] - pts[0])) & ~low[1:-1]) + 1
+        if len(dip):
+            x, fx = _argmin_zoom(f, pts[dip - 1], pts[dip + 1])
+            roots = sorted(roots + list(x[fx < ZERO_THRESHOLD]))
     msg = "zero set detected by thresholding f < %g without a hint" % ZERO_THRESHOLD
     if roots and not hints and warn is not None and msg not in warn:
         warn.append(msg)

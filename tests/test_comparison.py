@@ -196,13 +196,13 @@ def _stack(name):
         pts[::2, 3] = pts[::2, 2]
         return _plane_stack(pts)
     assert name == "tiny"
-    # scaled so that at kappa = 4 the series switch, decided per triangle
-    # slot over the whole stack, picks the identity branch for two of the
-    # four slots and sin for the other two
+    # scaled so that at kappa = 4 the median largest perimeter of a
+    # triangle slot has kappa * perimeter^2 = 1e-14: near-degenerate
+    # triangles far below the scale of the other stacks
     D = _plane_stack(g.uniform(-1.0, 1.0, (m, 4, 2)))
     big = np.array([np.max(D[:, i, j] + D[:, j, k] + D[:, i, k])
                     for i, j, k in itertools.combinations(range(4), 3)])
-    D *= math.sqrt(model.SERIES_CUT / 4.0) / np.median(big)
+    D *= math.sqrt(1e-14 / 4.0) / np.median(big)
     assert np.max(D) < 1e-6
     return D
 

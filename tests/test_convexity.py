@@ -132,7 +132,8 @@ def test_sinusoidal_test_matches_reference_loop(kappa, base, expr):
     lengths = np.array(lengths)
     series = np.abs(kappa) * lengths ** 2 < 1e-8
     if expr.startswith("1.0 + t"):
-        # short supports on both sides of the sn/cs series switch
+        # short supports on both sides of |kappa| L^2 = 1e-8, where sn and
+        # cs agree with their series
         assert series.any() and not series.all()
     if expr.startswith("1.5"):
         assert want[-1] > 0 and want[3] > 0
@@ -141,7 +142,7 @@ def test_sinusoidal_test_matches_reference_loop(kappa, base, expr):
 @pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
 def test_supports_match_one_support_at_a_time(kappa):
     g = spaces.rng(11, stream=7)
-    # lengths across the series switch, plus singular ones at kappa = 1
+    # lengths from 1e-6 to 4, singular ones included at kappa = 1
     L = np.concatenate([g.uniform(1e-6, 1e-3, 30), g.uniform(0.1, 4.0, 30)])
     n = 17
     length = g.integers(3, n + 1, size=len(L))
@@ -172,6 +173,17 @@ def test_gradient_norm_values():
     assert gradient_norm(f, base, math.pi / 2, side="up").value == pytest.approx(
         0.0, abs=1e-5)
     assert gradient_norm(f, base, 0.0, side="up").value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_gradient_norm_on_disks():
+    f = WarpFunction.from_expression("1 + 0.3*r*cos(theta)", 0.3, arity=2)
+    # on the flat unit disk f = 1 + 0.3 x, so |grad f| = 0.3; the 16 sampled
+    # directions see a little less
+    est = gradient_norm(f, spaces.ModelDisk(0.0, 1.0), np.array([0.5, 0.5]))
+    assert est.directions_sampled == 16 and 0.28 <= est.value <= 0.3
+    # a non-convex disk has no interpolation to step along
+    with pytest.raises(ValueError, match=r"ModelDisk\(kappa=1, R=2\)"):
+        gradient_norm(f, spaces.ModelDisk(1.0, 2.0), np.array([1.0, 0.5]))
 
 
 def test_zero_set_and_dist_Z():

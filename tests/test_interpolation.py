@@ -171,7 +171,7 @@ def test_circle_wraps_and_half_length():
                          ids=repr)
 def test_model_disks(space):
     xs, ys, ts = _random_pairs(space, 200, 3)
-    # coincident endpoints (d < 1e-15) and short pairs on the series branch
+    # coincident endpoints (d < 1e-15) and short pairs down to 1e-7
     xs[:3] = ys[:3]
     ys[3:60] = xs[3:60] + np.stack([np.geomspace(1e-7, 1e-3, 57), np.zeros(57)], axis=1)
     got = _assert_matches(space, xs, ys, ts)

@@ -1,12 +1,15 @@
 """Model-surface trigonometry tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from warpcurv import model
+from warpcurv import comparison, model
 from warpcurv.spaces import rng
+
+EPS = np.finfo(float).eps
 
 
 def test_varpi():
@@ -21,7 +24,7 @@ def test_sn_cs_basic():
     assert model.sn(1.0, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
     assert model.sn(-1.0, 1.0) == pytest.approx(math.sinh(1.0), abs=1e-12)
     assert model.cs(1.0, math.pi) == pytest.approx(-1.0, abs=1e-12)
-    # series branch agrees with the closed form near zero
+    # sin and sinh near zero
     for k in (1.0, -1.0):
         t = 1e-5
         exact = math.sin(t) if k > 0 else math.sinh(t)
@@ -140,16 +143,51 @@ def test_triangle_angles_match_angle_from_sides(kappa):
     assert np.array_equal(got[:, 0], [0.0, 0.0, math.pi])
 
 
-@pytest.mark.parametrize("kappa", [-1.0, 1.0])
-def test_by_branch_takes_each_rows_own_branch(kappa):
+def _mixed_scales(g, n):
+    """n lengths, each 1e-9 to 5e-7 or 0.1 to 1 at random."""
+    return np.where(g.random(n) < 0.5, g.uniform(1e-9, 5e-7, n), g.uniform(0.1, 1.0, n))
+
+
+def _plane_sides(g, n, k):
+    """Pairwise distances of n random k-point planar sets of mixed scales, (n, k, k)."""
+    pts = g.uniform(0.0, 1.0, (n, k, 2)) * _mixed_scales(g, n)[:, None, None]
+    return np.linalg.norm(pts[:, :, None] - pts[:, None, :], axis=-1)
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0, 4.0])
+def test_each_element_equals_its_own_call(kappa):
     g = rng(9, stream=13)
-    # supports on both sides of the series switch at |kappa| L^2 = 1e-8
-    L = np.concatenate([g.uniform(1e-6, 1e-4, 40), g.uniform(1e-4, 1e-2, 40)])
-    T = L[:, None] * np.linspace(0.0, 1.0, 9)
-    for fn in (model.sn, model.cs):
-        rows = model.by_branch(fn, kappa, T, L)
-        assert all(np.array_equal(rows[i], fn(kappa, T[i])) for i in range(len(L)))
-        each = model.by_branch(fn, kappa, T[:, 4])
-        assert np.array_equal(each, [fn(kappa, t) for t in T[:, 4]])
-    # one call over all rows takes the branch of the longest, which differs
-    assert not np.array_equal(model.sn(kappa, T), model.by_branch(model.sn, kappa, T, L))
+    n = 1000
+    t = _mixed_scales(g, n)
+    a, b = _mixed_scales(g, n), _mixed_scales(g, n)
+    angle = g.uniform(0.0, math.pi, n)
+    tri = _plane_sides(g, n, 3)
+    x, y, z = tri[:, 1, 2], tri[:, 0, 2], tri[:, 0, 1]
+    D = _plane_sides(g, n, 4)
+    # (function of an index into the stack, axis of the stack in its value)
+    cases = [
+        (lambda i: model.sn(kappa, t[i]), 0),
+        (lambda i: model.cs(kappa, t[i]), 0),
+        (lambda i: model.side_from_angle(kappa, a[i], b[i], angle[i]), 0),
+        (lambda i: model.triangle_angles(kappa, x[i], y[i], z[i]), 1),
+        (lambda i: comparison.batch_1plus3(D[i], kappa), 0),
+        (lambda i: comparison.batch_2plus2(D[i], kappa), 0),
+    ]
+    for fn, axis in cases:
+        each = np.concatenate([fn(slice(i, i + 1)) for i in range(n)], axis=axis)
+        assert np.array_equal(fn(slice(None)), each, equal_nan=True)
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0, 4.0, -3.0, 1e-12, -1e-12])
+def test_sn_cs_agree_with_their_series(kappa):
+    # where |kappa| t^2 < 1e-8 the series below is exact to far below an
+    # ulp; it is summed in rationals, and the relative error of sn and cs
+    # must stay within 2 eps
+    t = np.geomspace(1e-12, math.sqrt(1e-8 / abs(kappa)), 200, endpoint=False)
+    t = np.concatenate([t, -t])
+    k = Fraction(kappa)
+    for ti, sn, cs in zip(t, model.sn(kappa, t), model.cs(kappa, t)):
+        kt2 = k * Fraction(ti) ** 2
+        for got, want in ((sn, Fraction(ti) * (1 - kt2 / 6 + kt2 * kt2 / 120)),
+                          (cs, 1 - kt2 / 2 + kt2 * kt2 / 24)):
+            assert abs(Fraction(got) - want) <= 2.0 * EPS * abs(want)

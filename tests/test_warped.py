@@ -431,3 +431,20 @@ def test_non_radial_disk_warp_is_rejected():
     with pytest.raises(ValueError, match="radial"):
         warped_distance(t, (np.array([0.2, 0.0]), 0.0), (np.array([0.5, 1.0]), 1.0))
     assert WarpFunction.from_expression("1 + 0.3*r", 0.3, arity=2).radial
+
+
+def test_check_hints_rejects_a_disk_base():
+    warp = WarpFunction.from_expression("0.8 + 0*r", 0.0, arity=2)
+    t = WarpedTriple(spaces.ModelDisk(-1.0, 1.0), warp, spaces.Circle(2 * math.pi))
+    with pytest.raises(ValueError, match="1-D bases"):
+        t.check_hints()
+
+
+@pytest.mark.parametrize("bp, bq, want", [(0.1, 0.6, 0.5), (0.25, 0.35, 0.1)])
+def test_zero_between_scan_points_is_found(bp, bq, want):
+    # 0.3 is no scan point of [0, 2]; the scan's dip there zooms to the root
+    f = WarpFunction.from_expression("abs(t - 0.3)", 1.0)
+    t = WarpedTriple(spaces.Interval(0.0, 2.0), f, spaces.Circle(10.0))
+    kind, roots = warped.zero_set(f, t.base)
+    assert kind == "points" and len(roots) == 1 and abs(roots[0] - 0.3) < 1e-12
+    assert abs(warped.reduced_distance(t, bp, bq, 3.0, tol=1e-6) - want) <= 1e-6
