@@ -32,19 +32,31 @@ with two conserved constants, a = sn^2 dtheta/dt and c = f^2 ds/dt.
 
 import ast
 import functools
+import importlib
 import math
 
 import numpy as np
-# unused here, but bench/tracer.py hooks warped.minimize, warped.coo_matrix and
-# warped.dijkstra by name
-from scipy.optimize import minimize
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from . import spaces
 from .spaces import GeodesicPolyline
 
 ZERO_THRESHOLD = 1e-10
+
+# scipy names that nothing here calls; bench/tracer.py hooks them by name as
+# warped.minimize, warped.coo_matrix and warped.dijkstra.  They resolve on first
+# access, so that importing the package does not load scipy.  This shim goes
+# when the benchmark's tracer is re-pointed at the package (ROADMAP item 4).
+_SCIPY_NAMES = {"minimize": "scipy.optimize", "coo_matrix": "scipy.sparse",
+                "dijkstra": "scipy.sparse.csgraph"}
+
+
+def __getattr__(name):
+    if name not in _SCIPY_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(_SCIPY_NAMES[name]), name)
+    # stored, so that later lookups (and vars(warped)) find it directly
+    globals()[name] = value
+    return value
 
 
 class ConvergenceError(RuntimeError):
@@ -628,7 +640,10 @@ class _Winners:
 
     def __getitem__(self, i):
         k = self.kind[i]
-        return (self.NAMES[k],) + tuple(self.args[i, :self.ARITY[k]])
+        return (self.NAMES[k],) + tuple(self.args[i, :self.ARITY[k]].tolist())
+
+    def __repr__(self):
+        return repr([self[i] for i in range(len(self))])
 
 
 def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
@@ -904,7 +919,7 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
         # each root, taken at the bracket end nearer to it, and each limit
         # whose family falls short of ell: that curve rides the leaf over
         # its limit point for the rest of ell.  Both are valued
-        # L + c (ell - ell(c)), with ride ell - ell(c) = 0 at a root
+        # L + c (ell - ell(c)), and ride the ell - ell(c) that this charges
         near_a = np.abs(a[1]) <= np.abs(b[1])
         rides = np.flatnonzero(limit & (hv < 0))
         q, hq, cq, Lq = (np.concatenate([np.where(near_a, u, v), w[rides]])
@@ -915,8 +930,16 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
         with np.errstate(invalid="ignore"):
             est = L2 - cq * h2
             err = np.abs(Lq - cq * hq - est)
-        err[:len(br)] += np.abs(a[2] - b[2]) * np.abs(hq[:len(br)])
-        ride = np.concatenate([np.zeros(len(br)), -h2[len(br):]])
+        nb = len(br)
+        err[:nb] += np.abs(a[2] - b[2]) * np.abs(hq[:nb])
+        # a root's ride is what its end falls short of ell, 0 where the end
+        # overshoots or c * ride is within the root's error bar; where ell(c)
+        # jumps across the bracket (arcs turning at a maximum of f) it is the
+        # rest of ell
+        ride = -h2
+        with np.errstate(invalid="ignore"):
+            bar = err[:nb] + CLAIRAUT_FLOOR * np.maximum(1.0, np.abs(est[:nb]))
+            ride[:nb][~(cq[:nb] * ride[:nb] > bar)] = 0.0
         # a ride that twice the nodes do not confirm leaves its family's
         # limit, and the pair, unresolved
         ok = ride >= 0
@@ -1023,6 +1046,9 @@ def _arc_path(feval, start, end, x, c, ride, ell, kinks, gap, n):
     p0, p1 = cuts[0, :, :-1].ravel(), cuts[0, :, 1:].ravel()
     advance = advance[0].reshape(len(p0), CLAIRAUT_NODES).sum(axis=1)
     total = np.sum(advance) + ride
+    if not total > 0:
+        # arcs that never leave x, with a ride within the value's error bar
+        ride = total = ell
     cells = np.ceil(n * advance / total).astype(int)
     piece = np.repeat(np.arange(len(p0)), cells)
     k = np.arange(len(piece)) - np.repeat(np.cumsum(cells) - cells, cells)
@@ -1046,9 +1072,8 @@ def warped_geodesic(triple, u, v, resolution=1e-3):
     """Geodesic along the curve that realises the distance, as a GeodesicPolyline.
 
     A Clairaut-arc winner is sampled on about _geodesic_nodes(ell,
-    resolution) nodes (_arc_path); a through-Z, leaf or base path, or arcs
-    that never leave x (a leaf through a maximum of f), is the leaf path
-    over its point, sampled at spacing resolution.
+    resolution) nodes (_arc_path); a through-Z, leaf or base path is the
+    leaf path over its point, sampled at spacing resolution.
     """
     u = as_warped_point(u)
     v = as_warped_point(v)
@@ -1057,16 +1082,16 @@ def warped_geodesic(triple, u, v, resolution=1e-3):
     ell = float(triple.fiber.distance(u.fiber, v.fiber))
     bp, bq = float(u.base), float(v.base)
     win = clairaut_solve(triple, bp, bq, ell, tol=resolution).winner[0]
-    if win[0] == "arc" and not win[1] == win[2] == win[3]:
+    if win[0] == "arc":
         feval = _feval(triple)
         (_, h, _, _, kinks, _), = _scan_levels(triple, feval, np.array([bp]), np.array([bq]),
                                                np.array([ell]))
         bs, ss = _arc_path(feval, *win[1:], ell, kinks, KINK_GAP * h,
                            _geodesic_nodes(ell, resolution))
     else:
-        # the base to the zero or leaf point b (x for arcs that never leave it),
-        # the fiber advance there (no length at a zero), then the base to bq
-        b = bp if win[0] == "base" else win[3 if win[0] == "arc" else 1]
+        # the base to the zero or leaf point b, the fiber advance there (no
+        # length at a zero), then the base to bq
+        b = bp if win[0] == "base" else win[1]
         n1, n2 = (max(2, int(abs(y - x) / resolution) + 1) for x, y in ((bp, b), (b, bq)))
         nr = max(2, int(float(triple.warp(b)) * ell / resolution) + 1)
         bs = np.concatenate([np.linspace(bp, b, n1), np.full(nr, b), np.linspace(b, bq, n2)])

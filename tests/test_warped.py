@@ -183,9 +183,19 @@ def test_suspension_geodesic_is_the_great_circle(query, resolution):
     assert np.all((bs >= 0.0) & (bs <= math.pi))
 
 
+def test_equator_winner_rides_all_of_ell():
+    # ell(c) jumps from 0 at c = f(pi / 2) = 1 to pi below it, so the root
+    # bracketed there never reaches ell: its arcs never leave pi / 2, and
+    # the winner rides the equator for all of ell, which its value charges
+    sol = warped.clairaut_solve(suspension_triple(), math.pi / 2, math.pi / 2, 0.4)
+    assert sol.value[0] == 0.4
+    assert sol.winner[0] == ("arc", math.pi / 2, math.pi / 2, math.pi / 2, 1.0, 0.4)
+    assert repr(sol.winner) == repr([sol.winner[0]])
+
+
 def test_equator_geodesic_is_the_leaf_path():
-    # the winning arcs start, turn and end at the maximum pi / 2 of f: the
-    # equator itself, with no arc to sample
+    # the winner's arcs start, turn and end at the maximum pi / 2 of f, so
+    # _arc_path samples its ride: the equator itself
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         poly = warped_geodesic(suspension_triple(), (math.pi / 2, 0.0), (math.pi / 2, 0.4),
@@ -193,6 +203,19 @@ def test_equator_geodesic_is_the_leaf_path():
     assert np.all(np.asarray(poly.base_points) == math.pi / 2)
     assert poly.total_length == pytest.approx(0.4, abs=1e-12)
     assert len(poly) >= 8
+
+
+def test_equator_geodesic_of_a_ride_within_the_error_bar():
+    # at ell = 1e-13 the ride's charge is within the floor of the root's
+    # error bar, so the winner reports ride 0; its geodesic is still the leaf
+    sol = warped.clairaut_solve(suspension_triple(), math.pi / 2, math.pi / 2, 1e-13)
+    assert sol.winner[0][0] == "arc" and sol.winner[0][5] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poly = warped_geodesic(suspension_triple(), (math.pi / 2, 0.0), (math.pi / 2, 1e-13),
+                               resolution=1e-3)
+    assert np.all(np.asarray(poly.base_points) == math.pi / 2)
+    assert poly.total_length <= 1e-13
 
 
 def test_two_piece_through_zero():
