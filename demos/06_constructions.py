@@ -1,7 +1,7 @@
 """Closed-form constructions: cones, suspensions, scaling, doubling.
 
-ConeSpace and SuspensionSpace give exact metrics to test the numerical
-engine against; make_doubled reflects a base across the closure of
+ConeSpace and SuspensionSpace, two KappaCones, give exact metrics to test
+the numerical engine against; make_doubled reflects a base across the closure of
 (boundary minus zero set), the step that turns one-sided warp
 conditions into two-sided ones.
 """

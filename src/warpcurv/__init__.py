@@ -14,7 +14,7 @@ from .warped import (ClairautReport, ConvergenceError, GridWarpedOracle,
 from .convexity import (ConvexityVerdict, GradientEstimate, KappaFReport,
                         dist_Z, dist_Z_realizers, gradient_norm, kappa_F,
                         sinusoidal_test, zero_set)
-from .constructions import (ConeSpace, DoubledDisk, ScaledSpace,
+from .constructions import (ConeSpace, DoubledDisk, KappaCone, ScaledSpace,
                             SuspensionSpace, make_doubled, scale_space)
 from .certify import (CertificationReport, ConditionResult, SpecError,
                       TripleSpec, build_space, build_triple, certify,

@@ -13,7 +13,7 @@ import yaml
 
 from . import comparison, constructions, convexity, spaces, warped
 from .constructions import ProductSpace
-from .model import varpi
+from .model import sn, varpi
 
 INF = math.inf
 
@@ -153,14 +153,17 @@ def build_product(spec, triple):
     if not isinstance(base, spaces.ModelDisk):
         ts, vals = warped.warp_profile(f, base, 1025)
         span = max(abs(vals).max(), 1.0)
-        if isinstance(base, spaces.Ray) and abs(vals[0]) < 1e-12:
-            a = vals[-1] / ts[-1] if ts[-1] else 0.0
-            if a > 0 and np.max(np.abs(vals - a * ts)) < 1e-12 * span:
-                return constructions.ConeSpace(fiber, a, r_max=base.sample_extent)
-        if (isinstance(base, spaces.Interval) and abs(base.a) < 1e-12
-                and abs(base.b - math.pi) < 1e-12
-                and np.max(np.abs(vals - np.sin(ts))) < 1e-12):
-            return constructions.SuspensionSpace(fiber)
+        t, ft = ts[512], vals[512]
+        if (isinstance(base, (spaces.Interval, spaces.Ray)) and ts[0] == 0
+                and abs(vals[0]) < 1e-12 * span and ft > 0):
+            # a sn_kappa has f(2t) = 2 f(t) cs_kappa(t), and ts[-1] = 2t
+            c = vals[-1] / (2.0 * ft)
+            kappa = (math.acos(max(c, -1.0)) / t) ** 2 if c <= 1.0 else -(math.acosh(c) / t) ** 2
+            a = ft / sn(kappa, t)
+            R = ts[-1] if isinstance(base, spaces.Interval) else INF
+            if (R <= varpi(kappa) * (1.0 + 1e-12)
+                    and np.max(np.abs(vals - a * sn(kappa, ts))) < 1e-12 * span):
+                return constructions.KappaCone(base, fiber, kappa, a)
         if np.max(vals) - np.min(vals) < 1e-12 * span and vals[0] > 0:
             return ProductSpace(base, float(vals[0]), fiber)
     return warped.GridWarpedOracle(triple, tol=spec.tol)

@@ -1,9 +1,11 @@
-"""Cones, suspensions, constant-warp products, scalings, and the
+"""Kappa-cones, constant-warp products, scalings, and the
 partial-boundary double B-dagger.
 
-Cone and suspension oracles use closed-form distance laws (the grid
-engine agrees with them within grid error); doubling produces explicit
-catalog spaces for 1-D bases and a two-sheet oracle for disks.
+Every warp a sn_kappa on an interval or ray base is one KappaCone, with
+the closed-form law of a model disk (the grid engine agrees with it to
+its tolerance); cones and suspensions are two of them.  Doubling
+produces explicit catalog spaces for 1-D bases and a two-sheet oracle
+for disks.
 """
 
 import math
@@ -11,134 +13,112 @@ import math
 import numpy as np
 
 from . import spaces
+from .model import varpi
 from .spaces import MetricOracle, fiber_coords, rng
-from .warped import WarpFunction, zero_set
+from .warped import WarpFunction, domain, zero_set
 
 
-class ConeSpace(MetricOracle):
-    """Cone over a fiber: R>=0 x_{a*id} F with the closed-form cone law.
+class KappaCone(MetricOracle):
+    """base x_{a sn_kappa} F over an Interval [0, R] or a Ray (R = inf).
 
-    Points are rows (r, fiber coordinate).
+    The kappa-cone over F scaled by a, cut at R (Bridson-Haefliger I.5):
+    two points at fiber distance ell span a model sector of angle a ell,
+    so their distance is that of (r1, 0) and (r2, delta), delta =
+    min(a ell, pi), in ModelDisk(kappa, R), and a geodesic runs through
+    the sector.  Distinct points of a FiniteMetric fiber have no path
+    between them but through the apex: a ell = inf.  On a non-convex cap
+    a sector of angle a ell >= pi has no arc through the far pole, so
+    where r1 + r2 > varpi (_wide) the distance is the apex path or the
+    path that winds a ell around the rim, whichever is shorter.  Points
+    are rows (r, fiber coordinate).
     """
 
-    def __init__(self, fiber, a=1.0, r_max=2.0):
-        if a <= 0:
-            raise ValueError("slope a must be positive")
+    def __init__(self, base, fiber, kappa, a):
+        R = base.b if isinstance(base, spaces.Interval) else math.inf
+        if (a <= 0 or not isinstance(base, (spaces.Interval, spaces.Ray))
+                or domain(base)[0] != 0 or R > varpi(kappa) * (1.0 + 1e-12)):
+            raise ValueError("a kappa-cone needs a > 0 and a base [0, R], R <= varpi")
+        self.base = base
         self.fiber = fiber
+        self.kappa = float(kappa)
         self.a = float(a)
-        self.r_max = float(r_max)
-        self.tol_metric = 1e-9
+        # R may exceed varpi by the rounding of a kappa read off a warp
+        self.disk = spaces.ModelDisk(kappa, min(R, varpi(kappa)))
 
     def _batch(self, pts):
         return np.asarray(pts, dtype=float).reshape(-1, 2)
 
+    def _sector(self, xs, ys):
+        """Polar rows (r1, 0), (r2, delta) of the model sector of each pair, and a ell."""
+        xs, ys = self._batch(xs), self._batch(ys)
+        fiber = self.fiber
+        ell = np.asarray(fiber.dist_pairs(fiber_coords(fiber, xs[:, 1]),
+                                          fiber_coords(fiber, ys[:, 1])), float)
+        if isinstance(fiber, spaces.FiniteMetric):
+            ell = np.where(ell > 0, math.inf, 0.0)
+        wind = self.a * ell
+        return (np.stack([xs[:, 0], np.zeros(len(xs))], axis=1),
+                np.stack([ys[:, 0], np.minimum(wind, math.pi)], axis=1), wind)
+
+    def _wide(self, px, py, wind):
+        """Rows of angle a ell >= pi on a non-convex cap whose model arc at
+        theta = pi runs through the far pole, with their apex and rim paths."""
+        r1, r2 = px[:, 0], py[:, 0]
+        wide = (not self.disk.convex) & (wind >= math.pi) & (r1 + r2 > varpi(self.kappa))
+        apex = r1[wide] + r2[wide]
+        if not wide.any():
+            return wide, apex, apex
+        return wide, apex, self.disk._around_cap(r1[wide], r2[wide], wind[wide])
+
     def dist_pairs(self, xs, ys):
-        xs = self._batch(xs)
-        ys = self._batch(ys)
-        df = self.fiber.dist_pairs(fiber_coords(self.fiber, xs[:, 1]),
-                                   fiber_coords(self.fiber, ys[:, 1]))
-        delta = np.minimum(self.a * np.asarray(df, float), math.pi)
-        if isinstance(self.fiber, spaces.FiniteMetric):
-            # discrete fibers carry no rectifiable fiber paths: distinct
-            # fiber points connect through the apex only (glued rays)
-            delta = np.where(np.asarray(df, float) > 0, math.pi, 0.0)
-        r1, r2 = xs[:, 0], ys[:, 0]
-        d2 = r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * np.cos(delta)
-        return np.sqrt(np.maximum(d2, 0.0))
+        px, py, wind = self._sector(xs, ys)
+        d = self.disk.dist_pairs(px, py)
+        wide, apex, rim = self._wide(px, py, wind)
+        d[wide] = np.minimum(apex, rim)
+        return d
 
     def sample(self, n, seed):
-        g = rng(seed)
-        rs = self.r_max * g.random(n)
+        lo, hi = domain(self.base)
+        rs = lo + (hi - lo) * rng(seed).random(n)
         fs = np.asarray(self.fiber.sample(n, seed + 10), float)
         return np.stack([rs, fs], axis=1)
 
     def interpolate_pairs(self, xs, ys, ts):
-        xs = self._batch(xs)
-        ys = self._batch(ys)
-        fiber = self.fiber
-        df = fiber.dist_pairs(fiber_coords(fiber, xs[:, 1]), fiber_coords(fiber, ys[:, 1]))
-        delta = self.a * np.asarray(df, float)
-        r1, r2 = xs[:, 0], ys[:, 0]
-        # through the apex (or fiber not interpolable): radial pieces
-        s = ts * (r1 + r2)
-        out = np.where((s <= r1)[:, None], np.stack([r1 - s, xs[:, 1]], axis=1),
-                       np.stack([s - r1, ys[:, 1]], axis=1))
-        planar = ~((delta >= math.pi - 1e-12)
-                   | spaces.missing_rows(fiber.interpolate_pairs(xs[:, 1], ys[:, 1], 0.5)))
-        # unroll into the plane
-        q0 = (1.0 - ts) * r1 + ts * (r2 * spaces.COS(delta))
-        q1 = (1.0 - ts) * 0.0 + ts * (r2 * spaces.SIN(delta))
-        r = np.hypot(q0, q1)
+        xs, ys = self._batch(xs), self._batch(ys)
+        px, py, wind = self._sector(xs, ys)
+        delta = py[:, 1]
+        p = self.disk.interpolate_pairs(px, py, ts)
+        # a wide row runs on the radii theta = 0 and pi through the apex where
+        # that is shorter; the path around the rim is not sampled
+        wide, apex, rim = self._wide(px, py, wind)
+        r1, s = px[wide, 0], np.broadcast_to(ts, (len(xs),))[wide] * apex
+        p[wide] = np.where((apex <= rim)[:, None],
+                           np.stack([np.abs(s - r1), np.where(s <= r1, 0.0, math.pi)], axis=1),
+                           np.nan)
+        # the sector is theta in [0, delta]; rounding can put a point just
+        # below 2 pi.  Through the apex a point takes the end of its half.
+        theta = np.where(p[:, 1] > math.pi, p[:, 1] - 2.0 * math.pi, p[:, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(delta > 1e-15, spaces.clip01(spaces.ATAN2(q1, q0) / delta), 0.0)
-        fib = fiber.interpolate_pairs(xs[:, 1], ys[:, 1], u)
-        out[planar] = np.stack([r, fib], axis=1)[planar]
-        apex = planar & (r < 1e-15)
-        out[apex, 0] = 0.0
-        out[apex, 1] = xs[apex, 1]
+            u = np.where(delta < math.pi, spaces.clip01(theta / delta), theta > 0.5 * math.pi)
+        u = np.where(delta > 0, u, 0.0)
+        inner = self.fiber.interpolate_pairs(xs[:, 1], ys[:, 1], u)
+        fib = np.where(u == 0, xs[:, 1], np.where(u == 1, ys[:, 1], inner))
+        out = np.stack([p[:, 0], fib], axis=1)
+        out[spaces.missing_rows(out)] = np.nan
         return out
 
     def __repr__(self):
-        return "ConeSpace(a=%g, fiber=%r)" % (self.a, self.fiber)
+        return "KappaCone(%r x_{%g sn_%g} %r)" % (self.base, self.a, self.kappa, self.fiber)
 
 
-class SuspensionSpace(MetricOracle):
-    """Spherical suspension [0, pi] x_sin F via the law of cosines."""
+def ConeSpace(fiber, a=1.0, r_max=2.0):
+    """The Euclidean cone Ray x_{a t} F, sampled on [0, r_max]."""
+    return KappaCone(spaces.Ray(r_max), fiber, 0.0, a)
 
-    def __init__(self, fiber):
-        self.fiber = fiber
-        self.diameter_hint = math.pi
-        self.tol_metric = 1e-9
 
-    def _batch(self, pts):
-        return np.asarray(pts, dtype=float).reshape(-1, 2)
-
-    def dist_pairs(self, xs, ys):
-        xs = self._batch(xs)
-        ys = self._batch(ys)
-        df = self.fiber.dist_pairs(fiber_coords(self.fiber, xs[:, 1]),
-                                   fiber_coords(self.fiber, ys[:, 1]))
-        delta = np.minimum(np.asarray(df, float), math.pi)
-        t1, t2 = xs[:, 0], ys[:, 0]
-        cosd = np.cos(t1) * np.cos(t2) + np.sin(t1) * np.sin(t2) * np.cos(delta)
-        return np.arccos(np.clip(cosd, -1.0, 1.0))
-
-    def sample(self, n, seed):
-        g = rng(seed)
-        ts = math.pi * g.random(n)
-        fs = np.asarray(self.fiber.sample(n, seed + 10), float)
-        return np.stack([ts, fs], axis=1)
-
-    def interpolate_pairs(self, xs, ys, ts):
-        xs = self._batch(xs)
-        ys = self._batch(ys)
-        fiber = self.fiber
-        df = np.asarray(fiber.dist_pairs(fiber_coords(fiber, xs[:, 1]),
-                                         fiber_coords(fiber, ys[:, 1])), float)
-        delta = np.minimum(df, math.pi)
-        # slerp on the unit sphere in lune coordinates (polar t, azimuth)
-        t1, t2 = xs[:, 0], ys[:, 0]
-        sin, cos = spaces.SIN, spaces.COS
-        p1 = np.stack([sin(t1), np.zeros(len(xs)), cos(t1)])
-        p2 = np.stack([sin(t2) * cos(delta), sin(t2) * sin(delta), cos(t2)])
-        d = self.dist_pairs(xs, ys)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = (p2 - cos(d) * p1) / sin(d)
-            q = cos(ts * d) * p1 + sin(ts * d) * v
-            u = np.where(delta > 1e-15,
-                         spaces.clip01(spaces.ATAN2(q[1], q[0]) / delta), 0.0)
-        tt = spaces.ACOS(np.minimum(np.maximum(q[2], -1.0), 1.0))
-        fib = np.where(df > 1e-15, fiber.interpolate_pairs(xs[:, 1], ys[:, 1], u), xs[:, 1])
-        out = np.stack([tt, fib], axis=1)
-        near = d < 1e-15
-        out[near] = xs[near]
-        # distinct points of a fiber without geodesics: no geodesic in between
-        gap = spaces.missing_rows(fiber.interpolate_pairs(xs[:, 1], ys[:, 1], 0.5)) & (df > 1e-12)
-        out[gap] = np.nan
-        return out
-
-    def __repr__(self):
-        return "SuspensionSpace(fiber=%r)" % (self.fiber,)
+def SuspensionSpace(fiber):
+    """The spherical suspension [0, pi] x_sin F."""
+    return KappaCone(spaces.Interval(0.0, math.pi), fiber, 1.0, 1.0)
 
 
 class ProductSpace(MetricOracle):

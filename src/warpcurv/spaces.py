@@ -304,12 +304,14 @@ class ModelDisk(MetricOracle):
     """Closed metric disk of radius R about a point of the model surface.
 
     Points are polar pairs (r, theta).  For kappa > 0 the disk must
-    have R < varpi; distances use the ambient model metric, which is
-    intrinsic whenever the disk is convex (R <= varpi/2 for kappa > 0).
-    A spherical disk with R > varpi/2 is the sphere less the convex cap
-    r > R: its distance is the model law where the short model arc stays
-    in the disk (_arc_leaves), and the tangent-rim-tangent path around
-    the cap elsewhere (_around_cap).  Such disks have no interpolation.
+    have R <= varpi, and R = varpi is the whole sphere; distances use the
+    ambient model metric, which is intrinsic whenever the disk is convex
+    (R <= varpi/2 or R = varpi for kappa > 0).  A spherical disk with
+    varpi/2 < R < varpi is the sphere less the convex cap r > R: its
+    distance is the model law where the short model arc stays in the disk
+    (_arc_leaves), and the tangent-rim-tangent path around the cap
+    elsewhere (_around_cap).  Its interpolation is the model arc's where
+    that arc stays in the disk, and a nan row elsewhere.
     via_circle minimises d(x, p) + d(p, y) over the points p of arcs of a
     circle r = rho: the cross-sheet distance of a DoubledDisk, and the
     path through a zero circle of a radial warp.
@@ -320,11 +322,11 @@ class ModelDisk(MetricOracle):
     def __init__(self, kappa, radius):
         if radius <= 0:
             raise ValueError("radius must be positive")
-        if kappa > 0 and radius >= model.varpi(kappa):
-            raise ValueError("spherical disk radius must be < varpi")
+        if kappa > 0 and radius > model.varpi(kappa):
+            raise ValueError("spherical disk radius must be <= varpi")
         self.kappa = float(kappa)
         self.radius = float(radius)
-        self.convex = not (kappa > 0 and radius > model.varpi(kappa) / 2.0)
+        self.convex = not (kappa > 0 and model.varpi(kappa) / 2.0 < radius < model.varpi(kappa))
         self.diameter_hint = 2.0 * radius
 
     def contains(self, x):
@@ -337,15 +339,21 @@ class ModelDisk(MetricOracle):
     def dist_pairs(self, xs, ys):
         xs = self._batch(xs)
         ys = self._batch(ys)
+        d, dth, around = self._model_law(xs, ys)
+        if around.any():
+            d[around] = self._around_cap(xs[around, 0], ys[around, 0], dth[around])
+        return d
+
+    def _model_law(self, xs, ys):
+        """Model-law distances of polar rows, their theta gaps folded to
+        [0, pi], and the rows whose short model arc leaves the disk."""
         dth = np.abs(xs[:, 1] - ys[:, 1]) % (2.0 * math.pi)
         dth = np.minimum(dth, 2.0 * math.pi - dth)
-        d = model.side_from_angle(self.kappa, xs[:, 0], ys[:, 0], dth)
-        d = np.atleast_1d(np.asarray(d, float))
-        if not self.convex:
-            around = self._arc_leaves(xs[:, 0], ys[:, 0], d)
-            if around.any():
-                d[around] = self._around_cap(xs[around, 0], ys[around, 0], dth[around])
-        return d
+        d = np.atleast_1d(np.asarray(model.side_from_angle(self.kappa, xs[:, 0], ys[:, 0], dth),
+                                     float))
+        around = (self._arc_leaves(xs[:, 0], ys[:, 0], d) if not self.convex
+                  else np.zeros(len(d), dtype=bool))
+        return d, dth, around
 
     # The two helpers below work on the unit sphere: a = sqrt(kappa) r,
     # A = sqrt(kappa) R, and a point's height is z = cos a.
@@ -475,14 +483,12 @@ class ModelDisk(MetricOracle):
     def interpolate_pairs(self, xs, ys, ts):
         xs = self._batch(xs)
         ys = self._batch(ys)
-        if not self.convex:
-            return np.full(xs.shape, np.nan)
         ts = np.broadcast_to(np.asarray(ts, float), (len(xs),))
         ex = self._embed(xs)
         ey = self._embed(ys)
         if self.kappa == 0:
             return self._unembed((1.0 - ts)[:, None] * ex + ts[:, None] * ey)
-        d = self.dist_pairs(xs, ys)
+        d, _, around = self._model_law(xs, ys)
         # slerp on the sphere / hyperboloid through sn/cs coefficients
         k = self.kappa
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -491,6 +497,7 @@ class ModelDisk(MetricOracle):
         out = self._unembed(p)
         near = d < 1e-15
         out[near] = xs[near]
+        out[around] = np.nan
         return out
 
     def sample(self, n, seed):

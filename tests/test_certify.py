@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from warpcurv import constructions, spaces, warped
+from warpcurv import spaces, warped
 from warpcurv.certify import (ProductSpace, SpecError, TripleSpec, build_space,
                               build_triple, build_product, certify,
                               parse_space_arg, run_distance, run_sample)
@@ -63,14 +63,7 @@ def test_spec_file_roundtrip(tmp_path):
 
 
 def test_fast_path_detection():
-    spec = TripleSpec.from_dict(cone_doc("CAT", 6.0))
-    prod = build_product(spec, build_triple(spec))
-    assert isinstance(prod, constructions.ConeSpace)
-
-    spec = TripleSpec.from_dict(susp_doc())
-    prod = build_product(spec, build_triple(spec))
-    assert isinstance(prod, constructions.SuspensionSpace)
-
+    # the a sn_kappa warps are in tests/test_kappa_cone.py
     spec = TripleSpec.from_dict(susp_doc(
         warp={"expr": "2.0", "lipschitz": 0.0, "zeros": []}))
     prod = build_product(spec, build_triple(spec))

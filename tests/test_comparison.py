@@ -129,8 +129,9 @@ def test_witness_shrinks_toward_anchor():
 
 
 def test_witness_over_non_interpolable_fiber():
-    # SuspensionSpace.interpolate is None between distinct tripod leaves;
-    # the shrink and the near-midpoint bending must skip those moves
+    # the fiber has no paths between its points, so distinct tripod leaves
+    # of the suspension meet only through a pole; the shrink and the
+    # near-midpoint bending move along those glued paths
     from warpcurv.constructions import SuspensionSpace
     space = SuspensionSpace(spaces.tripod(0.6, 3))
     v = sample_comparisons(space, 1.0, "CBB", 50, 0)

@@ -1,9 +1,11 @@
 """interpolate_pairs against one-point reference interpolations.
 
-Each reference below is the one-point interpolation each space had
-before interpolation was batched, kept here verbatim in substance (math.*
-scalars, one branch per call).  The batched rows must equal it bit for
-bit, so reports computed from interpolated points cannot move.
+Each reference below is a one-point interpolation (math.* scalars, one
+branch per call): for most spaces the one each had before interpolation
+was batched, and for a KappaCone the model disk's reference at the
+sector's polar rows with the fiber's own reference.  The batched rows
+must equal it bit for bit, so reports computed from interpolated points
+cannot move.
 """
 
 import math
@@ -13,7 +15,7 @@ import pytest
 
 from warpcurv import model, spaces
 from warpcurv.comparison import sample_comparisons
-from warpcurv.constructions import ConeSpace, ScaledSpace, SuspensionSpace
+from warpcurv.constructions import ConeSpace, KappaCone, ScaledSpace, SuspensionSpace
 from warpcurv.spaces import fiber_coords, rng
 
 
@@ -43,13 +45,14 @@ def _ref_disk(space, x, y, t):
         r = R * math.acosh(max(v[0] / R, 1.0))
         return np.array([r, math.atan2(v[2], v[1]) % (2 * math.pi)])
 
-    if not space.convex:
-        return None
     ex = space._embed([x])[0]
     ey = space._embed([y])[0]
     if space.kappa == 0:
         return unembed((1.0 - t) * ex + t * ey)
-    d = space.distance(x, y)
+    # a short model arc that enters the cap of a non-convex disk is no geodesic
+    if not space.convex and _ref_arc_leaves(space, x, y):
+        return None
+    d = float(space.distance(x, y))
     if d < 1e-15:
         return np.asarray(x, float).reshape(2)
     sd = model.sn(space.kappa, d)
@@ -58,51 +61,67 @@ def _ref_disk(space, x, y, t):
     return unembed(p)
 
 
-def _ref_cone(space, x, y, t):
+def _ref_arc_leaves(space, x, y):
+    """Whether the short great-circle arc from x to y enters the cap r > R of
+    a spherical disk: its lowest point is that of the whole circle, the unit
+    projection of -e_z on the circle's plane, where that lies on the arc."""
+    s = math.sqrt(space.kappa)
+    p, q = (np.array([math.sin(s * r) * math.cos(th), math.sin(s * r) * math.sin(th),
+                      math.cos(s * r)]) for r, th in (x, y))
+    z_low = min(p[2], q[2])
+    n = np.cross(p, q)
+    if np.linalg.norm(n) > 1e-12:
+        n = n / np.linalg.norm(n)
+        low = np.array([0.0, 0.0, -1.0]) + n[2] * n
+        low = low / np.linalg.norm(low)
+        if np.dot(np.cross(p, low), n) >= 0 and np.dot(np.cross(low, q), n) >= 0:
+            z_low = low[2]
+    return z_low < math.cos(s * space.radius)
+
+
+def _ref_around_cap(space, r1, r2, angle):
+    """Tangent arcs to the rim of a spherical disk, and the rim between them."""
+    s = math.sqrt(space.kappa)
+    rim = s * space.radius
+    total = math.sin(rim) * angle
+    for r in (r1, r2):
+        total += (math.acos(min(max(math.cos(s * r) / math.cos(rim), -1.0), 1.0))
+                  - math.sin(rim) * math.acos(min(max(math.tan(rim) / math.tan(s * r), -1.0),
+                                                  1.0)))
+    return total / s
+
+
+def _ref_kappa_cone(space, x, y, t):
+    """The model disk's point in the sector (r1, 0) -> (r2, delta), with the
+    fiber's own point at fraction theta / delta, or an end through the apex."""
     x = np.asarray(x, float).reshape(2)
     y = np.asarray(y, float).reshape(2)
     fiber = space.fiber
-    df = float(fiber.distance(fiber_coords(fiber, x[1]), fiber_coords(fiber, y[1])))
-    delta = space.a * df
-    r1, r2 = x[0], y[0]
-    if delta >= math.pi - 1e-12 or _ref(fiber, x[1], y[1], 0.5) is None:
-        total = r1 + r2
-        s = t * total
-        if s <= r1:
-            return np.array([r1 - s, x[1]])
-        return np.array([s - r1, y[1]])
-    p1 = np.array([r1, 0.0])
-    p2 = np.array([r2 * math.cos(delta), r2 * math.sin(delta)])
-    q = (1.0 - t) * p1 + t * p2
-    r = float(np.hypot(q[0], q[1]))
-    if r < 1e-15:
-        return np.array([0.0, x[1]])
-    alpha = math.atan2(q[1], q[0])
-    u = min(max(alpha / delta, 0.0), 1.0) if delta > 1e-15 else 0.0
-    return np.array([r, float(_ref(fiber, x[1], y[1], u))])
-
-
-def _ref_suspension(space, x, y, t):
-    x = np.asarray(x, float).reshape(2)
-    y = np.asarray(y, float).reshape(2)
-    fiber = space.fiber
-    df = float(fiber.distance(fiber_coords(fiber, x[1]), fiber_coords(fiber, y[1])))
-    delta = min(df, math.pi)
-    if _ref(fiber, x[1], y[1], 0.5) is None and df > 1e-12:
+    ell = float(fiber.distance(fiber_coords(fiber, x[1]), fiber_coords(fiber, y[1])))
+    if isinstance(fiber, spaces.FiniteMetric) and ell > 0:
+        ell = math.inf
+    wind = space.a * ell
+    delta = min(wind, math.pi)
+    disk, r1, r2 = space.disk, x[0], y[0]
+    if (not disk.convex and wind >= math.pi and r1 + r2 > model.varpi(disk.kappa)):
+        # past the far pole: the apex path if the rim path is no shorter
+        if r1 + r2 > _ref_around_cap(disk, r1, r2, wind):
+            return None
+        s = t * (r1 + r2)
+        p = np.array([abs(s - r1), 0.0 if s <= r1 else math.pi])
+    else:
+        p = _ref_disk(disk, [r1, 0.0], [r2, delta], t)
+    if p is None:
         return None
-    p1 = np.array([math.sin(x[0]), 0.0, math.cos(x[0])])
-    p2 = np.array([math.sin(y[0]) * math.cos(delta), math.sin(y[0]) * math.sin(delta),
-                   math.cos(y[0])])
-    d = float(space.distance(x, y))
-    if d < 1e-15:
-        return x.copy()
-    v = (p2 - math.cos(d) * p1) / math.sin(d)
-    q = math.cos(t * d) * p1 + math.sin(t * d) * v
-    tt = math.acos(min(max(q[2], -1.0), 1.0))
-    az = math.atan2(q[1], q[0])
-    u = min(max(az / delta, 0.0), 1.0) if delta > 1e-15 else 0.0
-    fib = _ref(fiber, x[1], y[1], u) if df > 1e-15 else x[1]
-    return np.array([tt, float(fib)])
+    theta = p[1] - 2.0 * math.pi if p[1] > math.pi else p[1]
+    if delta == 0:
+        u = 0.0
+    elif delta < math.pi:
+        u = min(max(theta / delta, 0.0), 1.0)
+    else:
+        u = float(theta > 0.5 * math.pi)
+    fib = x[1] if u == 0 else y[1] if u == 1 else _ref(fiber, x[1], y[1], u)
+    return None if fib is None else np.array([p[0], float(fib)])
 
 
 _REFS = {
@@ -112,8 +131,7 @@ _REFS = {
     spaces.PointSpace: lambda space, x, y, t: 0.0,
     spaces.FiniteMetric: lambda space, x, y, t: None,
     spaces.ModelDisk: _ref_disk,
-    ConeSpace: _ref_cone,
-    SuspensionSpace: _ref_suspension,
+    KappaCone: _ref_kappa_cone,
     ScaledSpace: lambda space, x, y, t: _ref(space.space, x, y, t),
 }
 
@@ -175,7 +193,23 @@ def test_model_disks(space):
     xs[:3] = ys[:3]
     ys[3:60] = xs[3:60] + np.stack([np.geomspace(1e-7, 1e-3, 57), np.zeros(57)], axis=1)
     got = _assert_matches(space, xs, ys, ts)
-    assert np.isnan(got).all() == (not space.convex)
+    # nan exactly where the short model arc leaves the disk (the reference's rows)
+    assert spaces.missing_rows(got).any() == (not space.convex)
+
+
+def test_nonconvex_disk_interpolates_inside_arcs():
+    disk = spaces.ModelDisk(1.0, 2.0)
+    # the short arc stays in the disk: its slerp point, on the arc
+    x, y = np.array([0.5, 0.0]), np.array([0.6, 1.0])
+    m = disk.interpolate(x, y, 0.5)
+    assert m is not None
+    assert disk.distance(x, m) == pytest.approx(0.5 * disk.distance(x, y), rel=0, abs=1e-12)
+    assert disk.distance(m, y) == pytest.approx(0.5 * disk.distance(x, y), rel=0, abs=1e-12)
+    # the short arc enters the cap: the path goes around it, not sampled
+    x, y = np.array([1.9, 0.0]), np.array([1.9, 3.0])
+    assert _ref_arc_leaves(disk, x, y)
+    assert disk.distance(x, y) > model.side_from_angle(1.0, 1.9, 1.9, 3.0) + 0.1
+    assert disk.interpolate(x, y, 0.5) is None
 
 
 def test_cone_apex_and_fibers():
@@ -208,13 +242,54 @@ def test_suspension_degenerate_rows():
     _assert_matches(lune, *_random_pairs(lune, 200, 7))
 
 
-def test_suspension_over_tripod_marks_missing_rows():
+def test_suspension_over_tripod_glues_at_the_poles():
     susp = SuspensionSpace(spaces.tripod(0.6))
     xs, ys, ts = _random_pairs(susp, 300, 8)
     got = _assert_matches(susp, xs, ys, ts)
     gap = xs[:, 1] != ys[:, 1]
     assert gap.any() and (~gap).any()
-    assert np.array_equal(spaces.missing_rows(got), gap)
+    assert not spaces.missing_rows(got).any()
+    # distinct leaves meet only at the poles r = 0 and r = pi: the distance
+    # is the shorter way through one, and each point lies on an end's leaf
+    r1, r2 = xs[gap, 0], ys[gap, 0]
+    d = susp.dist_pairs(xs[gap], ys[gap])
+    assert np.allclose(d, np.minimum(r1 + r2, 2.0 * math.pi - r1 - r2), rtol=0, atol=1e-12)
+    m = got[gap]
+    assert np.all((m[:, 1] == xs[gap, 1]) | (m[:, 1] == ys[gap, 1]))
+    assert np.allclose(susp.dist_pairs(xs[gap], m) + susp.dist_pairs(m, ys[gap]), d,
+                       rtol=0, atol=1e-12)
+    # the glued distance between two leaves at the equator is pi, not 2 * 0.6
+    x, y = [0.5 * math.pi, 1.0], [0.5 * math.pi, 2.0]
+    assert susp.distance(x, y) == pytest.approx(math.pi, rel=0, abs=1e-15)
+    assert susp.interpolate(x, y, 0.5)[0] in (0.0, math.pi)
+
+
+def test_wide_sectors_of_a_nonconvex_cap():
+    # a ell >= pi and r1 + r2 > pi on [0, 2] x_sin: through the apex where
+    # that is the shorter path, and nan where the path winds around the rim
+    base = spaces.Interval(0.0, 2.0)
+    for cone, extra in ((KappaCone(base, spaces.Circle(2.0 * math.pi), 1.0, 2.0), 1.6),
+                        (KappaCone(base, spaces.tripod(0.6), 1.0, 1.0), None)):
+        xs, ys, ts = _random_pairs(cone, 400, 9)
+        if extra:
+            # 3.2 wide: around the rim
+            xs, ys, ts = (np.concatenate([xs, [[1.9, 0.0]]]),
+                          np.concatenate([ys, [[1.9, extra]]]), np.append(ts, 0.5))
+        got = _assert_matches(cone, xs, ys, ts)
+        ell = cone.fiber.dist_pairs(fiber_coords(cone.fiber, xs[:, 1]),
+                                    fiber_coords(cone.fiber, ys[:, 1]))
+        if isinstance(cone.fiber, spaces.FiniteMetric):
+            ell = np.where(ell > 0, math.inf, 0.0)
+        wide = (cone.a * ell >= math.pi) & (xs[:, 0] + ys[:, 0] > math.pi)
+        missing = spaces.missing_rows(got)
+        assert wide.any() and missing[wide].any() == bool(extra) and not missing[wide].all()
+        apex = wide & ~missing
+        m = got[apex]
+        assert np.all((m[:, 1] == xs[apex, 1]) | (m[:, 1] == ys[apex, 1]))
+        d = cone.dist_pairs(xs[apex], ys[apex])
+        assert np.array_equal(d, xs[apex, 0] + ys[apex, 0])
+        assert np.allclose(cone.dist_pairs(xs[apex], m) + cone.dist_pairs(m, ys[apex]), d,
+                           rtol=0, atol=1e-12)
 
 
 def test_scaled_space_and_finite_metric():
@@ -234,13 +309,20 @@ def test_geodesic_is_one_batch_of_interpolations():
     assert np.array_equal(poly.points, want)
 
 
+# cones and suspensions are named by the constructor they were built with
+CONE = pytest.param(ConeSpace(spaces.Circle(6.0)), id="ConeSpace(a=1, fiber=Circle(6))")
+TRIPOD_CONE = pytest.param(ConeSpace(spaces.tripod()), id="ConeSpace(a=1, fiber=FiniteMetric(n=4))")
+SPHERE = pytest.param(SuspensionSpace(spaces.Circle(2.0 * math.pi)),
+                      id="SuspensionSpace(fiber=Circle(6.28319))")
+TRIPOD_SUSPENSION = pytest.param(SuspensionSpace(spaces.tripod(0.6)),
+                                 id="SuspensionSpace(fiber=FiniteMetric(n=4))")
+
+
 @pytest.mark.parametrize("space", [
     spaces.Interval(0.0, 1.0), spaces.Ray(), spaces.Circle(4.0), spaces.PointSpace(),
     spaces.tripod(), spaces.ModelDisk(0.0, 1.0), spaces.ModelDisk(1.0, 1.2),
-    spaces.ModelDisk(-1.0, 1.5), spaces.ModelDisk(1.0, 2.0),
-    ConeSpace(spaces.Circle(6.0)), ConeSpace(spaces.tripod()),
-    SuspensionSpace(spaces.Circle(2.0 * math.pi)), SuspensionSpace(spaces.tripod(0.6)),
-    ScaledSpace(spaces.Circle(3.0), 2.5)], ids=repr)
+    spaces.ModelDisk(-1.0, 1.5), spaces.ModelDisk(1.0, 2.0), CONE, TRIPOD_CONE, SPHERE,
+    TRIPOD_SUSPENSION, ScaledSpace(spaces.Circle(3.0), 2.5)], ids=repr)
 def test_empty_batches(space):
     empty = space._batch(space.sample(0, 0))
     got = space.interpolate_pairs(empty, empty, np.zeros(0))
@@ -248,9 +330,8 @@ def test_empty_batches(space):
     assert spaces.missing_rows(got).shape == (0,)
 
 
-@pytest.mark.parametrize("space", [spaces.Circle(6.28), ConeSpace(spaces.Circle(6.0)),
-                                   SuspensionSpace(spaces.Circle(2.0 * math.pi)),
-                                   SuspensionSpace(spaces.tripod(0.6))], ids=repr)
+@pytest.mark.parametrize("space", [spaces.Circle(6.28), CONE, SPHERE, TRIPOD_SUSPENSION],
+                         ids=repr)
 def test_small_samples_bend_no_quadruple(space):
     # n <= 10 leaves one or two adversarial quadruples, so none is bent
     for n in range(3, 11):

@@ -308,8 +308,12 @@ def test_geodesic_samples_interpolate():
     poly = c.geodesic(0.5, 5.5, resolution=0.25)
     assert len(poly) == 5 and poly.total_length == pytest.approx(1.0)
     assert poly.points[2] == pytest.approx(0.0)
-    # interpolate() is None off convex disks, so is the geodesic
-    assert spaces.ModelDisk(1.0, 2.0).geodesic([0.5, 0.0], [0.5, 1.0], 0.1) is None
+    # on a non-convex disk interpolate() is None exactly where the short
+    # model arc enters the cap, and so is the geodesic
+    disk = spaces.ModelDisk(1.0, 2.0)
+    poly = disk.geodesic([0.5, 0.0], [0.5, 1.0], 0.1)
+    assert poly.total_length == pytest.approx(disk.distance([0.5, 0.0], [0.5, 1.0]))
+    assert disk.geodesic([1.9, 0.0], [1.9, 3.0], 0.1) is None
     assert spaces.tripod().geodesic(1, 2, 0.1) is None
     assert len(spaces.PointSpace().geodesic(0.0, 0.0, 0.1)) == 2
 
