@@ -400,7 +400,7 @@ def dump_geodesic(poly, triple, path):
     if base_pts.shape[0] == 1 and len(poly.params) > 1:
         base_pts = base_pts.T
     base_pts = base_pts.reshape(len(poly.params), -1)
-    fvals = convexity._eval_f(triple.warp, triple.base, base_pts)
+    fvals = warped._eval_f(triple.warp, triple.base, base_pts)
     ncols = base_pts.shape[1]
     header = ["t"] + ["base%d" % i for i in range(ncols)] + [
         "fiber", "v_B", "v_F", "f"]

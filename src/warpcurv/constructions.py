@@ -15,7 +15,7 @@ import numpy as np
 from . import spaces
 from .model import varpi
 from .spaces import MetricOracle, fiber_coords, rng
-from .warped import WarpFunction, domain, zero_set
+from .warped import domain, zero_set
 
 
 class KappaCone(MetricOracle):
@@ -160,8 +160,6 @@ class ScaledSpace(MetricOracle):
             raise ValueError("scale factor must be positive")
         self.space = space
         self.lam = float(lam)
-        if space.diameter_hint is not None:
-            self.diameter_hint = self.lam * space.diameter_hint
         self.tol_metric = space.tol_metric * self.lam
 
     def _batch(self, pts):
@@ -208,7 +206,6 @@ class DoubledDisk(MetricOracle):
     def __init__(self, disk, glue_arcs):
         self.disk = disk
         self.glue_arcs = tuple(glue_arcs)  # list of (theta_lo, theta_hi)
-        self.diameter_hint = 4.0 * disk.radius
         self.tol_metric = 1e-9
 
     def _batch(self, pts):
@@ -252,7 +249,9 @@ def make_doubled(base, f):
     """Double B along cl(boundary - Z) with the tautological warp f-dagger.
 
     1-D bases produce explicit catalog spaces; disks produce a two-sheet
-    oracle.  Z must be contained in the boundary of B.
+    oracle.  Z must be contained in the boundary of B.  On a 1-D base
+    f-dagger is f composed with the fold of the double onto B (for the
+    circle of a full double, on its coordinates [0, L)); on a disk it is f.
     """
     kind, roots = zero_set(f, base)
 
@@ -269,34 +268,14 @@ def make_doubled(base, f):
         if not roots:
             # full double: circle of length 2(b - a)
             L = 2.0 * (b - a)
-            circ = spaces.Circle(L)
-
-            def fd(x, a=a, b=b, L=L):
-                x = np.mod(np.asarray(x, float), L)
-                folded = np.where(x <= (b - a), x, L - x)
-                return np.asarray(f(a + folded), float)
-            fdag = WarpFunction(fd, f.lipschitz, zeros=(),
-                                expr="double(%s)" % (f.expr or "f"))
-            return circ, fdag
+            return spaces.Circle(L), f.compose("%r + min(t, %r - t)" % (a, L))
         if at_b:
             # glue at a: reflect across a
-            dom = spaces.Interval(2.0 * a - b, b)
-
-            def fd(x, a=a):
-                return np.asarray(f(a + np.abs(np.asarray(x, float) - a)), float)
-            zeros = (2.0 * a - b, b)
-            fdag = WarpFunction(fd, f.lipschitz, zeros=zeros,
-                                expr="reflect(%s)" % (f.expr or "f"))
-            return dom, fdag
+            return (spaces.Interval(2.0 * a - b, b),
+                    f.compose("%r + abs(t - %r)" % (a, a), zeros=(2.0 * a - b, b)))
         # at_a: glue at b, reflect across b
-        dom = spaces.Interval(a, 2.0 * b - a)
-
-        def fd(x, b=b):
-            return np.asarray(f(b - np.abs(np.asarray(x, float) - b)), float)
-        zeros = (a, 2.0 * b - a)
-        fdag = WarpFunction(fd, f.lipschitz, zeros=zeros,
-                            expr="reflect(%s)" % (f.expr or "f"))
-        return dom, fdag
+        return (spaces.Interval(a, 2.0 * b - a),
+                f.compose("%r - abs(t - %r)" % (b, b), zeros=(a, 2.0 * b - a)))
 
     if isinstance(base, spaces.Ray):
         roots = sorted(set(float(z) for z in (roots or [])))
@@ -307,24 +286,13 @@ def make_doubled(base, f):
             return base, f
         # full double of the ray: the line, truncated to the sample window
         L = base.sample_extent
-
-        def fd(x):
-            return np.asarray(f(np.abs(np.asarray(x, float))), float)
-        fdag = WarpFunction(fd, f.lipschitz, zeros=(),
-                            expr="double(%s)" % (f.expr or "f"))
-        return spaces.Interval(-L, L), fdag
+        return spaces.Interval(-L, L), f.compose("abs(t)")
 
     if isinstance(base, spaces.ModelDisk):
         if kind == "boundary":
             return base, f
         if roots:
             raise ValueError("disk doubling supports Z empty or Z = boundary")
-        dd = DoubledDisk(base, [(0.0, 2.0 * math.pi)])
-
-        def fd(sheet_r, theta):
-            return np.asarray(f(sheet_r, theta), float)
-        fdag = WarpFunction(fd, f.lipschitz, zeros=(), arity=2,
-                            expr="double(%s)" % (f.expr or "f"))
-        return dd, fdag
+        return DoubledDisk(base, [(0.0, 2.0 * math.pi)]), f
 
     raise ValueError("unsupported base for doubling: %r" % (base,))

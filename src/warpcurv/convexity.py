@@ -15,7 +15,8 @@ import numpy as np
 
 from . import model, spaces
 from .spaces import rng
-from .warped import SCAN_POINTS, domain, warp_profile, zero_set
+from .warped import (SCAN_POINTS, _eval_f, _one_sided_derivative, domain, warp_profile,
+                     zero_set)
 
 INF = math.inf
 
@@ -69,15 +70,6 @@ class KappaFReport:
     def __repr__(self):
         return ("KappaFReport(%s, %s, kappa_F=%s, foot=%s, far=%s)"
                 % (self.side, self.branch, self.kappa_F, self.kappa_foot, self.kappa_far))
-
-
-def _eval_f(f, base, pts):
-    """Evaluate a warp function on base points of either arity."""
-    pts = np.asarray(pts, dtype=float)
-    if getattr(f, "arity", 1) == 2 or isinstance(base, spaces.ModelDisk):
-        pts = pts.reshape(-1, 2)
-        return np.asarray(f(pts[:, 0], pts[:, 1]), float)
-    return np.asarray(f(pts), float)
 
 
 def _sample_geodesics(base, n_geodesics, seed, n_nodes=65):
@@ -211,20 +203,6 @@ def _directions(base, p, signs=(1, -1)):
     return dirs
 
 
-def _one_sided_derivative(f, base, p, step, h0, k_max=6):
-    """Richardson-extrapolated one-sided derivative of f along a step map."""
-    f0 = float(_eval_f(f, base, [np.asarray(p, float)])[0])
-    hs = [h0 * 2.0 ** (-k) for k in range(k_max + 1)]
-    ds = []
-    for h in hs:
-        q = step(h)
-        fq = float(_eval_f(f, base, [np.asarray(q, float)])[0])
-        ds.append((fq - f0) / h)
-    # first-order Richardson on the halving sequence
-    ext = [2.0 * ds[k + 1] - ds[k] for k in range(len(ds) - 1)]
-    return ext[-1]
-
-
 def gradient_norm(f, base, p, side="up", n_dirs=16, h0=1e-3):
     """|grad_p f| (side up) or |grad_p(-f)| (side down) by sampling.
 
@@ -302,7 +280,7 @@ def _footpoints(f, base, roots):
     run's two ends are footpoints, each leaving Z away from the run; a
     run across a circle's seam counts as one.
     """
-    if getattr(f, "zeros", ()) or isinstance(base, spaces.ModelDisk):
+    if f.zeros or isinstance(base, spaces.ModelDisk):
         return [(z, (1, -1)) for z in roots]
     lo, hi = domain(base)
     zs = np.sort(np.asarray(roots, float))

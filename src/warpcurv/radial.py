@@ -16,8 +16,7 @@ import numpy as np
 
 from . import model, spaces
 from .warped import (SCAN_POINTS, ZERO_THRESHOLD, ClairautSolution, ConvergenceError,
-                     WarpedTriple, WarpFunction, _contest, _cos_map_rule, clairaut_solve,
-                     zero_set)
+                     WarpedTriple, _contest, _cos_map_rule, clairaut_solve, zero_set)
 
 
 # Gauss-Legendre nodes per piece of a radial arc, and of the bracket scan
@@ -37,13 +36,6 @@ EXTEND_SPEED2 = 0.05
 RADIAL_FAMILIES = ("monotone", "inner", "outer", "both", "rim")
 RADIAL_IN = np.array([0.0, 2.0, 0.0, 2.0, 0.0])
 RADIAL_OUT = np.array([0.0, 0.0, 2.0, 2.0, 2.0])
-
-
-def _radial_profile(warp):
-    """f(r) of a radial disk warp; any other warp raises ValueError."""
-    if not getattr(warp, "radial", False):
-        raise ValueError("a disk base needs a radial warp: an expression in r with no theta")
-    return lambda r: np.asarray(warp(r, np.zeros_like(r)), float)
 
 
 def _potential(prof, kappa, a, c, r):
@@ -373,7 +365,11 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
     base = triple.base
     if not isinstance(base, spaces.ModelDisk):
         raise ValueError("unsupported base for distances: %r" % (base,))
-    prof = _radial_profile(triple.warp)
+    if not triple.warp.radial:
+        raise ValueError("a disk base needs a radial warp: an expression in r with no theta")
+    # f(r) as a warp of t = r, and on float arrays
+    radius_warp = triple.warp.compose("t")
+    prof = radius_warp.fn
     kappa, radius = base.kappa, base.radius
     bp, bq = base._batch(bp), base._batch(bq)
     npair = len(bp)
@@ -397,9 +393,7 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
     for i in live:
         cand.append((i, leaf[i], 0.0, ("leaf", r1[i] if f1[i] <= f2[i] else r2[i])))
     # the radius [0, R] as a 1-D base, for the zero circles and the theta = 0 pairs
-    ray = WarpedTriple(spaces.Interval(0.0, radius),
-                       WarpFunction(prof, triple.warp.lipschitz, expr=triple.warp.expr),
-                       triple.fiber, check=False)
+    ray = WarpedTriple(spaces.Interval(0.0, radius), radius_warp, triple.fiber, check=False)
     zeros = np.unique(zero_set(ray.warp, ray.base)[1])
     # of each run of adjacent scan points, only its ends
     run = np.diff(zeros) < 1.5 * radius / (SCAN_POINTS - 1)

@@ -34,8 +34,6 @@ ATAN2 = _libm(math.atan2, 2)
 ACOS = _libm(math.acos, 1)
 ACOSH = _libm(math.acosh, 1)
 HYPOT = _libm(math.hypot, 2)
-SIN = _libm(math.sin, 1)
-COS = _libm(math.cos, 1)
 
 
 def clip01(x):
@@ -77,7 +75,6 @@ class MetricOracle:
     """Uniform distance-oracle interface."""
 
     tol_metric = 1e-9
-    diameter_hint = None
 
     def distance(self, x, y):
         return float(self.dist_pairs(self._batch([x]), self._batch([y]))[0])
@@ -135,7 +132,6 @@ class Interval(MetricOracle):
             raise ValueError("need a < b")
         self.a = float(a)
         self.b = float(b)
-        self.diameter_hint = self.b - self.a
 
     def contains(self, x):
         return self.a - 1e-12 <= float(x) <= self.b + 1e-12
@@ -160,7 +156,6 @@ class Ray(MetricOracle):
 
     def __init__(self, sample_extent=2.0):
         self.sample_extent = float(sample_extent)
-        self.diameter_hint = None
 
     def contains(self, x):
         return float(x) >= -1e-12
@@ -187,7 +182,6 @@ class Circle(MetricOracle):
         if not length > 0:
             raise ValueError("circle length must be positive")
         self.length = float(length)
-        self.diameter_hint = self.length / 2.0
 
     def dist_pairs(self, xs, ys):
         d = np.abs(np.asarray(xs, float) - np.asarray(ys, float)) % self.length
@@ -209,7 +203,6 @@ class Circle(MetricOracle):
 
 class PointSpace(MetricOracle):
     kind = "Point"
-    diameter_hint = 0.0
 
     def dist_pairs(self, xs, ys):
         return np.zeros(len(np.atleast_1d(xs)))
@@ -242,7 +235,6 @@ class FiniteMetric(MetricOracle):
                 raise ValueError("matrix violates the triangle inequality")
         self.matrix = m
         self.n = m.shape[0]
-        self.diameter_hint = float(m.max())
 
     @classmethod
     def from_file(cls, path):
@@ -327,7 +319,6 @@ class ModelDisk(MetricOracle):
         self.kappa = float(kappa)
         self.radius = float(radius)
         self.convex = not (kappa > 0 and model.varpi(kappa) / 2.0 < radius < model.varpi(kappa))
-        self.diameter_hint = 2.0 * radius
 
     def contains(self, x):
         r = float(np.asarray(x, float).reshape(2)[0])

@@ -15,7 +15,7 @@ stops short of ell at its limit point (a kink of f at a minimum, an
 Interval end, a Ray's 0), the family's last arcs followed by a ride
 along the leaf over that point.  The integrals use Gauss-Legendre nodes
 under b = x0 + (x1 - x0)(1 - cos theta)/2 on each piece of an arc, the
-arc split at the kinks of f that the scan profile shows; the map absorbs
+arc split at the kinks of f, read off its expression; the map absorbs
 the square-root singularity of a turning point, and of a kink where
 f = c.  The roots ell(c) = ell of every family are bracketed on a scan
 and refined together, and each value carries an error bar; a pair whose
@@ -73,89 +73,79 @@ _SAFE_ENV = {
     "abs": np.abs, "min": np.minimum, "max": np.maximum,
     "pi": math.pi, "e": math.e,
 }
+# the functions a warp expression may call, by their number of arguments
+_CALL_ARITY = {name: 2 if name in ("min", "max") else 1
+               for name, value in _SAFE_ENV.items() if callable(value)}
 # syntax a warp expression may use besides names, numbers and calls by name
 _EXPR_NODES = (ast.BinOp, ast.UnaryOp, ast.Compare, ast.operator, ast.unaryop, ast.cmpop,
                ast.Load)
 
 
-class WarpFunction:
-    """Nonnegative warping function with declared Lipschitz data.
+def _compile(body, params):
+    """The lambda of params whose value is the expression node body, with
+    globals _SAFE_ENV."""
+    lam = ast.Expression(ast.Lambda(ast.arguments(
+        posonlyargs=[], args=[ast.arg(p) for p in params], kwonlyargs=[], kw_defaults=[],
+        defaults=[]), body))
+    return eval(compile(ast.fix_missing_locations(lam), "<warp>", "eval"),
+                dict(_SAFE_ENV, __builtins__={}))
 
-    fn is a vectorized callable of the base coordinates (one argument
-    for 1-D bases, (r, theta) for disk bases).  zeros is the hinted
+
+class WarpFunction:
+    """Nonnegative warping function: one expression, with declared Lipschitz data.
+
+    expr is an expression in t on 1-D bases, or in r and theta on disk
+    bases (arity 2).  It may hold arithmetic, comparisons, numbers, the
+    names t, r, theta and those of _SAFE_ENV, and calls by name of its
+    functions: min and max with two arguments, the others with one.  It
+    is parsed once, checked and compiled into one lambda whose globals
+    are _SAFE_ENV; fn calls it on float arrays, and its value is a fresh
+    float array of the shape of its first argument.  zeros is the hinted
     zero set: exact root coordinates for 1-D bases, or the string
     "boundary" for disk bases.
+
+    f is smooth where no argument of an abs, no difference u - v of a
+    min or max(u, v) and no difference of two compared sides changes
+    sign (Griewank & Walther, Evaluating Derivatives, ch. 14).  On a 1-D
+    base switches(x) gives those values at x, one row each; it is None
+    when the expression has none.
     """
 
-    def __init__(self, fn, lipschitz, zeros=(), expr=None, arity=1):
-        self.fn = fn
-        self.lipschitz = float(lipschitz)
-        self.zeros = zeros if isinstance(zeros, str) else tuple(float(z) for z in zeros)
-        self.expr = expr
-        self.arity = int(arity)
-        # a disk warp of r alone, known only for expressions without theta
-        self.radial = False
-
-    def __call__(self, *coords):
-        out = np.asarray(self.fn(*[np.asarray(c, dtype=float) for c in coords]), dtype=float)
-        return out if out.ndim else float(out)
-
-    @classmethod
-    def constant(cls, c):
-        c = float(c)
-        if c < 0:
-            raise ValueError("warping function must be nonnegative")
-        return cls(lambda t: np.full_like(np.asarray(t, float), c), 0.0,
-                   zeros=(), expr="%g" % c)
-
-    @classmethod
-    def linear(cls, a=1.0):
-        a = float(a)
-        return cls(lambda t: a * np.asarray(t, float), abs(a), zeros=(0.0,),
-                   expr="%g*t" % a)
-
-    @classmethod
-    def sin(cls):
-        return cls(np.sin, 1.0, zeros=(0.0, math.pi), expr="sin(t)")
-
-    @classmethod
-    def abs_t(cls):
-        return cls(np.abs, 1.0, zeros=(0.0,), expr="abs(t)")
-
-    @classmethod
-    def from_expression(cls, expr, lipschitz, zeros=(), arity=1):
-        """Build from a restricted expression in t (or r, theta).
-
-        The expression is parsed once, checked to hold only arithmetic,
-        comparisons, numbers, calls of the _SAFE_ENV functions and the
-        names t, r, theta and those of _SAFE_ENV, and compiled into one
-        lambda of t (or r, theta) whose globals are _SAFE_ENV.  Its value
-        is a fresh float array of the shape of the first argument.
-        """
+    def __init__(self, expr, lipschitz, zeros=(), arity=1):
         try:
-            tree = ast.parse(expr, "<warp>", mode="eval")
+            tree = ast.parse(expr, "<warp>", mode="eval").body
         except SyntaxError as e:
             raise ValueError("warp expression does not parse: %s" % e)
         names = set()
-        for node in ast.walk(tree.body):
+        # the two sides of each switch
+        sides = []
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 if node.id not in _SAFE_ENV and node.id not in ("t", "r", "theta"):
                     raise ValueError("unknown name in warp expression: %s" % node.id)
                 names.add(node.id)
             elif isinstance(node, ast.Call):
-                if not isinstance(node.func, ast.Name) or node.keywords:
-                    raise ValueError("warp expressions may only call functions by name")
+                name = getattr(node.func, "id", None)
+                if node.keywords or _CALL_ARITY.get(name) != len(node.args):
+                    raise ValueError("warp expressions call min and max with two arguments and "
+                                     "the other functions with one: not %s" % ast.unparse(node))
+                if name in ("abs", "min", "max"):
+                    sides += (node.args + [ast.Constant(0.0)])[:2]
+            elif isinstance(node, ast.Compare):
+                for left, right in zip([node.left] + node.comparators, node.comparators):
+                    sides += [left, right]
             elif isinstance(node, ast.Constant):
                 if type(node.value) not in (int, float):
                     raise ValueError("non-numeric constant in warp expression: %r" % node.value)
             elif not isinstance(node, _EXPR_NODES):
                 raise ValueError("%s is not allowed in a warp expression" % type(node).__name__)
-        params = ("t",) if arity == 1 else ("r", "theta")
-        lam = ast.Expression(ast.Lambda(ast.arguments(
-            posonlyargs=[], args=[ast.arg(p) for p in params], kwonlyargs=[], kw_defaults=[],
-            defaults=[]), tree.body))
-        body = eval(compile(ast.fix_missing_locations(lam), "<warp>", "eval"),
-                    dict(_SAFE_ENV, __builtins__={}))
+        self.expr = expr
+        self.lipschitz = float(lipschitz)
+        self.zeros = zeros if isinstance(zeros, str) else tuple(float(z) for z in zeros)
+        self.arity = int(arity)
+        # a disk warp of r alone
+        self.radial = arity == 2 and "theta" not in names
+        body = _compile(tree, ("t",) if arity == 1 else ("r", "theta"))
 
         def fn(*coords):
             out = np.asarray(body(*coords), dtype=float)
@@ -164,9 +154,56 @@ class WarpFunction:
                 return np.broadcast_to(out, shape).copy()
             # no call returns a view of its arguments, but "t" returns t itself
             return out.copy() if out is coords[0] or out is coords[-1] else out
-        out = cls(fn, lipschitz, zeros=zeros, expr=expr, arity=arity)
-        out.radial = arity == 2 and "theta" not in names
-        return out
+        self.fn = fn
+        self.switches = None
+        if arity == 1 and sides:
+            both = _compile(ast.Tuple(sides, ast.Load()), ("t",))
+
+            def switches(x):
+                v = [np.asarray(s, dtype=float) for s in both(x)]
+                return np.stack([np.broadcast_to(u - w, np.shape(x))
+                                 for u, w in zip(v[::2], v[1::2])])
+            self.switches = switches
+
+    def __call__(self, *coords):
+        out = np.asarray(self.fn(*[np.asarray(c, dtype=float) for c in coords]), dtype=float)
+        return out if out.ndim else float(out)
+
+    @classmethod
+    def from_expression(cls, expr, lipschitz, zeros=(), arity=1):
+        """WarpFunction(expr, lipschitz, zeros, arity), the name that specs build by."""
+        return cls(expr, lipschitz, zeros=zeros, arity=arity)
+
+    @classmethod
+    def constant(cls, c):
+        c = float(c)
+        if c < 0:
+            raise ValueError("warping function must be nonnegative")
+        return cls("%r" % c, 0.0)
+
+    @classmethod
+    def linear(cls, a=1.0):
+        a = float(a)
+        return cls("%r*t" % a, abs(a), zeros=(0.0,))
+
+    @classmethod
+    def sin(cls):
+        return cls("sin(t)", 1.0, zeros=(0.0, math.pi))
+
+    @classmethod
+    def abs_t(cls):
+        return cls("abs(t)", 1.0, zeros=(0.0,))
+
+    def compose(self, inner, zeros=()):
+        """f(inner) as a warp of t, inner an expression in t that replaces t
+        (r, for a radial disk warp) in the syntax tree of f.  It keeps the
+        Lipschitz constant of f, so inner must be 1-Lipschitz."""
+        tree = ast.parse(self.expr, "<warp>", mode="eval").body
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == ("t" if self.arity == 1 else "r"):
+                # unparsed as it stands: inner, in parentheses
+                node.id = "(%s)" % inner
+        return WarpFunction(ast.unparse(tree), self.lipschitz, zeros=zeros)
 
 
 class WarpedPoint:
@@ -226,11 +263,17 @@ class WarpedTriple:
 
         Every declared zero must have f <= ZERO_THRESHOLD, and the declared
         Lipschitz constant, with relative slack 1e-9, must bound every
-        difference quotient of f on the validation grid.  Any other base
-        raises ValueError.
+        difference quotient of f on the validation grid.  On a circle f(L)
+        must be f(0) within 1e-9 max(1, |f(0)|), as 0 and L are one point.
+        Any other base raises ValueError.
         """
         if not _one_dim(self.base):
             raise ValueError("hints are checked on 1-D bases only, not on %r" % (self.base,))
+        if isinstance(self.base, spaces.Circle):
+            f0, f1 = self.warp(0.0), self.warp(self.base.length)
+            if abs(f1 - f0) > 1e-9 * max(1.0, abs(f0)):
+                raise ValueError("the warp jumps at the seam of %r: f(0) = %.12g, f(L) = %.12g"
+                                 % (self.base, f0, f1))
         for z in self.warp.zeros:
             fz = float(self.warp(z))
             if fz > ZERO_THRESHOLD:
@@ -294,7 +337,7 @@ def zero_set(f, base, lo=None, hi=None, warn=None, profile=None):
     without hints adds its warning to the list warn, once.  profile is
     the scan (points, values), warp_profile on the window when omitted.
     """
-    hints = getattr(f, "zeros", ())
+    hints = f.zeros
     if hints == "boundary":
         return "boundary", None
     if lo is None:
@@ -357,10 +400,11 @@ CLAIRAUT_CHUNK = 64
 # most points of a Ray's scan profile; a longer window is scanned at a
 # spacing doubled until it fits
 RAY_SCAN_CAP = 16 * (SCAN_POINTS - 1) + 1
-# a kink's second differences stand this many times above their neighbours'
-KINK_RATIO = 64
 # an arc is not split at a kink closer than this many scan spacings to its ends
 KINK_GAP = 1e-6
+# relative difference of the one-sided slopes at a circle's seam that makes
+# it a kink
+SEAM_SLACK = 1e-6
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,44 +426,6 @@ def _feval(triple):
     if isinstance(base, spaces.Circle):
         return lambda x: np.asarray(fn(np.mod(x, base.length)), float)
     return lambda x: np.asarray(fn(x), float)
-
-
-def _kinks(feval, prof, lo, h, periodic):
-    """Kinks of f seen on the scan profile prof = f(lo + i h): positions, grid indices.
-
-    A kink inside [x_i, x_i+1] puts its slope jump times h into the sum
-    |d2_i| + |d2_i+1| of second differences, where a smooth f puts about
-    f'' h^2 as it does into |d2_i-1| + |d2_i+2|; a kink is a local maximum
-    of that sum KINK_RATIO times above its neighbours'.  Only indices i
-    with the stencil i - 2 .. i + 3 on the profile count, unless it is
-    periodic.  A kink is placed where the one-sided lines meet: through
-    the grid points first, then through points e and 2e either side of
-    the estimate, e shrinking 8-fold per pass.
-    """
-    n = len(prof)
-    # d2[i + 2] is the second difference at i, the profile taken periodic
-    ext = np.concatenate([prof[-3:], prof, prof[:3]])
-    d2 = ext[:-2] - 2.0 * ext[1:-1] + ext[2:]
-    a = np.abs(d2)
-    pair = a[:-1] + a[1:]
-    kink = ((pair[2:n + 2] > KINK_RATIO * (a[1:n + 1] + a[4:n + 4]) + 1e-11 * np.abs(prof))
-            & (pair[2:n + 2] >= pair[1:n + 1]) & (pair[2:n + 2] > pair[3:n + 3]))
-    i = np.flatnonzero(kink if periodic else kink[:n - 3])
-    if not periodic:
-        i = i[i >= 2]
-    if not len(i):
-        return np.empty(0), i
-    x = lo + (i + np.clip(d2[i + 3] / (d2[i + 2] + d2[i + 3]), 0.0, 1.0)) * h
-    e = 0.25 * h
-    for _ in range(4):
-        fl2, fl1, fr1, fr2 = feval(x + e * np.array([-2.0, -1.0, 1.0, 2.0])[:, None])
-        # lines fl1 + sl (t + 1) and fr1 + sr (t - 1) meet at x + e t
-        sl, sr = fl1 - fl2, fr2 - fr1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (fr1 - fl1 - sl - sr) / (sl - sr)
-        x = x + e * np.clip(np.nan_to_num(t), -1.0, 1.0)
-        e *= 0.125
-    return x, i
 
 
 def _arc_terms(feval, xstar, c, x_lo, x_hi, kinks, gap, n=CLAIRAUT_NODES):
@@ -600,13 +606,56 @@ def _argmin_zoom(feval, lo, hi, iters=12, k=17):
 
 
 def _crossing(feval, above, below, level, iters=48):
-    """Bisection for the point between above (f >= level) and below (f < level)."""
+    """Bisection between above (f >= level) and below (f < level): its last
+    ends below and above."""
     for _ in range(iters):
         mid = 0.5 * (above + below)
         low = feval(mid) < level
         below = np.where(low, mid, below)
         above = np.where(low, above, mid)
-    return below
+    return below, above
+
+
+@functools.lru_cache(maxsize=64)
+def _switch_roots(warp, lo, h, n):
+    """Kinks of the warp on the grid lo + i h, i < n: each sign change of a
+    switch (see WarpFunction) between neighbouring grid points, bisected by
+    _crossing to the end of its last bracket where the switch is nearer 0;
+    sorted, without repeats.  Cached, as every solve on the grid needs them."""
+    if warp.switches is None:
+        return np.empty(0)
+    x = lo + h * np.arange(n)
+    below = warp.switches(x) < 0
+    k, i = np.nonzero(below[:, 1:] != below[:, :-1])
+    if not len(k):
+        return np.empty(0)
+    cols = np.arange(len(k))
+
+    def switch(y):
+        return warp.switches(y)[k, cols]
+    lo_below = below[k, i]
+    b, a = _crossing(switch, np.where(lo_below, x[i + 1], x[i]),
+                     np.where(lo_below, x[i], x[i + 1]), 0.0)
+    return np.unique(np.where(np.abs(switch(a)) < np.abs(switch(b)), a, b))
+
+
+def _eval_f(f, base, pts):
+    """Evaluate a warp function on base points of either arity."""
+    pts = np.asarray(pts, dtype=float)
+    if f.arity == 2 or isinstance(base, spaces.ModelDisk):
+        pts = pts.reshape(-1, 2)
+        return np.asarray(f(pts[:, 0], pts[:, 1]), float)
+    return np.asarray(f(pts), float)
+
+
+def _one_sided_derivative(f, base, p, step, h0):
+    """One-sided derivative of f at p along a step map h -> base point: the
+    first-order Richardson extrapolation 2 D(h0 / 64) - D(h0 / 32) of the
+    difference quotients D(h) = (f(step(h)) - f(p)) / h."""
+    f0 = float(_eval_f(f, base, [np.asarray(p, float)])[0])
+    d = [(float(_eval_f(f, base, [np.asarray(step(h), float)])[0]) - f0) / h
+         for h in (h0 / 32.0, h0 / 64.0)]
+    return 2.0 * d[1] - d[0]
 
 
 class ClairautSolution:
@@ -662,7 +711,7 @@ def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
         min f, or a stretch's end) stops short of ell, the arcs of c = f(x)
         and then the leaf over x for the rest of ell.
     A circle base unwraps bq to bq + kL, k in {-1, 0, 1}.  Arcs are split
-    at the kinks of f on the scan profile (_kinks).  Each family is
+    at the kinks of f (_scan_levels).  Each family is
     scanned for sign changes of ell(c) - ell, all brackets are refined
     together, and a root or ride is valued L + c (ell - ell(c)), with an
     error bar: the change from 2x the quadrature nodes, the bracket bound
@@ -705,9 +754,12 @@ def _scan_levels(triple, feval, bp, bq, ell):
 
     The profile is f on lo + i h, extended on a Ray to every pair's window
     and periodic on a circle; a Ray window of more than RAY_SCAN_CAP points
-    is scanned at h 2^k, k the least that fits.  The kinks are those of
-    _kinks, copied around the unwrapped circle, and on a Ray those that the
-    profile of the pair's own window shows.
+    is scanned at h 2^k, k the least that fits.  The kinks are the
+    _switch_roots of the warp on that grid (on a circle through lo + L),
+    on a Ray those inside the pair's window.  A circle's seam is a kink
+    where the one-sided slopes of f at 0 and L differ by more than
+    SEAM_SLACK (1 + |f'(0)| + |f'(L)|); the kinks are copied around the
+    unwrapped circle.
     """
     base = triple.base
     circle = isinstance(base, spaces.Circle)
@@ -732,13 +784,17 @@ def _scan_levels(triple, feval, bp, bq, ell):
         prof = feval(grid_pts)
         zeros = np.asarray(zero_set(triple.warp, base, lo, grid_pts[-1], warn=triple.warnings,
                                     profile=(grid_pts, prof))[1] or [], float)
-        kx, ki = _kinks(feval, prof, lo, hk, circle)
+        kx = _switch_roots(triple.warp, lo, hk, count + circle)
         if circle:
-            kx = (kx + base.length * np.arange(-3, 4)[:, None]).ravel()
+            L = base.length
+            d0 = _one_sided_derivative(triple.warp, base, 0.0, lambda s: s, hk)
+            dL = -_one_sided_derivative(triple.warp, base, L, lambda s: L - s, hk)
+            if abs(d0 - dL) > SEAM_SLACK * (1.0 + abs(d0) + abs(dL)):
+                kx = np.append(kx, 0.0)
+            kx = (kx + L * np.arange(-3, 4)[:, None]).ravel()
         kinks = np.broadcast_to(kx, (len(pairs), len(kx)))
         if isinstance(base, spaces.Ray):
-            own = np.maximum(SCAN_POINTS, np.ceil((reach[pairs] - lo) / hk).astype(int) + 1)
-            kinks = np.where(ki <= own[:, None] - 4, kinks, math.nan)
+            kinks = np.where(kinks <= reach[pairs, None], kinks, math.nan)
         yield pairs, hk, reach[pairs], zeros, kinks, _Profile(prof, circle)
 
 
@@ -878,7 +934,7 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
         end_u = (u0[srun] + s * r1)[crossed - 1]
         level = np.where(leading[crossed], m[sprob[crossed]], scan.values[end_u])
         p[slot[nm + crossed]] = _crossing(feval, head[crossed],
-                                          lo + (g0[srun] + s * r0)[crossed] * h, level)
+                                          lo + (g0[srun] + s * r0)[crossed] * h, level)[0]
     if ns:
         # a stretch ends at a boundary leaf (an Interval's ends, a Ray's 0),
         # or else at the minimum of f within one grid step of its last

@@ -161,9 +161,7 @@ def test_06_fiber_independence():
         L = g.uniform(1.0, 3.0)
         alpha = g.uniform(0.1, 0.9)
         base = spaces.Interval(0.0, L)
-        f = WarpFunction(
-            lambda x, a=alpha: 1.0 + a * np.sin(np.asarray(x, float)),
-            lipschitz=alpha)
+        f = WarpFunction.from_expression("1.0 + %r*sin(t)" % alpha, lipschitz=alpha)
         b1, b2 = sorted(g.uniform(0.05, L - 0.05, 2))
         ell = g.uniform(0.2, 2.0)
         ds = []

@@ -185,6 +185,52 @@ def test_geodesics_across_kinks_match_the_distance():
         assert abs(poly.total_length - d) <= 1e-6
 
 
+def kinks_of(base, expr):
+    """The kinks of the warp expr on base that split its arcs, as _scan_levels finds them."""
+    t = triple(base, expr, 10.0)
+    (_, _, _, _, kinks, _), = warped._scan_levels(t, warped._feval(t), np.array([0.5]),
+                                                  np.array([0.6]), np.array([1.0]))
+    return kinks[0]
+
+
+def test_kinks_of_max_are_its_switch_roots():
+    kinks = kinks_of(CIRCLE, "2 + max(cos(t), 0.5)")
+    kinks = kinks[(kinks >= 0) & (kinks < TWO_PI)]
+    expect = [math.acos(0.5), TWO_PI - math.acos(0.5)]
+    assert np.max(np.abs(kinks - expect)) <= 1e-15
+
+
+def test_kink_of_a_comparison_is_exact():
+    assert kinks_of(spaces.Interval(0.0, 2.0), "1 + (t > 1)*(t - 1)").tolist() == [1.0]
+
+
+@pytest.mark.parametrize("base, expr, split", [
+    (CIRCLE, "2 + abs(t - pi)", True),
+    (spaces.Circle(6.0), "1 + (t - 3)**2", True),
+    (CIRCLE, "2 + cos(t)", False),
+])
+def test_seam_is_a_kink_where_its_slopes_differ(base, expr, split):
+    kinks = kinks_of(base, expr)
+    assert (0.0 in kinks) == split
+    assert np.all(np.isin(base.length * np.arange(-3, 4), kinks) == split)
+
+
+def test_mild_kinks_are_solved():
+    # a warp that is larger everywhere lengthens every curve, by at most
+    # eps max|t - 1| ell = eps ell
+    g = np.random.default_rng(3)
+    smooth = triple(spaces.Interval(0.0, 2.0), "1 + t**2", 4.0, fiber=spaces.Circle(3.0))
+    for eps in (1e-2, 1e-3, 1e-4):
+        bp, bq, ell = g.uniform(0.0, 2.0, 20), g.uniform(0.0, 2.0, 20), g.uniform(0.05, 1.5, 20)
+        kinked = triple(spaces.Interval(0.0, 2.0), "1 + t**2 + %r*abs(t - 1)" % eps, 4.0 + eps,
+                        fiber=spaces.Circle(3.0))
+        for tol in (1e-6, 1e-9):
+            single = [clairaut_solve(kinked, *q, tol=tol).value[0] for q in zip(bp, bq, ell)]
+            d0 = clairaut_solve(smooth, bp, bq, ell, tol=tol).value
+            assert np.all((single >= d0 - tol) & (single <= d0 + eps * ell + tol))
+            assert clairaut_solve(kinked, bp, bq, ell, tol=tol).value.tolist() == single
+
+
 def hyperbolic_plane(b1, b2, ell):
     """exp(t) on a Ray is the half plane y = e^-t <= 1 of H^2."""
     y1, y2 = math.exp(-b1), math.exp(-b2)
@@ -195,10 +241,10 @@ def test_steep_warp_on_a_ray_caps_the_scan():
     # windows of exp(t) past b = 3.6 reach beyond 16 times the domain's
     # scan, so those pairs are scanned at a doubled spacing; the pairs are
     # kept where their H^2 geodesic stays below y = 0.95, inside the Ray
-    warp = WarpFunction.from_expression("exp(t)", math.exp(4.0))
+    counted = WarpFunction.from_expression("exp(t)", math.exp(4.0))
     sizes = []
-    counted = WarpFunction(lambda x: sizes.append(np.size(x)) or warp.fn(x), warp.lipschitz,
-                           expr=warp.expr)
+    fn = counted.fn
+    counted.fn = lambda x: sizes.append(np.size(x)) or fn(x)
     t = WarpedTriple(spaces.Ray(4.0), counted, CIRCLE)
     g = np.random.default_rng(13)
     (b1, b2), ell = g.uniform(3.6, 4.0, (2, 200)), g.uniform(1.2, 1.8, 200)

@@ -224,3 +224,28 @@ def test_declared_hints_are_checked(capsys, tmp_path, warp, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+@pytest.mark.parametrize("expr", ["sin(t, t)", "abs(t, t)", "max(t, 0.5*t, t)", "sin()",
+                                  "min(t + 1, 2, 3)", "pi(t)", "t(1)"])
+def test_malformed_calls_are_spec_errors(capsys, tmp_path, expr):
+    # extra arguments of a numpy function are its out= arrays, and a call
+    # of a number or of t is no function call
+    spec = tmp_path / "call.yaml"
+    spec.write_text(SUSP_SPEC.replace("expr: sin(t),", "expr: '%s'," % expr))
+    assert main(["certify", str(spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "min and max with two arguments" in captured.err
+
+
+def test_warp_that_jumps_at_the_seam_is_a_spec_error(capsys, tmp_path):
+    spec = tmp_path / "seam.yaml"
+    spec.write_text(SUSP_SPEC.replace("kind: interval, params: [0.0, 3.141592653589793]",
+                                      "kind: circle, params: [3.0]").replace(
+        "{expr: sin(t), lipschitz: 1.0, zeros: [0.0, 3.141592653589793]}",
+        "{expr: 1 + abs(sin(3*t)), lipschitz: 3.0, zeros: []}"))
+    assert main(["certify", str(spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "jumps at the seam" in captured.err

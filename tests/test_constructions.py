@@ -10,7 +10,7 @@ from warpcurv.comparison import sample_comparisons
 from warpcurv.constructions import (ConeSpace, SuspensionSpace, make_doubled,
                                     scale_space)
 from warpcurv.convexity import sinusoidal_test
-from warpcurv.warped import WarpFunction, WarpedTriple, warped_distance
+from warpcurv.warped import WarpFunction, WarpedTriple, domain, warped_distance
 
 
 def test_cone_law_over_circle():
@@ -120,6 +120,36 @@ def test_doubled_z_equals_boundary_is_identity():
     assert fdag is f
 
 
+# the warps of make_doubled as closures before they were expressions: the
+# fold of the double onto B, then f
+OLD_FOLDS = {
+    "circle": lambda x, a, b, L: a + np.where(np.mod(x, L) <= b - a, np.mod(x, L),
+                                              L - np.mod(x, L)),
+    "reflect_a": lambda x, a, b, L: a + np.abs(x - a),
+    "reflect_b": lambda x, a, b, L: b - np.abs(x - b),
+    "line": lambda x, a, b, L: np.abs(x),
+}
+
+
+@pytest.mark.parametrize("base, expr, zeros, fold", [
+    (spaces.Interval(0.3, 1.7), "1 + 0.5*sin(3*t)", (), "circle"),
+    (spaces.Interval(-0.4, 1.3), "1.3 - t + 0.1*(t - 1.3)**2", (1.3,), "reflect_a"),
+    (spaces.Interval(-0.4, 1.3), "(t + 0.4)*exp(-t)", (-0.4,), "reflect_b"),
+    (spaces.Ray(2.0), "1 + t**2 + 0.2*abs(t - 1)", (), "line"),
+], ids=list(OLD_FOLDS))
+def test_doubled_warp_is_an_expression_equal_to_the_old_closure(base, expr, zeros, fold):
+    f = WarpFunction.from_expression(expr, 5.0, zeros=zeros)
+    doubled, fdag = make_doubled(base, f)
+    again = WarpFunction.from_expression(fdag.expr, fdag.lipschitz)
+    xs = np.linspace(*domain(doubled), 4097)
+    if isinstance(doubled, spaces.Circle):
+        # the coordinates [0, L) of the circle
+        xs = xs[:-1]
+    a, b = (base.a, base.b) if isinstance(base, spaces.Interval) else (0.0, 0.0)
+    old = f(OLD_FOLDS[fold](xs, a, b, 2.0 * (b - a)))
+    assert fdag(xs).tobytes() == again(xs).tobytes() == old.tobytes()
+
+
 def test_doubled_rejects_interior_zero():
     base = spaces.Interval(-1.0, 1.0)
     with pytest.raises(ValueError):
@@ -128,8 +158,9 @@ def test_doubled_rejects_interior_zero():
 
 def test_doubled_disk_sheets():
     disk = spaces.ModelDisk(0.0, 1.0)
-    f = WarpFunction(lambda r, th: 1.0 + 0.0 * np.asarray(r, float), 0.0, arity=2)
+    f = WarpFunction.from_expression("1.0 + 0.0*r", 0.0, arity=2)
     doubled, fdag = make_doubled(disk, f)
+    assert fdag is f
     x = np.array([0.0, 0.5, 0.0])   # (sheet, r, theta)
     y = np.array([1.0, 0.5, 0.0])
     # crossing the rim: 0.5 out plus 0.5 back on the other sheet

@@ -198,7 +198,7 @@ def test_zero_set_and_dist_Z():
 
 def test_zero_set_thresholding_warns():
     base = spaces.Interval(0.0, 1.0)
-    f = WarpFunction(lambda t: np.abs(np.asarray(t, float) - 0.5), 1.0, zeros=())
+    f = WarpFunction.from_expression("abs(t - 0.5)", 1.0, zeros=())
     warn = []
     kind, roots = zero_set(f, base, warn=warn)
     assert kind == "points" and len(roots) >= 1
@@ -250,15 +250,14 @@ def test_dist_Z_batch_on_disk_with_boundary_hint():
 
 
 def test_hinted_roots_outside_window_are_dropped():
-    f = WarpFunction(lambda t: np.abs(np.asarray(t, float)), 1.0,
-                     zeros=(-0.5, -1e-13, 1.0 + 1e-13, 1.5))
+    f = WarpFunction.from_expression("abs(t)", 1.0, zeros=(-0.5, -1e-13, 1.0 + 1e-13, 1.5))
     base = spaces.Interval(0.0, 1.0)
     assert zero_set(f, base) == ("points", [-1e-13, 1.0 + 1e-13])
     assert dist_Z(f, base, 0.25) == 0.25 + 1e-13
 
 
 def test_zero_set_on_an_explicit_window():
-    f = WarpFunction(lambda t: np.abs(np.asarray(t, float)), 1.0, zeros=(-0.5, 1.5, 3.0))
+    f = WarpFunction.from_expression("abs(t)", 1.0, zeros=(-0.5, 1.5, 3.0))
     assert zero_set(f, spaces.Ray(1.0), -1.0, 2.0) == ("points", [-0.5, 1.5])
     f = WarpFunction.from_expression("abs(t - 1.5)", 1.0)
     assert zero_set(f, spaces.Ray(1.0), 0.0, 2.0) == ("points", [1.5])

@@ -94,6 +94,13 @@ def test_compiled_warp_broadcasts_and_copies():
     assert theta.shape == (3, 4) and theta[0, 0] == 1.0
 
 
+def test_compiled_warp_leaves_its_input_untouched():
+    for expr in WARP_EXPRESSIONS:
+        x = np.linspace(-0.5, 3.5, 41)
+        WarpFunction.from_expression(expr, 1.0)(x)
+        assert x.tobytes() == np.linspace(-0.5, 3.5, 41).tobytes()
+
+
 @pytest.mark.parametrize("expr", ["t), (t", "t.__class__", "lambda: 1", "__import__('os')",
                                   "sin(t, out=t)", "[t, t]", "'t'"])
 def test_warp_expression_rejects_everything_but_arithmetic(expr):
@@ -454,6 +461,27 @@ def test_non_radial_disk_warp_is_rejected():
     with pytest.raises(ValueError, match="radial"):
         warped_distance(t, (np.array([0.2, 0.0]), 0.0), (np.array([0.5, 1.0]), 1.0))
     assert WarpFunction.from_expression("1 + 0.3*r", 0.3, arity=2).radial
+
+
+# the circle-base warps of the tests and the benchmark, with their circles
+CIRCLE_WARPS = [("2 + abs(t - pi)", 2 * math.pi), ("0.3 + 0.1*cos(t)", 2 * math.pi),
+                ("2 + cos(t)", 2 * math.pi), ("2.0 + sin(t)", 2 * math.pi),
+                ("0.31 + 0.099*cos(t)", 2 * math.pi), ("2.0 + cos(2*pi*t/5.0)", 5.0),
+                ("1 - cos(2*pi*t/5)", 5.0), ("1 + (t - 3)**2", 6.0)]
+
+
+@pytest.mark.parametrize("expr, length", CIRCLE_WARPS)
+def test_circle_warps_meet_at_the_seam(expr, length):
+    warp = WarpFunction.from_expression(expr, 10.0)
+    WarpedTriple(spaces.Circle(length), warp, spaces.Circle(3.0)).check_hints()
+
+
+def test_warp_that_jumps_at_the_seam_is_rejected():
+    # f(0) = 1 but f(3) = 1 + |sin 9| = 1.412
+    warp = WarpFunction.from_expression("1 + abs(sin(3*t))", 3.0)
+    t = WarpedTriple(spaces.Circle(3.0), warp, spaces.Circle(3.0))
+    with pytest.raises(ValueError, match="jumps at the seam of Circle"):
+        t.check_hints()
 
 
 def test_check_hints_rejects_a_disk_base():
