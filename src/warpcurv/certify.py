@@ -270,39 +270,41 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _structural_margin(space, kappa):
-    """Margin of the CBB structural convention for kappa > 0.
+def space_law(space, kappa, kind):
+    """(margin, detail) of a 1-D space's curvature condition by its law.
 
-    A CBB space at kappa > 0 is by convention not a closed interval of
-    length > varpi nor a circle of length > 2*varpi; rays count as
-    intervals of infinite length.  Returns +inf when the convention does
-    not constrain the space.
+    Intervals and rays are CAT(kappa) for every kappa, and a circle of
+    length L is CAT(kappa) exactly when L >= 2*varpi(kappa) (Bridson and
+    Haefliger, II.1).  The CBB side is the 1-D structural convention: at
+    kappa > 0 a CBB space is not an interval longer than varpi, a ray, nor a
+    circle longer than 2*varpi.  Each margin is in the law's own units, and
+    +inf when the law does not constrain the space.  Other spaces have no
+    law here: None.
     """
-    if kappa <= 0:
-        return INF
-    w = varpi(kappa)
-    if isinstance(space, spaces.Interval):
-        return w - (space.b - space.a)
-    if isinstance(space, spaces.Ray):
-        return -INF
+    w = varpi(kappa)    # +inf for kappa <= 0
     if isinstance(space, spaces.Circle):
-        return 2.0 * w - space.length
-    return INF
+        if kind == "CAT":
+            return space.length - 2.0 * w, "law: Circle(L) is CAT(kappa) iff L >= 2 varpi"
+        return 2.0 * w - space.length, "law: Circle(L) is CBB(kappa) iff L <= 2 varpi"
+    if isinstance(space, (spaces.Interval, spaces.Ray)):
+        if kind == "CAT":
+            return INF, "law: intervals and rays are CAT(kappa) for every kappa"
+        if isinstance(space, spaces.Ray):
+            return (-INF if kappa > 0 else INF), "law: a ray is CBB(kappa) iff kappa <= 0"
+        return w - (space.b - space.a), "law: Interval(a, b) is CBB(kappa) iff b - a <= varpi"
+    return None
 
 
 def _curvature_condition(name, space, kappa, kind, n, seed, slack):
-    """Sampled curvature verdict; for CBB the margin also reflects the
-    structural convention that a closed interval of length > varpi fails."""
+    """Curvature verdict on a space: by its law when space_law has one,
+    else by n sampled quadruples."""
     if kappa == INF:
         return ConditionResult(name, True, INF, slack, "vacuous: kappa_F = +inf")
-    verdict = comparison.sample_comparisons(space, kappa, kind, n, seed, slack=slack)
-    margin = verdict.margin
-    detail = "n=%d" % verdict.n_tested
-    if kind == "CBB":
-        structural = _structural_margin(space, kappa)
-        if structural < margin:
-            margin = structural
-            detail += ", structural convention margin"
+    law = space_law(space, kappa, kind)
+    if law is None:
+        verdict = comparison.sample_comparisons(space, kappa, kind, n, seed, slack=slack)
+        law = verdict.margin, "n=%d" % verdict.n_tested
+    margin, detail = law
     return ConditionResult(name, margin >= -slack, margin, slack, detail)
 
 

@@ -21,6 +21,7 @@ near-collinear quadruples with one space.interpolate_pairs call for all
 of them.
 """
 
+import functools
 import itertools
 import math
 
@@ -161,6 +162,14 @@ def _batch_for(kind):
     raise ValueError("kind must be CBB or CAT")
 
 
+@functools.lru_cache(maxsize=4)
+def _pool_combos(pool_m):
+    """The 4-subsets of range(pool_m) in lexicographic order, read-only."""
+    combos = np.array(list(itertools.combinations(range(pool_m), 4)))
+    combos.setflags(write=False)
+    return combos
+
+
 def _dmat_stack(space, groups):
     """Distance stack for point groups of shape (m, 4) in batch encoding.
 
@@ -246,8 +255,7 @@ def sample_comparisons(space, kappa, kind, n, seed, slack=1e-9, adversarial_frac
         while math.comb(pool_m, 4) < n_adv and pool_m < 64:
             pool_m += 1
         pool = space._batch(space.sample(pool_m, seed + 1))
-        combos = np.array(list(itertools.combinations(range(pool_m), 4))[:n_adv])
-        adv = pool[combos]
+        adv = pool[_pool_combos(pool_m)[:n_adv]]
         # bend a third of them toward collinearity when the space can
         # interpolate: replace the 3rd point by a near-midpoint of 1-2
         probe = space.interpolate(pool[0], pool[1], 0.5)

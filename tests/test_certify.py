@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from warpcurv import spaces, warped
+from warpcurv import comparison, spaces, warped
 from warpcurv.certify import (ProductSpace, SpecError, TripleSpec, build_space,
                               build_triple, build_product, certify,
-                              parse_space_arg, run_distance, run_sample)
+                              parse_space_arg, run_distance, run_sample, space_law)
+from warpcurv.comparison import sample_comparisons
 
 
 def susp_doc(**over):
@@ -166,3 +167,61 @@ def test_warnings_only_in_human_report():
     warning = "  warning: zero set detected by thresholding f < 1e-10 without a hint"
     assert [ln for ln in rep.human_text().splitlines() if "warning" in ln] == [warning]
     assert "warning" not in rep.machine_text()
+
+
+LAW_SPACES = [spaces.Interval(0.0, 1.5), spaces.Ray(2.0),
+              spaces.Circle(5.5), spaces.Circle(2 * math.pi + 0.5)]
+
+
+@pytest.mark.parametrize("space", LAW_SPACES, ids=repr)
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+def test_space_law_matches_sampler(space, kappa):
+    # the sampler decides CAT at every kappa and CBB at kappa <= 0; at
+    # kappa > 0 the CBB side is the structural convention
+    for kind in ("CAT", "CBB") if kappa <= 0 else ("CAT",):
+        margin, detail = space_law(space, kappa, kind)
+        assert detail.startswith("law: ")
+        v = sample_comparisons(space, kappa, kind, 2000, seed=4)
+        assert (margin >= -1e-9) == v.passed, (kind, margin, v)
+
+
+def test_space_law_structural_cbb():
+    w = math.pi / 2.0    # varpi(4)
+    assert space_law(spaces.Interval(0.0, 1.5), 4.0, "CBB")[0] == w - 1.5
+    assert space_law(spaces.Interval(-1.0, 1.0), 4.0, "CBB")[0] == w - 2.0
+    assert space_law(spaces.Ray(2.0), 4.0, "CBB")[0] == -math.inf
+    assert space_law(spaces.Circle(5.5), 1.0, "CBB")[0] == 2 * math.pi - 5.5
+    assert space_law(spaces.Circle(2 * math.pi + 0.5), 1.0, "CBB")[0] == pytest.approx(-0.5)
+    assert space_law(spaces.tripod(1.0), 1.0, "CBB") is None
+
+
+def test_one_dimensional_conditions_do_not_sample(monkeypatch):
+    sampled = []
+    sampler = comparison.sample_comparisons
+
+    def spy(space, *args, **kw):
+        sampled.append(space)
+        return sampler(space, *args, **kw)
+    monkeypatch.setattr(comparison, "sample_comparisons", spy)
+    for doc in (cone_doc("CAT", 5.0, budget={"quadruples": 100}),
+                susp_doc(budget={"quadruples": 100})):
+        sampled.clear()
+        rep = certify(doc)
+        assert len(sampled) == 1 and "n=100 on %r" % sampled[0] in rep.product_result.detail
+    sampled.clear()
+    certify(cone_doc("CAT", 5.0, fiber={"kind": "tripod", "params": [1.0]},
+                     budget={"quadruples": 100}))
+    assert len(sampled) == 2 and isinstance(sampled[0], spaces.FiniteMetric)
+
+
+def test_hyperbolic_plane_fiber_law():
+    # Ray x_sinh Circle(2 pi) is H^2; kappa_F = 1 - 1.6e-12 by roundoff, which
+    # a sampled circle margin amplified into a false FAIL (exit 2)
+    rep = certify({"side": "CAT", "kappa": -1.0,
+                   "base": {"kind": "ray", "params": [1.5]},
+                   "warp": {"expr": "sinh(t)", "lipschitz": math.cosh(1.5), "zeros": [0.0]},
+                   "fiber": {"kind": "circle", "params": [2 * math.pi]},
+                   "budget": {"quadruples": 200}, "tol": 1e-3, "seed": 5})
+    fiber = [c for c in rep.conditions if c.name == "fiber_cat"][0]
+    assert -1e-11 < fiber.margin <= 0.0
+    assert rep.exit_code() == 0

@@ -36,9 +36,9 @@ GOLDEN_SUSP = (
     "OVERALL CONSISTENT\n")
 
 GOLDEN_CONE_SHORT_CAT = (
-    "CONDITION base_cat PASS margin=0 slack=1e-09\n"
+    "CONDITION base_cat PASS margin=inf slack=1e-09\n"
     "CONDITION warp_convex PASS margin=-4.4408920985e-16 slack=1e-09\n"
-    "CONDITION fiber_cat FAIL margin=-2.54484533285 slack=1e-09\n"
+    "CONDITION fiber_cat FAIL margin=-0.628318530718 slack=1e-09\n"
     "CONDITION product_sampling FAIL margin=-0.265599848814 slack=1e-09\n"
     "OVERALL CONSISTENT\n")
 

@@ -260,3 +260,17 @@ def test_dmat_stack_is_one_call_per_block(name, monkeypatch):
         for i, j in itertools.combinations(range(4), 2):
             ref[:, i, j] = ref[:, j, i] = dist_pairs(groups[:, i], groups[:, j])
         assert np.array_equal(D, ref), (name, m)
+
+
+def test_pool_combos_table():
+    # the sampler's adversarial index table is built once per pool size and
+    # shared read-only; its rows are itertools' lexicographic 4-subsets
+    for m in (8, 21):
+        table = comparison._pool_combos(m)
+        assert table is comparison._pool_combos(m)
+        assert not table.flags.writeable
+        assert table.tolist() == [list(c) for c in itertools.combinations(range(m), 4)]
+    # 100 adversarial quadruples are the first 100 rows of the 126 for m = 9:
+    # the margin is the one the table rebuilt on every call gave
+    v = sample_comparisons(spaces.ModelDisk(1.0, 2.0), 0.0, "CBB", 400, seed=3)
+    assert v.margin == 0.018775732288958125
