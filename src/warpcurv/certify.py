@@ -12,6 +12,7 @@ import numpy as np
 import yaml
 
 from . import comparison, constructions, convexity, spaces, warped
+from .comparison import EXACT_SLACK
 from .constructions import ProductSpace
 from .model import sn, varpi
 
@@ -20,7 +21,6 @@ INF = math.inf
 # Sampling slack on the warped product is C*h with h the grid spacing
 # and C = SLACK_FACTOR * (1 + Lip(f)).
 SLACK_FACTOR = 4.0
-EXACT_SLACK = 1e-9
 # spec files parse with libyaml when PyYAML was built with it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -295,27 +295,26 @@ def space_law(space, kappa, kind):
     return None
 
 
-def _curvature_condition(name, space, kappa, kind, n, seed, slack):
+def _curvature_condition(name, space, kappa, kind, n, seed):
     """Curvature verdict on a space: by its law when space_law has one,
     else by n sampled quadruples."""
     if kappa == INF:
-        return ConditionResult(name, True, INF, slack, "vacuous: kappa_F = +inf")
+        return ConditionResult(name, True, INF, EXACT_SLACK, "vacuous: kappa_F = +inf")
     law = space_law(space, kappa, kind)
     if law is None:
-        verdict = comparison.sample_comparisons(space, kappa, kind, n, seed, slack=slack)
+        verdict = comparison.sample_comparisons(space, kappa, kind, n, seed)
         law = verdict.margin, "n=%d" % verdict.n_tested
     margin, detail = law
-    return ConditionResult(name, margin >= -slack, margin, slack, detail)
+    return ConditionResult(name, margin >= -EXACT_SLACK, margin, EXACT_SLACK, detail)
 
 
-def _convexity_condition(name, f, base, kappa, mode, seed, tol=1e-9):
-    verdict = convexity.sinusoidal_test(f, base, kappa, mode=mode, seed=seed, tol=tol)
-    margin = -verdict.worst_violation
+def _convexity_condition(name, f, base, kappa, mode, seed):
+    verdict = convexity.sinusoidal_test(f, base, kappa, mode=mode, seed=seed)
     detail = "classified %s over %d geodesics" % (verdict.classification,
                                                   verdict.geodesics_tested)
     if verdict.skipped:
         detail += ", %d supports skipped" % verdict.skipped
-    return ConditionResult(name, margin >= -tol, margin, tol, detail)
+    return ConditionResult(name, verdict.passed, -verdict.worst_violation, verdict.tol, detail)
 
 
 def certify(spec):
@@ -327,42 +326,29 @@ def certify(spec):
     kappa = spec.kappa
     n = spec.quadruples
     seed = spec.seed
-
-    conditions = []
+    cat = spec.side == "CAT"
+    side, mode = ("cat", "convex") if cat else ("cbb", "concave")
     omissions = []
-    info = []
 
     kf = convexity.kappa_F(spec.side, triple, kappa)
-
-    if spec.side == "CAT":
-        conditions.append(_curvature_condition(
-            "base_cat", base, kappa, "CAT", n, seed + 11, EXACT_SLACK))
-        conditions.append(_convexity_condition(
-            "warp_convex", f, base, kappa, "convex", seed + 12))
-        conditions.append(_curvature_condition(
-            "fiber_cat", fiber, kf.kappa_F, "CAT", n, seed + 13, EXACT_SLACK))
-        info.append("condition base_cat implies Z is varpi-convex "
-                    "(informational, not part of the conjunction)")
-    else:
-        conditions.append(_curvature_condition(
-            "base_cbb", base, kappa, "CBB", n, seed + 11, EXACT_SLACK))
-        conditions.append(_convexity_condition(
-            "warp_concave", f, base, kappa, "concave", seed + 12))
+    # the battery, one row per condition: (name, space, warp, kappa, seed
+    # offset); a row with a warp is a convexity condition, one without a
+    # curvature condition.  Only the CBB theorem has the doubled rows.
+    rows = [("base_" + side, base, None, kappa, 11), ("warp_" + mode, base, f, kappa, 12)]
+    if not cat:
         try:
             doubled, fdag = constructions.make_doubled(base, f)
+            rows += [("doubled_cbb", doubled, None, kappa, 14),
+                     ("doubled_warp_concave", doubled, fdag, kappa, 15)]
         except ValueError as e:
-            doubled = None
             omissions.append("doubling unavailable (%s); "
                              "certifying conditions (1),(3)/(4) only" % e)
-        if doubled is not None:
-            conditions.append(_curvature_condition(
-                "doubled_cbb", doubled, kappa, "CBB", n, seed + 14, EXACT_SLACK))
-            conditions.append(_convexity_condition(
-                "doubled_warp_concave", fdag, doubled, kappa, "concave", seed + 15))
-        conditions.append(_curvature_condition(
-            "fiber_cbb", fiber, kf.kappa_F, "CBB", n, seed + 13, EXACT_SLACK))
-        info.append("condition base_cbb implies Z lies in the boundary of B "
-                    "(informational, not part of the conjunction)")
+    rows.append(("fiber_" + side, fiber, None, kf.kappa_F, 13))
+    conditions = [_curvature_condition(name, space, k, spec.side, n, seed + s) if w is None
+                  else _convexity_condition(name, w, space, k, mode, seed + s)
+                  for name, space, w, k, s in rows]
+    info = ["condition base_%s implies %s (informational, not part of the conjunction)"
+            % (side, "Z is varpi-convex" if cat else "Z lies in the boundary of B")]
     if kf.cross_check_diff is not None:
         info.append("kappa_foot derivative/gradient cross-check difference %.3g"
                     % kf.cross_check_diff)
@@ -429,8 +415,9 @@ def parse_space_arg(text):
     return build_space(kind, params)
 
 
-def run_sample(target, kind, kappa, n, seed, slack=EXACT_SLACK):
+def run_sample(target, kind, kappa, n, seed):
     """Quadruple sampling on a spec's product or a named space."""
+    slack = EXACT_SLACK
     if isinstance(target, spaces.MetricOracle):
         space = target
     elif isinstance(target, TripleSpec):

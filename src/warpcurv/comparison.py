@@ -35,6 +35,8 @@ TWO_PI = 2.0 * math.pi
 # enough to amortize the per-call overhead, small enough that their
 # temporaries stay in cache
 BLOCK = 1024
+# a quadruple of exact distances passes with a margin down to -EXACT_SLACK
+EXACT_SLACK = 1e-9
 
 
 class Quadruple:
@@ -54,13 +56,12 @@ class Quadruple:
 
 
 class ComparisonVerdict:
-    def __init__(self, passed, witness, margin, n_tested, slack_used, warnings=()):
+    def __init__(self, passed, witness, margin, n_tested, slack_used):
         self.passed = bool(passed)
         self.witness = witness
         self.margin = float(margin)
         self.n_tested = int(n_tested)
         self.slack_used = float(slack_used)
-        self.warnings = tuple(warnings)
 
     def __repr__(self):
         return ("ComparisonVerdict(passed=%s, margin=%.6g, n_tested=%d, slack=%.3g)"
@@ -142,16 +143,16 @@ def batch_2plus2(D, kappa):
     return _margins(D, kappa, _margin_2plus2)
 
 
-def test_1plus3(q, kappa, slack=1e-9):
+def test_1plus3(q, kappa):
     """CBB-side quadruple test. Returns (passed, margin)."""
     m = float(batch_1plus3(q.dmat[None], kappa)[0])
-    return m >= -slack, m
+    return m >= -EXACT_SLACK, m
 
 
-def test_2plus2(q, kappa, slack=1e-9):
+def test_2plus2(q, kappa):
     """CAT-side quadruple test. Returns (passed, margin)."""
     m = float(batch_2plus2(q.dmat[None], kappa)[0])
-    return m >= -slack, m
+    return m >= -EXACT_SLACK, m
 
 
 def _batch_for(kind):
@@ -198,11 +199,12 @@ def _quadruple_margin(space, pts, kappa, kind):
     return float(batch(_dmat_stack(space, g), kappa)[0])
 
 
-def shrink_witness(space, pts, kappa, kind, slack, max_rounds=20):
+def shrink_witness(space, pts, kappa, kind, slack):
     """Greedy bisection of a violating quadruple toward its first point.
 
     Each accepted move halves a point's distance to the anchor while the
-    quadruple still violates; stops when no move preserves the violation.
+    quadruple still violates; stops when no move preserves the violation,
+    or after 20 rounds.
     """
     cur = [p for p in pts]
     if space.interpolate(cur[0], cur[0], 0.5) is None:
@@ -211,7 +213,7 @@ def shrink_witness(space, pts, kappa, kind, slack, max_rounds=20):
     # shrinking cannot decay a real witness into a roundoff artifact
     m0 = _quadruple_margin(space, cur, kappa, kind)
     floor = min(-slack, 0.25 * m0)
-    for _ in range(max_rounds):
+    for _ in range(20):
         moved = False
         for i in range(1, 4):
             cand = space.interpolate(cur[i], cur[0], 0.5)
@@ -227,11 +229,11 @@ def shrink_witness(space, pts, kappa, kind, slack, max_rounds=20):
     return cur
 
 
-def sample_comparisons(space, kappa, kind, n, seed, slack=1e-9, adversarial_fraction=0.25):
+def sample_comparisons(space, kappa, kind, n, seed, slack=EXACT_SLACK):
     """Quadruple comparison battery on a sampled space.
 
     Draws n quadruples: a uniform part (independent points) and an
-    adversarial part built from exhaustive combinations over a small
+    adversarial quarter built from exhaustive combinations over a small
     point pool plus near-collinear configurations along geodesics.  When
     the space interpolates, the first third of the adversarial quadruples
     get their third point moved to a near-midpoint of the first two, in
@@ -239,7 +241,7 @@ def sample_comparisons(space, kappa, kind, n, seed, slack=1e-9, adversarial_frac
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    n_adv = int(round(n * adversarial_fraction))
+    n_adv = int(round(n * 0.25))
     n_uni = n - n_adv
 
     groups = []
@@ -284,7 +286,7 @@ def sample_comparisons(space, kappa, kind, n, seed, slack=1e-9, adversarial_frac
     return ComparisonVerdict(passed, witness, overall, len(groups), slack)
 
 
-def point_side_test(space, kappa, kind, x1, polyline, slack=1e-9):
+def point_side_test(space, kappa, kind, x1, polyline):
     """Compare distances from x1 to geodesic nodes against the model.
 
     CBB requires actual >= model, CAT requires actual <= model; an
@@ -307,4 +309,4 @@ def point_side_test(space, kappa, kind, x1, polyline, slack=1e-9):
         if kind == "CAT":
             diff = -diff
         margin = min(margin, diff)
-    return margin >= -slack, margin
+    return margin >= -EXACT_SLACK, margin

@@ -15,10 +15,15 @@ import numpy as np
 
 from . import model, spaces
 from .spaces import rng
-from .warped import (SCAN_POINTS, _eval_f, _one_sided_derivative, domain, warp_profile,
+from .warped import (_eval_f, _one_sided_derivative, domain, warp_profile, zero_runs,
                      zero_set)
 
 INF = math.inf
+# largest violation of the two-point supports that still classifies f as
+# kappa-convex (kappa-concave)
+SUPPORT_TOL = 1e-9
+# first step of the one-sided derivatives of f at and near its zero set
+Z_STEP = 1e-4
 
 
 class ConvexityVerdict:
@@ -72,21 +77,21 @@ class KappaFReport:
                 % (self.side, self.branch, self.kappa_F, self.kappa_foot, self.kappa_far))
 
 
-def _sample_geodesics(base, n_geodesics, seed, n_nodes=65):
-    """Seeded geodesics of the base, interpolated in one batch.
+def _sample_geodesics(base, seed):
+    """24 seeded geodesics of the base, interpolated in one batch.
 
     Returns the arclength grids, one row per kept geodesic, and their
-    node points, n_nodes consecutive rows per geodesic.
+    node points, 65 consecutive rows per geodesic.
     """
-    xs = base._batch(base.sample(2 * n_geodesics, seed))
+    xs = base._batch(base.sample(48, seed))
     x, y = xs[0::2], xs[1::2]
     d = np.asarray(base.dist_pairs(x, y), float)
     keep = d >= 1e-9
     if isinstance(base, spaces.Circle):
         keep &= d <= base.length / 2.0 - 1e-9
-    ts = np.linspace(0.0, 1.0, n_nodes)
-    pts = base.interpolate_pairs(np.repeat(x[keep], n_nodes, axis=0),
-                                 np.repeat(y[keep], n_nodes, axis=0),
+    ts = np.linspace(0.0, 1.0, 65)
+    pts = base.interpolate_pairs(np.repeat(x[keep], len(ts), axis=0),
+                                 np.repeat(y[keep], len(ts), axis=0),
                                  np.tile(ts, int(np.count_nonzero(keep))))
     if spaces.missing_rows(pts).any():
         raise ValueError("%r has no geodesics to test along" % (base,))
@@ -118,11 +123,10 @@ def _worst(excess):
     return float(pos.max()) if pos.size else 0.0
 
 
-def sinusoidal_test(f, base, kappa, mode="convex", n_geodesics=24, seed=0, tol=1e-9,
-                    n_sub=12):
+def sinusoidal_test(f, base, kappa, mode="convex", seed=0):
     """Classify f along sampled base geodesics and subintervals.
 
-    Each geodesic is tested on its whole length and on up to n_sub random
+    Each geodesic is tested on its whole length and on up to 12 random
     subintervals of at least three nodes.  f is evaluated once on all
     nodes, and every support is computed in one padded array pass.
 
@@ -131,14 +135,14 @@ def sinusoidal_test(f, base, kappa, mode="convex", n_geodesics=24, seed=0, tol=1
     """
     if mode not in ("convex", "concave"):
         raise ValueError("mode must be convex or concave")
-    s, pts = _sample_geodesics(base, n_geodesics, seed)
+    s, pts = _sample_geodesics(base, seed)
     k, n = s.shape
     vals = _eval_f(f, base, pts).reshape(k, n)
     # (geodesic, first node, last node) of every subinterval
-    ends = rng(seed, stream=5).integers(0, n, size=(k, n_sub, 2))
+    ends = rng(seed, stream=5).integers(0, n, size=(k, 12, 2))
     ends = np.concatenate([np.broadcast_to([0, n - 1], (k, 1, 2)), np.sort(ends, axis=2)],
                           axis=1)
-    geo = np.repeat(np.arange(k), n_sub + 1)
+    geo = np.repeat(np.arange(k), ends.shape[1])
     i1, i2 = ends.reshape(-1, 2).T
     long_enough = i2 - i1 >= 2
     geo, i1, i2 = geo[long_enough], i1[long_enough], i2[long_enough]
@@ -153,8 +157,8 @@ def sinusoidal_test(f, base, kappa, mode="convex", n_geodesics=24, seed=0, tol=1
     interior = (j >= 1) & (j < (i2 - i1)[kept][:, None])
     worst_cv = _worst(np.max(np.where(interior, fv - y, 0.0), axis=1))
     worst_cc = _worst(np.max(np.where(interior, y - fv, 0.0), axis=1))
-    convex_ok = worst_cv <= tol
-    concave_ok = worst_cc <= tol
+    convex_ok = worst_cv <= SUPPORT_TOL
+    concave_ok = worst_cc <= SUPPORT_TOL
     if convex_ok and concave_ok:
         classification = "both"
     elif convex_ok:
@@ -166,7 +170,7 @@ def sinusoidal_test(f, base, kappa, mode="convex", n_geodesics=24, seed=0, tol=1
     worst = worst_cv if mode == "convex" else worst_cc
     return ConvexityVerdict(classification, worst, k,
                             worst_convex=worst_cv, worst_concave=worst_cc,
-                            skipped=np.count_nonzero(~kept), tol=tol)
+                            skipped=np.count_nonzero(~kept), tol=SUPPORT_TOL)
 
 
 def _directions(base, p, signs=(1, -1)):
@@ -203,18 +207,18 @@ def _directions(base, p, signs=(1, -1)):
     return dirs
 
 
-def gradient_norm(f, base, p, side="up", n_dirs=16, h0=1e-3):
+def gradient_norm(f, base, p, side="up", h0=1e-3):
     """|grad_p f| (side up) or |grad_p(-f)| (side down) by sampling.
 
     The norm of the (downward) gradient is the positive part of the
-    supremum of one-sided directional derivatives.
+    supremum of the one-sided directional derivatives along every
+    direction of _directions: on a disk, 16 toward the rim and one toward
+    the centre.
     """
     if side not in ("up", "down"):
         raise ValueError("side must be up or down")
     sgn = 1.0 if side == "up" else -1.0
     dirs = _directions(base, p)
-    if isinstance(base, spaces.ModelDisk):
-        dirs = dirs[:n_dirs]
     derivs = []
     for step in dirs:
         d = _one_sided_derivative(f, base, p, step, h0)
@@ -244,30 +248,31 @@ def dist_Z(f, base, pts, zeros=None):
     return float(d[0]) if np.ndim(pts) == (1 if disk else 0) else d
 
 
-def dist_Z_realizers(f, base, n_footpoints=8, h0=1e-4, zeros=None):
+def dist_Z_realizers(f, base, zeros=None):
     """Footpoints on Z with inward realizer directions and (f o alpha)'(0).
 
-    Returns a list of (footpoint, direction sample, derivative).
+    Returns a list of (footpoint, direction sample, derivative), with 8
+    footpoints on a boundary zero set.
     Directions are encoded as step maps h -> base point at distance h
     along the realizer.  zeros is as in dist_Z.
     """
     kind, roots = zeros if zeros is not None else zero_set(f, base)
     out = []
     if kind == "boundary":
-        for k in range(n_footpoints):
-            alpha = 2.0 * math.pi * k / n_footpoints
+        for k in range(8):
+            alpha = 2.0 * math.pi * k / 8
             z = base.boundary_point(alpha)
 
             def step(h, alpha=alpha):
                 return np.array([base.radius - h, alpha])
-            d = _one_sided_derivative(f, base, z, step, h0)
+            d = _one_sided_derivative(f, base, z, step, Z_STEP)
             out.append((z, step, d))
         return out
     if not roots:
         raise ValueError("zero set is empty")
     for z, signs in _footpoints(f, base, roots):
         for step in _directions(base, z, signs):
-            d = _one_sided_derivative(f, base, z, step, h0)
+            d = _one_sided_derivative(f, base, z, step, Z_STEP)
             out.append((z, step, d))
     return out
 
@@ -284,9 +289,7 @@ def _footpoints(f, base, roots):
         return [(z, (1, -1)) for z in roots]
     lo, hi = domain(base)
     zs = np.sort(np.asarray(roots, float))
-    cut = np.flatnonzero(np.diff(zs) > 1.5 * (hi - lo) / (SCAN_POINTS - 1))
-    runs = [[a, b, [-1], [1]] for a, b in zip(zs[np.concatenate([[0], cut + 1])],
-                                            zs[np.concatenate([cut, [len(zs) - 1]])])]
+    runs = [[a, b, [-1], [1]] for a, b in zip(*zero_runs(zs, base))]
     if isinstance(base, spaces.Circle) and zs[0] == lo and zs[-1] == hi:
         runs[0][2], runs[-1][3] = [], []
     out = []
@@ -298,7 +301,7 @@ def _footpoints(f, base, roots):
     return [(z, s) for z, s in out if s]
 
 
-def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):
+def kappa_F(side, triple, kappa):
     """Fiber curvature bound of Theorems 2.2/2.3 with the gradient
     cross-check of Theorem 2.4."""
     if side not in ("CAT", "CBB"):
@@ -311,7 +314,7 @@ def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):
         inf_f = float(np.min(warp_profile(f, base)[1]))
         return KappaFReport(side, "Z-empty", kappa * inf_f ** 2, warnings=warnings)
 
-    realizers = dist_Z_realizers(f, base, h0=h0, zeros=zeros)
+    realizers = dist_Z_realizers(f, base, zeros=zeros)
     derivs2 = [d * d for _, _, d in realizers]
 
     if side == "CBB":
@@ -324,7 +327,7 @@ def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):
             if key in seen:
                 continue
             seen.append(key)
-            grads.append(gradient_norm(f, base, z, side="up", h0=h0).value ** 2)
+            grads.append(gradient_norm(f, base, z, side="up", h0=Z_STEP).value ** 2)
         gform = max(grads) if grads else 0.0
         return KappaFReport(side, "Z-nonempty", foot, kappa_foot=foot,
                             gradient_form=gform,
@@ -339,9 +342,9 @@ def kappa_F(side, triple, kappa, eps0=0.1, n_shells=5, h0=1e-4):
     else:
         samples = np.linspace(*domain(base), 513)
     dz = dist_Z(f, base, samples, zeros=zeros)
-    for k in range(n_shells):
-        eps = eps0 * 2.0 ** (-k)
-        vals = [gradient_norm(f, base, p, side="down", h0=min(h0, eps / 4)).value ** 2
+    for k in range(5):
+        eps = 0.1 * 2.0 ** (-k)
+        vals = [gradient_norm(f, base, p, side="down", h0=min(Z_STEP, eps / 4)).value ** 2
                 for p in samples[(dz > 0.0) & (dz <= eps)]]
         shells.append(min(vals) if vals else INF)
     finite = [v for v in shells if v < INF]

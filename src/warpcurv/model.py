@@ -86,16 +86,14 @@ def _pair_sums(s):
     return out
 
 
-def triangle_angles(kappa, x, y, z, strict=False):
+def triangle_angles(kappa, x, y, z):
     """Model angles of the triangles with sides x, y, z, opposite each side.
 
     Vectorized; returns an array of shape (3,) + the broadcast shape,
     holding the angles opposite x, y and z.  An angle is nan where the
     model triangle is not unique: triangle-inequality failure, an
     adjacent side that is not positive, a negative opposite side, or for
-    kappa > 0 a perimeter of at least 2*varpi (varpi with strict=True,
-    the literal one-line reading; see the strictness note in the docs)
-    or a side exceeding varpi.
+    kappa > 0 a perimeter of at least 2*varpi or a side exceeding varpi.
 
     Uses the half-angle law of cosines in product form,
     tan^2(C/2) = g(c+a-b) g(c+b-a) / (g(a+b+c) g(a+b-c)), with g the
@@ -121,7 +119,7 @@ def triangle_angles(kappa, x, y, z, strict=False):
     bad |= nonpos[[1, 2, 0]] | nonpos[[2, 0, 1]] | (s < 0.0)
     if kappa > 0:
         w = varpi(kappa)
-        bad |= perim >= (w if strict else 2.0 * w)
+        bad |= perim >= 2.0 * w
         bad |= np.any(s > w, axis=0)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -140,9 +138,9 @@ def _g(kappa, t):
     return np.sin(0.5 * s * t) if kappa > 0 else np.sinh(0.5 * s * t)
 
 
-def angle_from_sides(kappa, a, b, c, strict=False):
+def angle_from_sides(kappa, a, b, c):
     """Model angle between sides a and b, opposite side c (see triangle_angles)."""
-    out = triangle_angles(kappa, a, b, c, strict=strict)[2]
+    out = triangle_angles(kappa, a, b, c)[2]
     return out if out.ndim else float(out)
 
 
@@ -176,7 +174,7 @@ class ModelTriangle:
     sides[i] is the side opposite vertex i.
     """
 
-    def __init__(self, kappa, sides, strict=False):
+    def __init__(self, kappa, sides):
         sides = tuple(float(s) for s in sides)
         if len(sides) != 3:
             raise ValueError("a triangle has three sides")
@@ -184,7 +182,6 @@ class ModelTriangle:
             raise ValueError("negative side length")
         self.kappa = float(kappa)
         self.sides = sides
-        self.strict = strict
 
     def is_defined(self):
         a, b, c = self.sides
@@ -192,8 +189,7 @@ class ModelTriangle:
             return False
         if self.kappa > 0:
             w = varpi(self.kappa)
-            bound = w if self.strict else 2.0 * w
-            if a + b + c >= bound or max(self.sides) > w:
+            if a + b + c >= 2.0 * w or max(self.sides) > w:
                 return False
         return True
 
@@ -206,7 +202,7 @@ class ModelTriangle:
         opp = self.sides[vertex_index]
         adj1 = self.sides[(vertex_index + 1) % 3]
         adj2 = self.sides[(vertex_index + 2) % 3]
-        return float(angle_from_sides(self.kappa, adj1, adj2, opp, strict=self.strict))
+        return float(angle_from_sides(self.kappa, adj1, adj2, opp))
 
     def __repr__(self):
         return "ModelTriangle(kappa=%g, sides=%r)" % (self.kappa, self.sides)

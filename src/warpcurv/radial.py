@@ -15,12 +15,13 @@ import math
 import numpy as np
 
 from . import model, spaces
-from .warped import (SCAN_POINTS, ZERO_THRESHOLD, ClairautSolution, ConvergenceError,
-                     WarpedTriple, _contest, _cos_map_rule, clairaut_solve, zero_set)
+from .warped import (CLAIRAUT_NODES, ZERO_THRESHOLD, ClairautSolution, ConvergenceError,
+                     WarpedTriple, _contest, _cos_map_rule, clairaut_solve, zero_runs,
+                     zero_set)
 
 
-# Gauss-Legendre nodes per piece of a radial arc, and of the bracket scan
-RADIAL_NODES = 48
+# Gauss-Legendre nodes per piece of a radial arc in the bracket scan; a
+# value takes CLAIRAUT_NODES per piece, and its error bar twice as many
 RADIAL_SCAN_NODES = 24
 # points of each bracket scan along its radial or ride axis and its angle
 # axis, and Newton steps per seed
@@ -46,17 +47,17 @@ def _potential(prof, kappa, a, c, r):
         return (np.where(a != 0, (a / sn) ** 2, 0.0) + np.where(c != 0, (c / f) ** 2, 0.0))
 
 
-def _turning(prof, kappa, a, c, start, stop, k=16, iters=40):
+def _turning(prof, kappa, a, c, start, stop):
     """First r from start toward stop where V = 1, per row; start itself
     where V(start) rounds to 1 or more, nan where V stays below 1 up to stop.
 
-    V is scanned at start + (stop - start) (j / k)^2, j = 1..k, and the
-    first crossing is refined by up to iters Newton steps on central
+    V is scanned at start + (stop - start) (j / 16)^2, j = 1..16, and the
+    first crossing is refined by up to 40 Newton steps on central
     differences, kept inside the shrinking bracket (bisecting where a
     step leaves it or an end of it is a pole of V), on the rows not yet
     at V = 1; a row still open then takes its bracket's end with V < 1.
     """
-    r = start[:, None] + (stop - start)[:, None] * (np.arange(1, k + 1) / k) ** 2
+    r = start[:, None] + (stop - start)[:, None] * (np.arange(1, 17) / 16) ** 2
     hit = ~(_potential(prof, kappa, a[:, None], c[:, None], r) < 1.0)
     at_start = ~(_potential(prof, kappa, a, c, start) < 1.0 - 1e-14)
     out = np.where(at_start, start, math.nan)
@@ -65,7 +66,7 @@ def _turning(prof, kappa, a, c, start, stop, k=16, iters=40):
     inner = np.where(j > 0, r[live, np.maximum(j - 1, 0)], start[live])
     outer = r[live, j]
     x = 0.5 * (inner + outer)
-    for _ in range(iters):
+    for _ in range(40):
         if not len(live):
             break
         h = 1e-7 * np.abs(outer - inner) + 1e-300
@@ -141,7 +142,7 @@ def _radial_pieces(prof, kappa, rho0, lo, hi, rho1, s0, s1, a, c, n):
 def _radial_nodes():
     """Fractions of [lo, hi] where a radial arc keeps V < 1: its ends and
     the nodes of both rules."""
-    return np.concatenate([[0.0, 1.0], _cos_map_rule(RADIAL_NODES)[0],
+    return np.concatenate([[0.0, 1.0], _cos_map_rule(CLAIRAUT_NODES)[0],
                            _cos_map_rule(RADIAL_SCAN_NODES)[0]])
 
 
@@ -394,12 +395,9 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
         cand.append((i, leaf[i], 0.0, ("leaf", r1[i] if f1[i] <= f2[i] else r2[i])))
     # the radius [0, R] as a 1-D base, for the zero circles and the theta = 0 pairs
     ray = WarpedTriple(spaces.Interval(0.0, radius), radius_warp, triple.fiber, check=False)
-    zeros = np.unique(zero_set(ray.warp, ray.base)[1])
     # of each run of adjacent scan points, only its ends
-    run = np.diff(zeros) < 1.5 * radius / (SCAN_POINTS - 1)
-    inner = np.zeros(len(zeros), dtype=bool)
-    inner[1:-1] = run[:-1] & run[1:]
-    zeros = zeros[~inner]
+    zeros = np.unique(zero_set(ray.warp, ray.base)[1])
+    zeros = np.unique(np.concatenate(zero_runs(zeros, ray.base)))
     z_in = np.array([np.max(zeros[zeros <= x], initial=0.0) for x in lo])
     z_out = np.array([np.min(zeros[zeros >= x], initial=radius) for x in hi])
     crossed = np.array([np.any((zeros >= x) & (zeros <= y)) for x, y in zip(lo, hi)])
@@ -511,14 +509,14 @@ def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_ba
     scale = 1.0 + theta[i] + ell[i]
 
     def residual(k, q1, q2):
-        out = prob.arcs(fam[k], i[k], q1, q2, RADIAL_NODES)[0]
+        out = prob.arcs(fam[k], i[k], q1, q2, CLAIRAUT_NODES)[0]
         return out[0] - theta[i[k]], out[1] - ell[i[k]]
 
     p, F, step = _radial_newton(residual, box, p1, p2, scale)
     ok = np.abs(F).sum(axis=1) <= 1e-6 * scale
     fam, i, p, F, step = fam[ok], i[ok], p[ok], F[ok], step[ok]
-    out, a, c, rho0, rho1, ride, kind = prob.arcs(fam, i, p[:, 0], p[:, 1], RADIAL_NODES)
-    out2 = prob.combine(kind, i, a, c, rho0, rho1, ride, 2 * RADIAL_NODES)[0]
+    out, a, c, rho0, rho1, ride, kind = prob.arcs(fam, i, p[:, 0], p[:, 1], CLAIRAUT_NODES)
+    out2 = prob.combine(kind, i, a, c, rho0, rho1, ride, 2 * CLAIRAUT_NODES)[0]
     # the value is stationary at the root: a residual F costs about F
     # times the change in (a, c) that one more Newton step would make
     a_next, c_next, _ = prob.parameters(fam, i, p[:, 0] - step[:, 0], p[:, 1] - step[:, 1])

@@ -222,17 +222,16 @@ class FiniteMetric(MetricOracle):
 
     kind = "FiniteMetric"
 
-    def __init__(self, matrix, check=True):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        if check:
-            if not np.allclose(m, m.T, atol=1e-12):
-                raise ValueError("matrix must be symmetric")
-            if np.any(np.abs(np.diag(m)) > 1e-12) or np.any(m < 0):
-                raise ValueError("matrix must have zero diagonal and be nonnegative")
-            if np.any(m[:, :, None] > m[:, None, :] + m[None, :, :] + 1e-12):
-                raise ValueError("matrix violates the triangle inequality")
+        if not np.allclose(m, m.T, atol=1e-12):
+            raise ValueError("matrix must be symmetric")
+        if np.any(np.abs(np.diag(m)) > 1e-12) or np.any(m < 0):
+            raise ValueError("matrix must have zero diagonal and be nonnegative")
+        if np.any(m[:, :, None] > m[:, None, :] + m[None, :, :] + 1e-12):
+            raise ValueError("matrix violates the triangle inequality")
         self.matrix = m
         self.n = m.shape[0]
 

@@ -363,6 +363,20 @@ def zero_set(f, base, lo=None, hi=None, warn=None, profile=None):
     return "points", roots
 
 
+def zero_runs(roots, base):
+    """First and last roots of each run of sorted scanned roots of f on base.
+
+    Neighbours at most 1.5 scan spacings apart share a run, so an isolated
+    root is a run of one; a run across a circle's seam is not joined.
+    """
+    zs = np.asarray(roots, float)
+    lo, hi = domain(base)
+    cut = np.diff(zs) > 1.5 * (hi - lo) / (SCAN_POINTS - 1)
+    first, last = np.ones(len(zs), bool), np.ones(len(zs), bool)
+    first[1:], last[:-1] = cut, cut
+    return zs[first], zs[last]
+
+
 def _one_dim(base):
     return isinstance(base, (spaces.Interval, spaces.Ray, spaces.Circle))
 
@@ -498,7 +512,7 @@ def _family_point(feval, p, turn, xm):
     return x, np.where(turn, feval(x), p)
 
 
-def _illinois(evaluate, a, b, goal, max_iter=100):
+def _illinois(evaluate, a, b, goal):
     """Regula falsi with the Illinois rule on every bracket at once.
 
     a and b are lists [p, h, c, L] of arrays at the two ends of each
@@ -506,11 +520,11 @@ def _illinois(evaluate, a, b, goal, max_iter=100):
     evaluate(p, rows) gives (h, c, L) at parameters p of the given rows.
     A bracket stops once |c_a - c_b| * min(|h_a|, |h_b|), which bounds
     the error of the linearised value at the better end, is at most goal;
-    while an end has an infinite h the step bisects.
+    while an end has an infinite h the step bisects.  At most 100 steps.
     """
     wa, wb = a[1].copy(), b[1].copy()
     last = np.zeros(len(a[0]), int)
-    for _ in range(max_iter):
+    for _ in range(100):
         bound = np.abs(a[2] - b[2]) * np.minimum(np.abs(a[1]), np.abs(b[1]))
         rows = np.flatnonzero(~(bound <= goal))
         if not len(rows):
@@ -588,27 +602,27 @@ class _Profile:
         return run[row], pos[row, col]
 
 
-def _argmin_zoom(feval, lo, hi, iters=12, k=17):
-    """Minimum of f on each segment from lo to hi, by zooming on a k-point grid.
+def _argmin_zoom(feval, lo, hi):
+    """Minimum of f on each segment from lo to hi, by 12 zooms on a 17-point grid.
 
     Each pass keeps the first grid point from lo within a relative 1e-12
     of the least value, and its neighbours: the bracket narrows 8-fold, so
-    the default pins a kink to about 1e-11 of |hi - lo|, well inside the
+    the zoom pins a kink to about 1e-11 of |hi - lo|, well inside the
     first node of a ride's arcs, and a flat bottom to its end nearest lo.
     """
     r = np.arange(len(lo))
-    for _ in range(iters):
-        xs = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, k)
+    for _ in range(12):
+        xs = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 17)
         fx = feval(xs)
         j = np.argmax(fx <= fx.min(axis=1, keepdims=True) * (1.0 + 1e-12), axis=1)
-        lo, hi = xs[r, np.maximum(j - 1, 0)], xs[r, np.minimum(j + 1, k - 1)]
+        lo, hi = xs[r, np.maximum(j - 1, 0)], xs[r, np.minimum(j + 1, 16)]
     return xs[r, j], fx[r, j]
 
 
-def _crossing(feval, above, below, level, iters=48):
-    """Bisection between above (f >= level) and below (f < level): its last
-    ends below and above."""
-    for _ in range(iters):
+def _crossing(feval, above, below, level):
+    """48 bisection steps between above (f >= level) and below (f < level):
+    the last ends below and above."""
+    for _ in range(48):
         mid = 0.5 * (above + below)
         low = feval(mid) < level
         below = np.where(low, mid, below)
@@ -1206,21 +1220,20 @@ def clairaut_check(polyline, triple):
     return ClairautReport(c, max_drift, resid, a)
 
 
-def leaf_extrinsic_curvature(triple, p, max_scale, n_scales=6, tol=None):
+def leaf_extrinsic_curvature(triple, p, max_scale):
     """Extrinsic curvature estimate A of the vertical leaf {p} x F.
 
-    Fits (rho - s)/s^3 ~ A^2/24 over a decreasing sequence of leaf
-    separations rho, with rho = f(p) * d_F and s the ambient distance.
+    Fits (rho - s)/s^3 ~ A^2/24 over six leaf separations rho =
+    max_scale 0.75^k, with rho = f(p) * d_F and s the ambient distance at
+    tol 1e-3 rho^3 (at least 1e-8).
     """
     fp = float(triple.warp(p))
     if fp <= ZERO_THRESHOLD:
         raise ValueError("need f(p) > 0")
     ratios = []
-    for k in range(n_scales):
+    for k in range(6):
         rho = max_scale * (0.75 ** k)
-        ell = rho / fp
-        use_tol = tol if tol is not None else max(1e-8, 1e-3 * rho ** 3)
-        s = reduced_distance(triple, p, p, ell, tol=use_tol)
+        s = reduced_distance(triple, p, p, rho / fp, tol=max(1e-8, 1e-3 * rho ** 3))
         if s <= 0:
             continue
         ratios.append((rho - s) / s ** 3)
@@ -1228,7 +1241,7 @@ def leaf_extrinsic_curvature(triple, p, max_scale, n_scales=6, tol=None):
     return math.sqrt(24.0 * max(slope, 0.0))
 
 
-def recover_warp(triple, p, kappa, eps, tol=None):
+def recover_warp(triple, p, kappa, eps):
     """Warping function recovery via the leaf-distance limit."""
     from .model import sn
     fp = float(triple.warp(p))
@@ -1237,8 +1250,7 @@ def recover_warp(triple, p, kappa, eps, tol=None):
     inj = 0.5 * fp / max(triple.warp.lipschitz, 1e-9)
     if eps > max(0.25 * inj, 1e-6):
         raise ValueError("eps exceeds the injectivity heuristic %g" % (0.25 * inj))
-    use_tol = tol if tol is not None else max(1e-9, 1e-3 * eps * fp)
-    d_leaf = 0.5 * reduced_distance(triple, p, p, 2.0 * eps, tol=use_tol)
+    d_leaf = 0.5 * reduced_distance(triple, p, p, 2.0 * eps, tol=max(1e-9, 1e-3 * eps * fp))
     return float(sn(kappa, d_leaf)) / eps
 
 

@@ -8,7 +8,8 @@ import pytest
 from warpcurv import convexity, model, spaces
 from warpcurv.convexity import (dist_Z, dist_Z_realizers, gradient_norm,
                                 kappa_F, sinusoidal_test, zero_set)
-from warpcurv.warped import WarpFunction, WarpedTriple, warped_distance
+from warpcurv.warped import (SCAN_POINTS, WarpFunction, WarpedTriple, warped_distance,
+                             zero_runs)
 
 
 def test_parabola_is_convex_only():
@@ -177,13 +178,39 @@ def test_gradient_norm_values():
 
 def test_gradient_norm_on_disks():
     f = WarpFunction.from_expression("1 + 0.3*r*cos(theta)", 0.3, arity=2)
-    # on the flat unit disk f = 1 + 0.3 x, so |grad f| = 0.3; the 16 sampled
-    # directions see a little less
+    # on the flat unit disk f = 1 + 0.3 x, so |grad f| = 0.3; the 17 sampled
+    # directions, 16 toward the rim and one toward the centre, see a little less
     est = gradient_norm(f, spaces.ModelDisk(0.0, 1.0), np.array([0.5, 0.5]))
-    assert est.directions_sampled == 16 and 0.28 <= est.value <= 0.3
+    assert est.directions_sampled == 17 and 0.28 <= est.value <= 0.3
     # a non-convex disk has no interpolation to step along
     with pytest.raises(ValueError, match=r"ModelDisk\(kappa=1, R=2\)"):
         gradient_norm(f, spaces.ModelDisk(1.0, 2.0), np.array([1.0, 0.5]))
+
+
+def test_gradient_norm_on_a_disk_counts_the_inward_direction():
+    # f = 1.5 - r grows fastest toward the centre, at slope 1: only the
+    # inward direction sees it, the rim directions at most 0.9981
+    f = WarpFunction("1.5 - r", 1.0, arity=2)
+    est = gradient_norm(f, spaces.ModelDisk(0.0, 1.0), (0.5, 0.3), "up")
+    assert est.value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_zero_runs():
+    ts = np.linspace(0.0, 4.096, SCAN_POINTS)
+    base = spaces.Interval(0.0, 4.096)
+    # isolated roots are runs of one; adjacent scan points make one run
+    first, last = zero_runs(ts[[500, 1000, 1001, 1002, 2000]], base)
+    assert list(first) == list(ts[[500, 1000, 2000]])
+    assert list(last) == list(ts[[500, 1002, 2000]])
+    assert [len(e) for e in zero_runs([], base)] == [0, 0]
+    # on a circle the runs at both ends of the window stay apart; the
+    # footpoints join them across the seam
+    f = WarpFunction.from_expression("max(sin(t), 0*t)", 1.0)
+    circle = spaces.Circle(2 * math.pi)
+    roots = zero_set(f, circle)[1]
+    first, last = zero_runs(roots, circle)
+    assert list(first) == [0.0, roots[1]] and list(last) == [0.0, 2 * math.pi]
+    assert convexity._footpoints(f, circle, roots) == [(0.0, (1,)), (roots[1], (-1,))]
 
 
 def test_zero_set_and_dist_Z():
