@@ -39,111 +39,66 @@ RADIAL_IN = np.array([0.0, 2.0, 0.0, 2.0, 0.0])
 RADIAL_OUT = np.array([0.0, 0.0, 2.0, 2.0, 2.0])
 
 
-def _potential(prof, kappa, a, c, r):
-    """V = a^2 / sn(r)^2 + c^2 / f(r)^2, a and c broadcast over r; inf at a
-    pole (sn = 0 with a > 0, f = 0 with c > 0)."""
-    sn, f = model.sn(kappa, r), prof(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.where(a != 0, (a / sn) ** 2, 0.0) + np.where(c != 0, (c / f) ** 2, 0.0))
+def _inverse_squares(sn, f):
+    """P = 1 / sn^2 and Q = 1 / f^2, inf at a pole of either."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (sn * sn), 1.0 / (f * f)
+
+
+def _potential(a, c, P, Q):
+    """V = a^2 P + c^2 Q, broadcast; a zero constant drops its pole."""
+    with np.errstate(invalid="ignore"):
+        return np.where(a != 0, a * a * P, 0.0) + np.where(c != 0, c * c * Q, 0.0)
 
 
 def _turning(prof, kappa, a, c, start, stop):
     """First r from start toward stop where V = 1, per row; start itself
     where V(start) rounds to 1 or more, nan where V stays below 1 up to stop.
 
-    V is scanned at start + (stop - start) (j / 16)^2, j = 1..16, and the
-    first crossing is refined by up to 40 Newton steps on central
-    differences, kept inside the shrinking bracket (bisecting where a
-    step leaves it or an end of it is a pole of V), on the rows not yet
-    at V = 1; a row still open then takes its bracket's end with V < 1.
+    sn and f are scanned once per distinct (start, stop): at start + (stop
+    - start) (j / 16)^2, j < 16, at 24 radii each 4x nearer stop, where V
+    may have a pole, and at stop.  The first crossing is solved by the
+    Anderson-Bjorck method on w = V^(-1/2) - 1, finite at a pole and about
+    linear in sn or f next to one, bisecting where a chord's root is not
+    strictly inside the bracket.  A row stops at its bracket's end of least
+    |w| once that is at most eps (V within about 2 ulps of 1) or the
+    bracket is at most 2 ulps wide: no step count caps it.
     """
-    r = start[:, None] + (stop - start)[:, None] * (np.arange(1, 17) / 16) ** 2
-    hit = ~(_potential(prof, kappa, a[:, None], c[:, None], r) < 1.0)
-    at_start = ~(_potential(prof, kappa, a, c, start) < 1.0 - 1e-14)
-    out = np.where(at_start, start, math.nan)
-    live = np.flatnonzero(hit.any(axis=1) & ~at_start)
+    ends, k = np.unique(start + 1j * stop, return_inverse=True)
+    t0, t1 = ends.real[:, None], ends.imag[:, None]
+    r = np.concatenate([t0 + (t1 - t0) * (np.arange(16) / 16) ** 2,
+                        t1 + (t0 - t1) * (31 / 256) * 4.0 ** -np.arange(1, 25), t1], axis=1)
+    # V's poles are at stop: elsewhere its terms need no guard
+    a2, c2 = a * a, c * c
+    P, Q = _inverse_squares(model.sn(kappa, r), prof(r))
+    v = a2[:, None] * P[k, :-1] + c2[:, None] * Q[k, :-1]
+    v = np.column_stack([v, _potential(a, c, P[k, -1], Q[k, -1])])
+    hit = ~(v[:, 1:] < 1.0)
+    out = np.where(~(v[:, 0] < 1.0 - 1e-14), start, math.nan)
+    live = np.flatnonzero(hit.any(axis=1) & np.isnan(out))
     j = np.argmax(hit[live], axis=1)
-    inner = np.where(j > 0, r[live, np.maximum(j - 1, 0)], start[live])
-    outer = r[live, j]
-    x = 0.5 * (inner + outer)
-    for _ in range(40):
-        if not len(live):
-            break
-        h = 1e-7 * np.abs(outer - inner) + 1e-300
-        v = _potential(prof, kappa, a[live], c[live], np.stack([x - h, x, x + h])) - 1.0
-        below = v[1] < 0
-        inner, outer = np.where(below, x, inner), np.where(below, outer, x)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x_new = x - v[1] * 2.0 * h / (v[2] - v[0])
-        done = np.abs(v[1]) <= 1e-15
-        out[live[done]] = x[done]
-        keep = ~done
-        x = np.where(np.isfinite(x_new) & ((x_new - inner) * (x_new - outer) < 0), x_new,
-                     0.5 * (inner + outer))[keep]
-        live, inner, outer = live[keep], inner[keep], outer[keep]
-    # rows still open take the end of their bracket with V < 1
-    out[live] = inner
-    return out
-
-
-def _radial_pieces(prof, kappa, rho0, lo, hi, rho1, s0, s1, a, c, n):
-    """Angle advance, fiber advance, length and action of the pieces rho0 ->
-    lo, s0 -> s1 and hi -> rho1, per row: an array (4, rows, 3).
-
-    On dr^2 + sn(r)^2 dtheta^2 + f(r)^2 ds^2 the constants a = sn^2 theta'
-    and c = f^2 s' are conserved, and r'^2 = 1 - V.  A piece advances
-    theta by int a / sn^2 / sqrt(1 - V) dr, s by int c / f^2 / sqrt(1 -
-    V) dr, has length int dr / sqrt(1 - V) and action int sqrt(1 - V) dr.
-    A curve of such pieces that meets its ends has length a Theta + c ell
-    + action, a value stationary in (a, c), whose roundoff stays small
-    where that of the advances, near a turning point, does not.  Each
-    piece takes the cosine-mapped rule of n nodes; a piece with V >= 1 at
-    a node is inf.  rho0 and rho1 are turning points (V = 1), where the
-    rule is exact for the inverse square root; s0 is lo or rho0 and s1 is
-    hi or rho1 (_RadialProblem.combine).
-    """
-    u, w = _cos_map_rule(n)
-    start = np.stack([rho0, s0, hi], axis=1)[:, :, None]
-    stop = np.stack([lo, s1, rho1], axis=1)[:, :, None]
-    r = start + (stop - start) * u
-    ww = np.abs(stop - start) * w
-    sn, f = model.sn(kappa, r), prof(r)
-    aa, cc = a[:, None, None], c[:, None, None]
+    x0, x1, a2, c2 = r[k[live], j], r[k[live], j + 1], a2[live], c2[live]
+    eps = np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
-        ta = np.where(aa != 0, aa / (sn * sn), 0.0)
-        tc = np.where(cc != 0, cc / (f * f), 0.0)
-        root = np.sqrt(1.0 - ta * aa - tc * cc)
-        inv = np.where(ww > 0, ww / root, 0.0)
-        out = np.stack([np.sum(ta * inv, axis=2), np.sum(tc * inv, axis=2),
-                        np.sum(inv, axis=2), np.sum(np.where(ww > 0, ww * root, 0.0), axis=2)])
-        # an end piece whose end has 1 - V = v^2 below END_SPEED2 is too short
-        # for the rule, as 1 - V at its nodes is below its roundoff: there
-        # 1 - V is linear, and the piece of span d advances g 2 d / v
-        # (g = a / sn^2, c / f^2, 1) with action 2 d v / 3, at the end's g
-        ends = np.stack([lo, hi], axis=1)
-        sn_e, f_e = model.sn(kappa, ends), prof(ends)
-        g = np.stack([np.where(a[:, None] != 0, a[:, None] / (sn_e * sn_e), 0.0),
-                      np.where(c[:, None] != 0, c[:, None] / (f_e * f_e), 0.0),
-                      np.ones_like(ends)])
-        v2 = 1.0 - g[0] * a[:, None] - g[1] * c[:, None]
-        v = np.sqrt(np.maximum(v2, 0.0))
-        span = np.abs(np.stack([lo - rho0, rho1 - hi], axis=1))
-        short = v2 < END_SPEED2
-        lin = np.where(v > 0, 2.0 * span / v, 0.0)
-        for k, j in ((0, 0), (1, 2)):
-            rows = short[:, k]
-            out[:3, rows, j] = (g[:, :, k] * lin[:, k])[:, rows]
-            out[3, rows, j] = (2.0 / 3.0 * span[:, k] * v[:, k])[rows]
-    out[:, ~np.all(np.isfinite(out), axis=0)] = math.inf
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _radial_nodes():
-    """Fractions of [lo, hi] where a radial arc keeps V < 1: its ends and
-    the nodes of both rules."""
-    return np.concatenate([[0.0, 1.0], _cos_map_rule(CLAIRAUT_NODES)[0],
-                           _cos_map_rule(RADIAL_SCAN_NODES)[0]])
+        w0, w1 = 1.0 / np.sqrt(v[live, j]) - 1.0, 1.0 / np.sqrt(v[live, j + 1]) - 1.0
+        done = np.minimum(np.abs(w0), np.abs(w1)) <= eps
+        while True:
+            if done.any():
+                out[live[done]] = np.where(np.abs(w0) < np.abs(w1), x0, x1)[done]
+                live, x0, x1, w0, w1, a2, c2 = (t[~done] for t in (live, x0, x1, w0, w1, a2, c2))
+            if not len(live):
+                return out
+            x = x1 - w1 * (x1 - x0) / (w1 - w0)
+            x = np.where((x - x0) * (x - x1) < 0, x, 0.5 * (x0 + x1))
+            P, Q = _inverse_squares(model.sn(kappa, x), prof(x))
+            w = 1.0 / np.sqrt(a2 * P + c2 * Q) - 1.0
+            # keep the end across the root from x; where that is x0 again,
+            # scale its w by 1 - w / w1 (or 1/2) so the next chord moves it
+            m = 1.0 - w / w1
+            flip = (w > 0) != (w1 > 0)
+            x0, w0 = np.where(flip, x1, x0), np.where(flip, w1, np.where(m > 0, m, 0.5) * w0)
+            x1, w1 = x, w
+            done = (np.abs(w) <= eps) | (np.abs(x1 - x0) <= 2.0 * np.spacing(x1))
 
 
 def _fiber_angle(y):
@@ -170,23 +125,39 @@ class _RadialProblem:
     def __init__(self, prof, kappa, radius, lo, hi, z_in, z_out):
         self.prof, self.kappa, self.radius = prof, kappa, radius
         self.lo, self.hi, self.z_in, self.z_out = lo, hi, z_in, z_out
+        # sn, f, P and Q at lo and hi and at the nodes of each rule on [lo, hi]
+        ns = (RADIAL_SCAN_NODES, CLAIRAUT_NODES, 2 * CLAIRAUT_NODES)
+        s = lo[:, None] + (hi - lo)[:, None] * np.concatenate([[0.0, 1.0]] + [
+            _cos_map_rule(n)[0] for n in ns])
+        sn, f = model.sn(kappa, s), prof(s)
+        P, Q = _inverse_squares(sn, f)
+        ends = np.cumsum((2,) + ns)
+        self.ends, self.rim = (P[:, :2], Q[:, :2]), _inverse_squares(
+            model.sn(kappa, radius), prof(np.array([radius])))
+        self.middle = {n: (P[:, j - n:j], Q[:, j - n:j]) for n, j in zip(ns, ends[1:])}
+        # the ends and nodes where an arc between lo and hi keeps V < 1
+        self.sn_s, self.f_s = sn[:, :ends[2]], f[:, :ends[2]]
 
     def constants(self, i, u, y):
-        """(a, c) of (u, y) on the rows i, as in the class docstring."""
-        s = self.lo[i, None] + (self.hi - self.lo)[i, None] * _radial_nodes()
-        sn_s, f_s = model.sn(self.kappa, s), self.prof(s)
-        c = np.min(f_s, axis=1) * _fiber_angle(y)[1]
+        """(a, c) of (u, y) on the rows i, as in the class docstring; i, u
+        and y broadcast."""
+        f_s = self.f_s[i]
+        c = np.min(f_s, axis=-1) * _fiber_angle(y)[1]
         with np.errstate(invalid="ignore", divide="ignore"):
-            amax = np.min(sn_s * np.sqrt(np.maximum(1.0 - (c[:, None] / f_s) ** 2, 0.0)),
-                          axis=1)
+            amax = np.min(self.sn_s[i] * np.sqrt(np.maximum(1.0 - (c[..., None] / f_s) ** 2, 0.0)),
+                          axis=-1)
         return (1.0 - u * u) * amax, c
+
+    def speeds2(self, i, a, c):
+        """1 - V at lo and hi, per row: an array (rows, 2)."""
+        return 1.0 - _potential(a[:, None], c[:, None], self.ends[0][i], self.ends[1][i])
 
     def turning(self, i, a, c, inner, outer):
         """Inner turning points of the rows inner, outer ones of the rows
         outer, in one _turning pass; an inner one is 0 where an arc reaches
         the centre with a = 0, and either is nan where an arc reaches none."""
+        k = np.count_nonzero(inner)
         rows = np.concatenate([np.flatnonzero(inner), np.flatnonzero(outer)])
-        k = len(np.flatnonzero(inner))
         j = i[rows]
         start = np.concatenate([self.lo[j[:k]], self.hi[j[k:]]])
         stop = np.concatenate([self.z_in[j[:k]], self.z_out[j[k:]]])
@@ -210,17 +181,14 @@ class _RadialProblem:
         other parametrisation folds.  nan where the range is empty.
         """
         cos2, sin2 = np.cos(phi) ** 2, np.sin(phi) ** 2
-        ends = np.concatenate([self.lo[i], self.hi[i]])
+        (p_lo, p_hi), (q_lo, q_hi) = self.ends[0][i].T, self.ends[1][i].T
         with np.errstate(divide="ignore", invalid="ignore"):
-            p_lo, p_hi = np.split(model.sn(self.kappa, ends) ** -2.0, 2)
-            q_lo, q_hi = np.split(self.prof(ends) ** -2.0, 2)
             det = p_lo * q_hi - q_lo * p_hi
             # a^2 = a0 - |v|^2 a1 and c^2 = c0 - |v|^2 c1
             terms = [((q_hi - q_lo) / det, (cos2 * q_hi - sin2 * q_lo) / det),
                      ((p_lo - p_hi) / det, (sin2 * p_lo - cos2 * p_hi) / det)]
-            lo2 = np.zeros(len(i))
+            lo2, empty = np.zeros(len(i)), np.zeros(len(i), dtype=bool)
             hi2 = 1.0 / np.maximum(cos2, sin2)
-            empty = np.zeros(len(i), dtype=bool)
             for x0, x1 in terms:
                 hi2 = np.where(x1 > 0, np.minimum(hi2, x0 / x1), hi2)
                 lo2 = np.where(x1 < 0, np.maximum(lo2, x0 / x1), lo2)
@@ -228,8 +196,7 @@ class _RadialProblem:
             r2 = lo2 + (hi2 - lo2) * np.exp(z)
             aa, cc = (np.maximum(x0 - r2 * x1, 0.0) for x0, x1 in terms)
         empty |= ~(lo2 <= hi2)
-        a = np.where(empty, math.nan, np.sqrt(aa))
-        c = np.where(empty, math.nan, np.sqrt(cc))
+        a, c = (np.where(empty, math.nan, np.sqrt(v)) for v in (aa, cc))
         return a, c, (np.cos(phi) < 0) * 1 + (np.sin(phi) < 0) * 2
 
     def parameters(self, fam, i, p1, p2):
@@ -248,54 +215,84 @@ class _RadialProblem:
         return a, c, fam
 
     def arcs(self, fam, i, p1, p2, n):
-        """(angle, fiber, length, action, a, c, rho0, rho1, ride, family) of
-        family arcs at parameters (p1, p2), per row."""
+        """Rows (angle, fiber, length, action, a, c, rho0, rho1, ride,
+        family) of family arcs at parameters (p1, p2), per column."""
         rim = fam == 4
         a, c, fam = self.parameters(fam, i, p1, p2)
         # turning points where the family turns, or the end is slow enough
         # for the middle piece to run on to one (pieces)
-        slow = 1.0 - _potential(self.prof, self.kappa, a[:, None], c[:, None],
-                                np.stack([self.lo[i], self.hi[i]], axis=1)) < EXTEND_SPEED2
+        slow = self.speeds2(i, a, c) < EXTEND_SPEED2
         rho0, rho1 = self.turning(i, a, c, (self.lo[i] > self.z_in[i])
                                   & ((RADIAL_IN[fam] > 0) | slow[:, 0]),
                                   (self.z_out[i] > self.hi[i]) & ~rim
                                   & ((RADIAL_OUT[fam] > 0) | slow[:, 1]))
         rho1 = np.where(rim, self.radius, rho1)
         ride = np.where(rim, p2, 0.0)
-        return self.combine(fam, i, a, c, rho0, rho1, ride, n) + (fam,)
+        out = self.combine(fam, i, a, c, rho0, rho1, ride, n)
+        return np.vstack([out, np.fmax(a, 0.0), np.fmax(c, 0.0), rho0, rho1, ride, fam])
 
     def pieces(self, i, a, c, rho0, rho1, n):
-        """_radial_pieces at the turning points rho0 and rho1 (nan where
-        there is none), and for each end whether the middle piece runs on
-        to its turning point.
+        """Angle advance, fiber advance, length and action of the pieces rho0
+        -> lo, s0 -> s1 and hi -> rho1 of the rows i, an array (4, rows, 3),
+        at the turning points rho0 and rho1 (V = 1, nan where there is none),
+        and for each end whether the middle piece runs on to its turning point.
 
-        Where 1 - V at lo or hi is below EXTEND_SPEED2, the rule on lo ->
-        hi would not resolve the near-singular end, so the middle piece
-        runs from the turning point beyond it instead, and the end piece
-        is subtracted: that is smooth as the end's speed passes 0.
+        With a = sn^2 theta' and c = f^2 s' conserved, r'^2 = 1 - V, so a piece
+        advances theta by int a P / sqrt(1 - V) dr, s by int c Q / sqrt(1 - V)
+        dr, has length int dr / sqrt(1 - V) and action int sqrt(1 - V) dr.  A
+        curve of such pieces that meets its ends has length a Theta + c ell +
+        action, stationary in (a, c), whose roundoff stays small where that of
+        the advances, near a turning point, does not.  Each piece takes the
+        cosine-mapped rule of n nodes, exact for the inverse square root at a
+        turning point; a piece with V >= 1 at a node is inf.  Where 1 - V at lo
+        or hi is below EXTEND_SPEED2 the middle piece runs on to the turning
+        point beyond it (s0 = rho0 or s1 = rho1, else lo and hi), and combine
+        subtracts the end piece: smooth as the end's speed passes 0.
         """
         lo, hi = self.lo[i], self.hi[i]
-        a, c = np.nan_to_num(a), np.nan_to_num(c)
-        r0 = np.where(np.isnan(rho0), lo, rho0)
-        r1 = np.where(np.isnan(rho1), hi, rho1)
-        v2 = 1.0 - _potential(self.prof, self.kappa, a[:, None], c[:, None],
-                              np.stack([lo, hi], axis=1))
+        r0, r1 = np.where(np.isnan(rho0), lo, rho0), np.where(np.isnan(rho1), hi, rho1)
+        v2 = self.speeds2(i, a, c)
         ext = (v2 < EXTEND_SPEED2) & ~np.isnan(np.stack([rho0, rho1], axis=1))
-        s0, s1 = np.where(ext[:, 0], r0, lo), np.where(ext[:, 1], r1, hi)
-        return _radial_pieces(self.prof, self.kappa, r0, lo, hi, r1, s0, s1, a, c, n), ext
+        start = np.stack([r0, np.where(ext[:, 0], r0, lo), hi], axis=1)
+        stop = np.stack([lo, np.where(ext[:, 1], r1, hi), r1], axis=1)
+        # the rule on each piece of nonzero span; on the middle piece, P and Q
+        # come from the pair's table where it is [lo, hi]
+        rows, k = np.nonzero(stop != start)
+        u, w = _cos_map_rule(n)
+        span = np.abs(stop - start)[rows, k, None]
+        table = (k == 1) & ~ext[rows].any(axis=1)
+        P, Q = np.empty((len(rows), n)), np.empty((len(rows), n))
+        P[table], Q[table] = self.middle[n][0][i[rows[table]]], self.middle[n][1][i[rows[table]]]
+        x = start[rows, k, None][~table] + (stop - start)[rows, k, None][~table] * u
+        P[~table], Q[~table] = _inverse_squares(model.sn(self.kappa, x), self.prof(x))
+        out = np.zeros((4, len(i), 3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(1.0 - (a * a)[rows, None] * P - (c * c)[rows, None] * Q)
+            inv = span * w / root
+            out[:, rows, k] = [a[rows] * (P * inv).sum(axis=1), c[rows] * (Q * inv).sum(axis=1),
+                               inv.sum(axis=1), (span * w * root).sum(axis=1)]
+            # an end piece whose end has 1 - V = v^2 below END_SPEED2 is too short
+            # for the rule, as 1 - V at its nodes is below its roundoff: there
+            # 1 - V is linear, and the piece of span d advances g 2 d / v
+            # (g = a / sn^2, c / f^2, 1) with action 2 d v / 3, at the end's g
+            g = np.stack([a[:, None] * self.ends[0][i], c[:, None] * self.ends[1][i],
+                          np.ones(v2.shape)])
+            v = np.sqrt(np.maximum(v2, 0.0))
+            d = np.abs(np.stack([lo - r0, r1 - hi], axis=1))
+            lin = np.concatenate([g * np.where(v > 0, 2.0 * d / v, 0.0), [2.0 / 3.0 * d * v]])
+            out[:, :, ::2] = np.where(v2 < END_SPEED2, lin, out[:, :, ::2])
+        out[:, ~np.all(np.isfinite(out), axis=0)] = math.inf
+        return out, ext
 
     def combine(self, fam, i, a, c, rho0, rho1, ride, n, pieces=None):
-        """Sums of the pieces each family traverses, given the turning points
-        rho0 and rho1 (nan where there is none); pieces, if given, are
-        self.pieces at them."""
+        """Angle, fiber, length and action, an array (4, rows), of the pieces
+        each family traverses between the turning points rho0 and rho1 (nan
+        where there is none); pieces, if given, are self.pieces there."""
         use_in, use_out = RADIAL_IN[fam] > 0, RADIAL_OUT[fam] > 0
         missing = (use_in & np.isnan(rho0)) | (use_out & np.isnan(rho1)) | np.isnan(a + c)
-        if pieces is None:
-            pieces = self.pieces(i, a, c, rho0, rho1, n)
-        pieces, ext = pieces
-        a, c = np.nan_to_num(a), np.nan_to_num(c)
-        r0 = np.where(np.isnan(rho0), self.lo[i], rho0)
-        r1 = np.where(np.isnan(rho1), self.hi[i], rho1)
+        # a, c >= 0, and nan where a family has no arc
+        a, c = np.fmax(a, 0.0), np.fmax(c, 0.0)
+        pieces, ext = self.pieces(i, a, c, rho0, rho1, n) if pieces is None else pieces
         # a family that turns at an end traverses that end piece twice, and
         # a middle piece run on to a turning point has it once too many
         counts = np.stack([RADIAL_IN[fam] - ext[:, 0], np.ones(len(fam)),
@@ -303,14 +300,13 @@ class _RadialProblem:
         with np.errstate(invalid="ignore"):
             out = np.sum(pieces * counts, axis=2)
             # an arc down to the centre passes through it: theta turns by pi there
-            out[0] += np.where(use_in & (r0 <= 0.0), math.pi, 0.0)
+            out[0] += np.where(use_in & (rho0 <= 0.0), math.pi, 0.0)
             # the rim ride, along V(R) = 1: a / sn^2 and c / f^2 per unit length
-            sn1, f1 = model.sn(self.kappa, r1), self.prof(r1)
-            out[0] += np.where(ride > 0, ride * a / (sn1 * sn1), 0.0)
-            out[1] += np.where(ride > 0, ride * c / (f1 * f1), 0.0)
+            out[0] += np.where(ride > 0, ride * a * self.rim[0], 0.0)
+            out[1] += np.where(ride > 0, ride * c * self.rim[1], 0.0)
             out[2] += ride
         out[:, missing | ~np.all(np.isfinite(out), axis=0)] = math.inf
-        return out, a, c, rho0, rho1, ride
+        return out
 
 
 def _enclosing(p1, p2, ft, fs):
@@ -335,11 +331,20 @@ def _enclosing(p1, p2, ft, fs):
     return tuple(np.concatenate(v) for v in zip(*seeds))
 
 
+@functools.lru_cache(maxsize=64)
+def _radius_profile(warp, radius):
+    """f(r) as a warp of t = r, and its zero circles on [0, R]: of each run
+    of adjacent scan points only the ends; the same for every call."""
+    radius_warp, ray = warp.compose("t"), spaces.Interval(0.0, radius)
+    zeros = np.unique(zero_set(radius_warp, ray)[1])
+    return radius_warp, np.unique(np.concatenate(zero_runs(zeros, ray)))
+
+
 def radial_solve(triple, bp, bq, ell, tol=1e-3):
     """Distances in B x_f [0, ell] from (bp, 0) to (bq, ell), B a ModelDisk, per row.
 
     f must be radial (an expression in r with no theta).  With a = sn^2
-    theta' and c = f^2 s' conserved (_radial_pieces), the candidates are:
+    theta' and c = f^2 s' conserved (_RadialProblem.pieces), the candidates are:
       - the base geodesic where ell = 0 or f vanishes at an end (exact);
       - the leaf path d_B + min(f(bp), f(bq)) ell;
       - through each zero circle r = z of f: ModelDisk.via_circle;
@@ -361,15 +366,15 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
     (sn(r) theta <= tol / 4) takes theta = 0 and sn(r) theta more error.
     A pair with no family root and no zero circle, or whose best
     candidates have a bar above tol / 2, raises ConvergenceError with a
-    bracket.
+    bracket; with a zero circle, a family root the scan misses goes
+    unnoticed, as the through-Z value bounds the distance from above.
     """
     base = triple.base
     if not isinstance(base, spaces.ModelDisk):
         raise ValueError("unsupported base for distances: %r" % (base,))
     if not triple.warp.radial:
         raise ValueError("a disk base needs a radial warp: an expression in r with no theta")
-    # f(r) as a warp of t = r, and on float arrays
-    radius_warp = triple.warp.compose("t")
+    radius_warp, zeros = _radius_profile(triple.warp, base.radius)
     prof = radius_warp.fn
     kappa, radius = base.kappa, base.radius
     bp, bq = base._batch(bp), base._batch(bq)
@@ -383,60 +388,64 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
     f1, f2 = prof(r1), prof(r2)
     value = d_base.copy()
     winner = [("base",)] * npair
-    live = np.flatnonzero((ell > 0) & (f1 > ZERO_THRESHOLD) & (f2 > ZERO_THRESHOLD))
-    for i in np.flatnonzero(ell > 0):
-        if i not in live:
-            winner[i] = ("z", r1[i] if f1[i] <= ZERO_THRESHOLD else r2[i])
+    open_f = (f1 > ZERO_THRESHOLD) & (f2 > ZERO_THRESHOLD)
+    live = np.flatnonzero((ell > 0) & open_f)
+    # an end on a zero of f: the base geodesic passes through Z there
+    at_z = np.where(f1 <= ZERO_THRESHOLD, r1, r2)
+    for i in np.flatnonzero((ell > 0) & ~open_f):
+        winner[i] = ("z", at_z[i])
     if not len(live):
         return ClairautSolution(value, winner)
-    cand = []       # (pair, value, error bar, winner)
+    # candidates in chunks of (pairs, values, error bars, winner of the k-th)
     leaf = d_base + np.minimum(f1, f2) * ell
-    for i in live:
-        cand.append((i, leaf[i], 0.0, ("leaf", r1[i] if f1[i] <= f2[i] else r2[i])))
+    at_leaf = np.where(f1 <= f2, r1, r2)
+    cand = [(live, leaf[live], np.zeros(len(live)), lambda k: ("leaf", at_leaf[live[k]]))]
     # the radius [0, R] as a 1-D base, for the zero circles and the theta = 0 pairs
     ray = WarpedTriple(spaces.Interval(0.0, radius), radius_warp, triple.fiber, check=False)
-    # of each run of adjacent scan points, only its ends
-    zeros = np.unique(zero_set(ray.warp, ray.base)[1])
-    zeros = np.unique(np.concatenate(zero_runs(zeros, ray.base)))
-    z_in = np.array([np.max(zeros[zeros <= x], initial=0.0) for x in lo])
-    z_out = np.array([np.min(zeros[zeros >= x], initial=radius) for x in hi])
-    crossed = np.array([np.any((zeros >= x) & (zeros <= y)) for x, y in zip(lo, hi)])
+    z_in = np.max(np.where(zeros <= lo[:, None], zeros, 0.0), axis=1, initial=0.0)
+    z_out = np.min(np.where(zeros >= hi[:, None], zeros, radius), axis=1, initial=radius)
+    crossed = np.any((zeros >= lo[:, None]) & (zeros <= hi[:, None]), axis=1)
     for z in zeros:
         via, at = base.via_circle(bp[live], bq[live], z)
-        cand += [(i, via[k], 0.0, ("z", z, at[k])) for k, i in enumerate(live)]
+        cand.append((live, via, np.zeros(len(live)), lambda k, z=z, at=at: ("z", z, at[k])))
     found = np.zeros(npair, dtype=bool)
     # a point near the centre takes theta = 0 at the cost of the arc that turns it
     sn_lo = model.sn(kappa, lo)
     snapped = sn_lo * theta <= 0.25 * tol
     snap = np.where(snapped, sn_lo * theta, 0.0)
     theta = np.where(snapped, 0.0, theta)
-    flat = np.array([i for i in live if theta[i] == 0.0 and not crossed[i]], int)
+    between = live[~crossed[live]]
+    flat, rows = between[theta[between] == 0.0], between[theta[between] > 0.0]
     if len(flat):
         sol = clairaut_solve(ray, r1[flat], r2[flat], ell[flat], tol=0.5 * tol)
-        cand += [(i, sol.value[k], snap[i], sol.winner[k]) for k, i in enumerate(flat)]
+        cand.append((flat, sol.value, snap[flat], lambda k: sol.winner[k]))
         found[flat] = True
-    rows = np.array([i for i in live if theta[i] > 0.0 and not crossed[i]], int)
     if len(rows):
         found |= _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell,
                                     d_base, leaf, snap, cand)
-    _, cval, best, worst, best_of = _contest(*list(zip(*cand))[:3], npair)
+    cp, cval, cerr = (np.concatenate(v) for v in list(zip(*cand))[:3])
+    _, cval, best, worst, best_of = _contest(cp, cval, cerr, npair)
     solves = found | (len(zeros) > 0)
-    for i in live:
-        if not solves[i] or not worst[i] <= tol / 2.0:
-            bar = worst[i] if solves[i] else max(worst[i], best[i] - d_base[i])
-            raise ConvergenceError("no radial candidate resolves (%.12g, %.12g) -> (%.12g, "
-                                   "%.12g), ell = %.12g to tol=%g" % (
-                                       bp[i, 0], bp[i, 1], bq[i, 0], bq[i, 1], ell[i], tol),
-                                   bracket=(float(best[i] - bar), float(best[i] + bar)))
-    for i in live:
-        value[i] = cval[best_of[i]]
-        winner[i] = cand[best_of[i]][3]
+    bad = live[~(solves[live] & (worst[live] <= tol / 2.0))]
+    if len(bad):
+        i = bad[0]
+        bar = worst[i] if solves[i] else max(worst[i], best[i] - d_base[i])
+        raise ConvergenceError("no radial candidate resolves (%.12g, %.12g) -> (%.12g, "
+                               "%.12g), ell = %.12g to tol=%g" % (
+                                   bp[i, 0], bp[i, 1], bq[i, 0], bq[i, 1], ell[i], tol),
+                               bracket=(float(best[i] - bar), float(best[i] + bar)))
+    value[live] = cval[best_of[live]]
+    # the winner of each pair's best candidate, from its chunk
+    ends = np.cumsum([len(chunk[0]) for chunk in cand])
+    for i, j in zip(live, np.searchsorted(ends, best_of[live], side="right")):
+        winner[i] = cand[j][3](best_of[i] - ends[j] + len(cand[j][0]))
     return ClairautSolution(value, winner)
 
 
 def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_base, leaf,
                        snap, cand):
-    """Family roots of the pairs rows, appended to cand; True for each pair with one."""
+    """Family roots of the pairs rows, appended to cand as a chunk; True
+    for each pair with one."""
     base = triple.base
     kappa, radius = base.kappa, base.radius
     prob = _RadialProblem(prof, kappa, radius, lo, hi, z_in, z_out)
@@ -458,6 +467,11 @@ def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_ba
         # the angle axis, y or phi, takes G2 points, the other G1
         n1, n2 = (G1, G2) if chart == 0 else (G2, G1)
         t1, t2 = np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)
+        if chart == 0 and prof(np.zeros(1))[0] <= ZERO_THRESHOLD:
+            # f(0) = 0 puts both poles of V at the centre, and as (a, c) -> 0
+            # an inner arc's advances turn through every direction inside
+            # the last u cell: 1 - u^2 there is split at 1/4, 1/16 and 1/64
+            t1 = np.insert(t1, -1, np.sqrt(1.0 - (1.0 - t1[-2] ** 2) / 4.0 ** np.arange(1, 4)))
         b = boxes[chart][r]
         p1 = b[:, 0, None, None] + (b[:, 1] - b[:, 0])[:, None, None] * t1[:, None]
         p2 = b[:, 2, None, None] + (b[:, 3] - b[:, 2])[:, None, None] * t2
@@ -469,23 +483,32 @@ def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_ba
                                      [0.65, 0.8, 0.92, 1.0 - 1e-9]), (len(r), 4))], axis=1)
             p2 = p2[:, None, :]
         p1, p2 = np.broadcast_arrays(p1, p2)
-        return p1, p2, np.repeat(r, G1 * G2)
+        return p1, p2, np.repeat(r, p1[0].size)
 
-    def seeds_of(fam, r, p1, p2, out, i):
-        k, s1, s2 = _enclosing(p1, p2, (out[0] - theta[i]).reshape(p1.shape),
-                               (out[1] - ell[i]).reshape(p1.shape))
-        return np.full(len(k), fam), r[k], s1, s2
+    def seeds_of(fams, r, p1, p2, out):
+        # fams and r per grid, out's columns in grid order
+        t = np.repeat(r, p1[0].size)
+        k, s1, s2 = _enclosing(p1, p2, (out[0] - theta[t]).reshape(p1.shape),
+                               (out[1] - ell[t]).reshape(p1.shape))
+        return fams[k], r[k], s1, s2
 
-    # one (u, y) grid per pair serves the four families between the zeros
+    # one (u, y) grid per pair serves the four families between the zeros:
+    # they share (a, c), which varies with y alone up to the factor 1 - u^2,
+    # turning points and pieces, and are summed in one stacked pass
     u, y, i = grid(0, rows)
-    a, c = prob.constants(i, u.ravel(), y.ravel())
+    a, c = (np.broadcast_to(v, u.shape).ravel()
+            for v in prob.constants(rows[:, None, None], u[:, :, :1], y[:, :1]))
     r0, r1 = prob.turning(i, a, c, lo[i] > z_in[i], z_out[i] > hi[i])
-    pieces = prob.pieces(i, a, c, r0, r1, RADIAL_SCAN_NODES)
-    seeds = []
-    for fam in range(4):
-        out = prob.combine(np.full(len(i), fam), i, a, c, r0, r1, np.zeros(len(i)),
-                           RADIAL_SCAN_NODES, pieces)[0]
-        seeds.append(seeds_of(fam, rows, u, y, out, i))
+    pieces, ext = prob.pieces(i, a, c, r0, r1, RADIAL_SCAN_NODES)
+    fams = np.arange(4).repeat(len(rows))
+    out = prob.combine(fams.repeat(u[0].size), *(np.tile(v, 4) for v in (i, a, c, r0, r1)),
+                       np.zeros(4 * len(i)), RADIAL_SCAN_NODES,
+                       (np.tile(pieces, (1, 4, 1)), np.tile(ext, (4, 1))))
+    seeds = [seeds_of(fams, np.tile(rows, 4), *(np.tile(v, (4, 1, 1)) for v in (u, y)), out)]
+    # families meet in pairs at the fold u = 0, V = 1 at lo (fam ^ 1) or hi
+    # (fam ^ 2): a seed next to it also seeds both families across it
+    fold = seeds[0][2] < u[0, 1, 0]
+    seeds += [(seeds[0][0][fold] ^ m,) + tuple(v[fold] for v in seeds[0][1:]) for m in (1, 2)]
     # a rim along which neither sn nor f decreases outward is convex: no
     # shortest path rides it
     f_rim, f_in = prof(np.array([radius, radius * (1.0 - 1e-6)]))
@@ -496,8 +519,8 @@ def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_ba
         if len(r):
             p1, p2, i = grid(chart, r)
             out = prob.arcs(np.full(len(i), chart), i, p1.ravel(), p2.ravel(),
-                            RADIAL_SCAN_NODES)[0]
-            seeds.append(seeds_of(chart, r, p1, p2, out, i))
+                            RADIAL_SCAN_NODES)
+            seeds.append(seeds_of(np.full(len(r), chart), r, p1, p2, out))
     fam, i, p1, p2 = (np.concatenate(v) for v in zip(*seeds))
     found = np.zeros(len(lo), dtype=bool)
     if not len(fam):
@@ -509,14 +532,16 @@ def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_ba
     scale = 1.0 + theta[i] + ell[i]
 
     def residual(k, q1, q2):
-        out = prob.arcs(fam[k], i[k], q1, q2, CLAIRAUT_NODES)[0]
-        return out[0] - theta[i[k]], out[1] - ell[i[k]]
+        arcs = prob.arcs(fam[k], i[k], q1, q2, CLAIRAUT_NODES)
+        return arcs[0] - theta[i[k]], arcs[1] - ell[i[k]], arcs
 
-    p, F, step = _radial_newton(residual, box, p1, p2, scale)
+    # the arcs at Newton's points value the roots
+    p, F, step, arcs = _radial_newton(residual, box, p1, p2, scale)
     ok = np.abs(F).sum(axis=1) <= 1e-6 * scale
-    fam, i, p, F, step = fam[ok], i[ok], p[ok], F[ok], step[ok]
-    out, a, c, rho0, rho1, ride, kind = prob.arcs(fam, i, p[:, 0], p[:, 1], CLAIRAUT_NODES)
-    out2 = prob.combine(kind, i, a, c, rho0, rho1, ride, 2 * CLAIRAUT_NODES)[0]
+    fam, i, p, F, step, arcs = fam[ok], i[ok], p[ok], F[ok], step[ok], arcs[:, ok]
+    out, (a, c, rho0, rho1, ride, kind) = arcs[:4], arcs[4:]
+    kind = kind.astype(int)
+    out2 = prob.combine(kind, i, a, c, rho0, rho1, ride, 2 * CLAIRAUT_NODES)
     # the value is stationary at the root: a residual F costs about F
     # times the change in (a, c) that one more Newton step would make
     a_next, c_next, _ = prob.parameters(fam, i, p[:, 0] - step[:, 0], p[:, 1] - step[:, 1])
@@ -529,46 +554,46 @@ def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_ba
                + np.abs(F[:, 1] * (c_next - c)))
     keep = np.isfinite(est) & np.isfinite(err) & (est >= 0)
     found[i[keep]] = True
-    for k in np.flatnonzero(keep):
-        cand.append((i[k], est[k], err[k], ("arc", RADIAL_FAMILIES[kind[k]], a[k], c[k],
-                                            rho0[k], rho1[k], ride[k])))
+    arc = np.vstack([a, c, rho0, rho1, ride])[:, keep]
+    names = [RADIAL_FAMILIES[k] for k in kind[keep]]
+    cand.append((i[keep], est[keep], err[keep], lambda k: ("arc", names[k]) + tuple(arc[:, k])))
     return found
 
 
 def _radial_newton(residual, box, p1, p2, scale):
-    """Newton's method on residual(k, p1, p2) = 0 from each seed k, in its box.
+    """Newton's method on the first two outputs of residual(k, p1, p2) = 0
+    from each seed k, in its box.
 
     The Jacobian comes from forward differences of 1e-7 of the box, taken
     backward at its upper edge; a step that does not lower |F| is undone
     and the next is 4x shorter.  Stops after RADIAL_NEWTON steps, or once
     every |F| is below 1e-11 scale or has twice in a row not been lowered,
     as at the roundoff of the advances.  Returns the points, their
-    residuals and the Newton steps J^-1 F there.
+    residuals, the Newton steps J^-1 F there and the columns of
+    residual's third output, an array, at the points.
     """
     p = np.stack([p1, p2], axis=1)
     lo_b, hi_b = box[:, [0, 2]], box[:, [1, 3]]
     h = 1e-7 * (hi_b - lo_b)
-    k = len(p)
-    idx = np.tile(np.arange(k), 3)
-    F = J = step = None
-    damp = np.ones(k)
-    trial = p
+    k, trial, damp = len(p), p, np.ones(len(p))
+    idx, F, J, step, out = np.tile(np.arange(k), 3), None, None, None, None
     for _ in range(RADIAL_NEWTON + 1):
         hh = np.where(trial + h <= hi_b, h, -h)
         q1 = np.concatenate([trial[:, 0], trial[:, 0] + hh[:, 0], trial[:, 0]])
         q2 = np.concatenate([trial[:, 1], trial[:, 1], trial[:, 1] + hh[:, 1]])
-        ft, fs = residual(idx, q1, q2)
+        ft, fs, out_t = residual(idx, q1, q2)
         Ft = np.stack([ft[:k], fs[:k]], axis=1)
         with np.errstate(invalid="ignore"):
             Jt = np.stack([(np.stack([ft[k:2 * k], fs[k:2 * k]], axis=1) - Ft) / hh[:, :1],
                            (np.stack([ft[2 * k:], fs[2 * k:]], axis=1) - Ft) / hh[:, 1:]],
                           axis=2)
         if F is None:
-            F, J = Ft, Jt
+            F, J, out = Ft, Jt, out_t[:, :k]
         else:
             better = np.all(np.isfinite(Ft), axis=1) & (np.abs(Ft).sum(axis=1)
                                                          < np.abs(F).sum(axis=1))
             p[better], F[better], J[better] = trial[better], Ft[better], Jt[better]
+            out[:, better] = out_t[:, :k][:, better]
             damp = np.where(better, np.minimum(1.0, 2.0 * damp), 0.25 * damp)
         with np.errstate(divide="ignore", invalid="ignore"):
             det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -578,4 +603,4 @@ def _radial_newton(residual, box, p1, p2, scale):
         if np.all((np.abs(F).sum(axis=1) <= 1e-11 * scale) | (damp < 0.1)):
             break
         trial = np.clip(p - damp[:, None] * step, lo_b, hi_b)
-    return p, F, step
+    return p, F, step, out

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from warpcurv import radial, spaces, warped
+from warpcurv import model, radial, spaces, warped
 from warpcurv.warped import (WarpFunction, WarpedTriple, clairaut_check,
                              recover_warp, warped_distance, warped_geodesic)
 
@@ -455,12 +455,99 @@ def test_constant_disk_warp_is_pythagorean(kappa, radius):
         assert np.max(np.abs(got - one)) <= 1e-12
 
 
+# ModelDisk(kappa, R) x_{sn_kappa(r)} Circle(2 pi) is the kappa-cone over the flat
+# torus S^1(2 pi) x S^1(2 pi): sn and f share their zero at the centre, so the
+# signed-speed chart is singular and the (u, y) chart alone finds the arcs
+KAPPA_CONES = [(0.0, 1.0, "r"), (1.0, 1.2, "sin(r)"), (-1.0, 1.0, "sinh(r)")]
+CONE_IDS = ["flat", "spherical", "hyperbolic"]
+
+
+def kappa_cone(kappa, radius, expr):
+    warp = WarpFunction.from_expression(expr, 1.0, zeros=(0.0,), arity=2)
+    return WarpedTriple(spaces.ModelDisk(kappa, radius), warp, spaces.Circle(2 * math.pi),
+                        check=False)
+
+
+def cone_law(kappa, x, y, ell):
+    """The kappa law of cosines at the angle min(sqrt(dtheta^2 + ell^2), pi)."""
+    theta = np.abs(x[:, 1] - y[:, 1]) % (2 * math.pi)
+    theta = np.minimum(theta, 2 * math.pi - theta)
+    angle = np.minimum(np.hypot(theta, ell), math.pi)
+    return model.side_from_angle(kappa, x[:, 0], y[:, 0], angle)
+
+
+@pytest.mark.parametrize("kappa,radius,expr", KAPPA_CONES, ids=CONE_IDS)
+def test_kappa_cone_law_on_the_disk(kappa, radius, expr):
+    t = kappa_cone(kappa, radius, expr)
+    g = np.random.default_rng(11)
+    x, y = (np.stack([g.uniform(0.0, radius, 40), g.uniform(0.0, 2 * math.pi, 40)], axis=1)
+            for _ in range(2))
+    ell = g.uniform(0.0, math.pi, 40)
+    got = radial.radial_solve(t, x, y, ell, tol=1e-3).value
+    assert np.max(np.abs(got - cone_law(kappa, x, y, ell))) <= 1e-3
+    # an arc near the centre at an angle near pi, which the last u cell
+    # held, and one just across the fold u = 0 from its seed's family
+    x = np.array([[0.693, 0.0], [min(1.129, radius), 2.418]])
+    y, ell = np.array([[0.836, 0.915], [0.586, 1.702]]), [2.737, 1.019]
+    for tol in (1e-3, 1e-6):
+        got = radial.radial_solve(t, x, y, ell, tol=tol)
+        assert np.max(np.abs(got.value - cone_law(kappa, x, y, ell))) <= tol
+        assert all(w[0] == "arc" for w in got.winner)
+
+
+@pytest.mark.xfail(strict=True, reason="an arc this near the centre lies between the rows of "
+                   "the last u cell; the through-centre path wins by up to 1e-4")
+@pytest.mark.parametrize("kappa,radius,expr", KAPPA_CONES, ids=CONE_IDS)
+def test_kappa_cone_law_at_an_angle_near_pi(kappa, radius, expr):
+    x = np.array([[0.499, 2.784], [0.601, 4.94], [0.466, 2.608]])
+    y, ell = np.array([[0.091, 5.019], [0.619, 1.546], [0.448, 1.851]]), [2.142, 1.21, 3.03]
+    got = radial.radial_solve(kappa_cone(kappa, radius, expr), x, y, ell, tol=1e-6).value
+    assert np.max(np.abs(got - cone_law(kappa, x, y, ell))) <= 1e-6
+
+
 def test_non_radial_disk_warp_is_rejected():
     warp = WarpFunction.from_expression("1 + 0.3*r*cos(theta)", 0.3, arity=2)
     t = WarpedTriple(spaces.ModelDisk(0.0, 1.0), warp, spaces.Circle(2 * math.pi), check=False)
     with pytest.raises(ValueError, match="radial"):
         warped_distance(t, (np.array([0.2, 0.0]), 0.0), (np.array([0.5, 1.0]), 1.0))
     assert WarpFunction.from_expression("1 + 0.3*r", 0.3, arity=2).radial
+
+
+def _turning_of(expr, kappa, a, c, start, stop):
+    """radial._turning on rows of (a, c, start, stop), and V - 1 there in ulps."""
+    prof = WarpFunction(expr, 1.0).fn
+    a, c, start, stop = (np.atleast_1d(np.asarray(v, float))
+                          for v in np.broadcast_arrays(a, c, start, stop))
+    r = radial._turning(prof, kappa, a, c, start, stop)
+    v = (a / model.sn(kappa, r)) ** 2 + (c / prof(r)) ** 2
+    return r, (v - 1.0) / np.finfo(float).eps
+
+
+def test_turning_point_is_the_first_crossing_to_a_few_ulps():
+    # c / f = 1 where sin 6r = 0.4: from 0.2 outward and from 1.3 inward,
+    # each scan passes a later crossing too
+    first = [(math.pi - math.asin(0.4)) / 6.0, (2.0 * math.pi + math.asin(0.4)) / 6.0]
+    r, ulps = _turning_of("1 + 0.5*sin(6*t)", 0.0, 0.0, 1.2, [0.2, 1.3], [2.5, 0.05])
+    assert r == pytest.approx(first, rel=1e-13)
+    assert np.all(np.abs(ulps) <= 4)
+    # V(start) >= 1: start itself; V < 1 up to stop: nan
+    r, _ = _turning_of("1 + 0*t", 0.0, [0.5, 0.0], [0.6, 1.0], [0.5, 0.7], [0.0, 1.0])
+    assert list(r) == [0.5, 0.7]
+    r, _ = _turning_of("1 + 0*t", 0.0, 0.1, 0.5, 0.5, 0.9)
+    assert np.isnan(r[0])
+    # next to the pole of a^2 / sn^2 at the centre: V = 1 at sn(r) = a / 0.8
+    a = np.array([1e-11, 3e-11, 1e-9])
+    for kappa, law in ((0.0, a / 0.8), (-1.0, np.arcsinh(a / 0.8))):
+        r, ulps = _turning_of("1 + 0*t", kappa, a, 0.6, 0.5, 0.0)
+        assert r == pytest.approx(law, rel=1e-13)
+        assert np.all(np.abs(ulps) <= 4)
+    # a near-double root: c exceeds min f = 1, at a scan radius, by 1e-10 and
+    # by 1e-14, so V = 1 about 1e-5 and 1e-7 before it, where an ulp of V
+    # moves the root by about 1e-11 and 1e-9
+    rj = 0.5 + (11 / 16) ** 2
+    r, ulps = _turning_of("1 + (t - %r)**2" % rj, 0.0, 0.0, [1 + 1e-10, 1 + 1e-14], 0.5, 1.5)
+    assert r == pytest.approx(rj - np.sqrt([1e-10, 1e-14]), rel=0, abs=1e-8)
+    assert np.all(np.abs(ulps) <= 4)
 
 
 # the circle-base warps of the tests and the benchmark, with their circles
