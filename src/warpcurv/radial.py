@@ -9,7 +9,6 @@ curves and an error bar for each; warped.reduced_distance calls it for a
 disk base.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -60,9 +59,10 @@ def _turning(prof, kappa, a, c, start, stop):
     may have a pole, and at stop.  The first crossing is solved by the
     Anderson-Bjorck method on w = V^(-1/2) - 1, finite at a pole and about
     linear in sn or f next to one, bisecting where a chord's root is not
-    strictly inside the bracket.  A row stops at its bracket's end of least
-    |w| once that is at most eps (V within about 2 ulps of 1) or the
-    bracket is at most 2 ulps wide: no step count caps it.
+    strictly inside the bracket or three chords in a row have not halved
+    it, so the bracket halves at least every fourth step.  A row stops at its
+    bracket's end of least |w| once that is at most eps (V within about 2
+    ulps of 1) or the bracket is at most 2 ulps wide: no step count caps it.
     """
     ends, k = np.unique(start + 1j * stop, return_inverse=True)
     t0, t1 = ends.real[:, None], ends.imag[:, None]
@@ -78,6 +78,7 @@ def _turning(prof, kappa, a, c, start, stop):
     live = np.flatnonzero(hit.any(axis=1) & np.isnan(out))
     j = np.argmax(hit[live], axis=1)
     x0, x1, a2, c2 = r[k[live], j], r[k[live], j + 1], a2[live], c2[live]
+    slow = np.zeros(len(live))      # chords in a row that did not halve the bracket
     eps = np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
         w0, w1 = 1.0 / np.sqrt(v[live, j]) - 1.0, 1.0 / np.sqrt(v[live, j + 1]) - 1.0
@@ -85,11 +86,13 @@ def _turning(prof, kappa, a, c, start, stop):
         while True:
             if done.any():
                 out[live[done]] = np.where(np.abs(w0) < np.abs(w1), x0, x1)[done]
-                live, x0, x1, w0, w1, a2, c2 = (t[~done] for t in (live, x0, x1, w0, w1, a2, c2))
+                live, x0, x1, w0, w1, a2, c2, slow = (
+                    t[~done] for t in (live, x0, x1, w0, w1, a2, c2, slow))
             if not len(live):
                 return out
+            width = np.abs(x1 - x0)
             x = x1 - w1 * (x1 - x0) / (w1 - w0)
-            x = np.where((x - x0) * (x - x1) < 0, x, 0.5 * (x0 + x1))
+            x = np.where(((x - x0) * (x - x1) < 0) & (slow < 3), x, 0.5 * (x0 + x1))
             P, Q = _inverse_squares(model.sn(kappa, x), prof(x))
             w = 1.0 / np.sqrt(a2 * P + c2 * Q) - 1.0
             # keep the end across the root from x; where that is x0 again,
@@ -98,6 +101,7 @@ def _turning(prof, kappa, a, c, start, stop):
             flip = (w > 0) != (w1 > 0)
             x0, w0 = np.where(flip, x1, x0), np.where(flip, w1, np.where(m > 0, m, 0.5) * w0)
             x1, w1 = x, w
+            slow = np.where(np.abs(x1 - x0) > 0.5 * width, slow + 1, 0)
             done = (np.abs(w) <= eps) | (np.abs(x1 - x0) <= 2.0 * np.spacing(x1))
 
 
@@ -331,15 +335,6 @@ def _enclosing(p1, p2, ft, fs):
     return tuple(np.concatenate(v) for v in zip(*seeds))
 
 
-@functools.lru_cache(maxsize=64)
-def _radius_profile(warp, radius):
-    """f(r) as a warp of t = r, and its zero circles on [0, R]: of each run
-    of adjacent scan points only the ends; the same for every call."""
-    radius_warp, ray = warp.compose("t"), spaces.Interval(0.0, radius)
-    zeros = np.unique(zero_set(radius_warp, ray)[1])
-    return radius_warp, np.unique(np.concatenate(zero_runs(zeros, ray)))
-
-
 def radial_solve(triple, bp, bq, ell, tol=1e-3):
     """Distances in B x_f [0, ell] from (bp, 0) to (bq, ell), B a ModelDisk, per row.
 
@@ -374,7 +369,8 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
         raise ValueError("unsupported base for distances: %r" % (base,))
     if not triple.warp.radial:
         raise ValueError("a disk base needs a radial warp: an expression in r with no theta")
-    radius_warp, zeros = _radius_profile(triple.warp, base.radius)
+    # f(r) as a warp of t = r, and on float arrays
+    radius_warp = triple.warp.compose("t")
     prof = radius_warp.fn
     kappa, radius = base.kappa, base.radius
     bp, bq = base._batch(bp), base._batch(bq)
@@ -396,18 +392,21 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
         winner[i] = ("z", at_z[i])
     if not len(live):
         return ClairautSolution(value, winner)
-    # candidates in chunks of (pairs, values, error bars, winner of the k-th)
+    cand = []       # (pair, value, error bar, winner)
     leaf = d_base + np.minimum(f1, f2) * ell
-    at_leaf = np.where(f1 <= f2, r1, r2)
-    cand = [(live, leaf[live], np.zeros(len(live)), lambda k: ("leaf", at_leaf[live[k]]))]
+    for i in live:
+        cand.append((i, leaf[i], 0.0, ("leaf", r1[i] if f1[i] <= f2[i] else r2[i])))
     # the radius [0, R] as a 1-D base, for the zero circles and the theta = 0 pairs
     ray = WarpedTriple(spaces.Interval(0.0, radius), radius_warp, triple.fiber, check=False)
+    # of each run of adjacent scan points, only its ends
+    zeros = np.unique(zero_set(ray.warp, ray.base)[1])
+    zeros = np.unique(np.concatenate(zero_runs(zeros, ray.base)))
     z_in = np.max(np.where(zeros <= lo[:, None], zeros, 0.0), axis=1, initial=0.0)
     z_out = np.min(np.where(zeros >= hi[:, None], zeros, radius), axis=1, initial=radius)
     crossed = np.any((zeros >= lo[:, None]) & (zeros <= hi[:, None]), axis=1)
     for z in zeros:
         via, at = base.via_circle(bp[live], bq[live], z)
-        cand.append((live, via, np.zeros(len(live)), lambda k, z=z, at=at: ("z", z, at[k])))
+        cand += [(i, via[k], 0.0, ("z", z, at[k])) for k, i in enumerate(live)]
     found = np.zeros(npair, dtype=bool)
     # a point near the centre takes theta = 0 at the cost of the arc that turns it
     sn_lo = model.sn(kappa, lo)
@@ -418,34 +417,28 @@ def radial_solve(triple, bp, bq, ell, tol=1e-3):
     flat, rows = between[theta[between] == 0.0], between[theta[between] > 0.0]
     if len(flat):
         sol = clairaut_solve(ray, r1[flat], r2[flat], ell[flat], tol=0.5 * tol)
-        cand.append((flat, sol.value, snap[flat], lambda k: sol.winner[k]))
+        cand += [(i, sol.value[k], snap[i], sol.winner[k]) for k, i in enumerate(flat)]
         found[flat] = True
     if len(rows):
         found |= _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell,
                                     d_base, leaf, snap, cand)
-    cp, cval, cerr = (np.concatenate(v) for v in list(zip(*cand))[:3])
-    _, cval, best, worst, best_of = _contest(cp, cval, cerr, npair)
+    _, cval, best, worst, best_of = _contest(*list(zip(*cand))[:3], npair)
     solves = found | (len(zeros) > 0)
-    bad = live[~(solves[live] & (worst[live] <= tol / 2.0))]
-    if len(bad):
-        i = bad[0]
-        bar = worst[i] if solves[i] else max(worst[i], best[i] - d_base[i])
-        raise ConvergenceError("no radial candidate resolves (%.12g, %.12g) -> (%.12g, "
-                               "%.12g), ell = %.12g to tol=%g" % (
-                                   bp[i, 0], bp[i, 1], bq[i, 0], bq[i, 1], ell[i], tol),
-                               bracket=(float(best[i] - bar), float(best[i] + bar)))
-    value[live] = cval[best_of[live]]
-    # the winner of each pair's best candidate, from its chunk
-    ends = np.cumsum([len(chunk[0]) for chunk in cand])
-    for i, j in zip(live, np.searchsorted(ends, best_of[live], side="right")):
-        winner[i] = cand[j][3](best_of[i] - ends[j] + len(cand[j][0]))
+    for i in live:
+        if not solves[i] or not worst[i] <= tol / 2.0:
+            bar = worst[i] if solves[i] else max(worst[i], best[i] - d_base[i])
+            raise ConvergenceError("no radial candidate resolves (%.12g, %.12g) -> (%.12g, "
+                                   "%.12g), ell = %.12g to tol=%g" % (
+                                       bp[i, 0], bp[i, 1], bq[i, 0], bq[i, 1], ell[i], tol),
+                                   bracket=(float(best[i] - bar), float(best[i] + bar)))
+        value[i] = cval[best_of[i]]
+        winner[i] = cand[best_of[i]][3]
     return ClairautSolution(value, winner)
 
 
 def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_base, leaf,
                        snap, cand):
-    """Family roots of the pairs rows, appended to cand as a chunk; True
-    for each pair with one."""
+    """Family roots of the pairs rows, appended to cand; True for each pair with one."""
     base = triple.base
     kappa, radius = base.kappa, base.radius
     prob = _RadialProblem(prof, kappa, radius, lo, hi, z_in, z_out)
@@ -554,9 +547,9 @@ def _radial_candidates(triple, prof, rows, lo, hi, z_in, z_out, theta, ell, d_ba
                + np.abs(F[:, 1] * (c_next - c)))
     keep = np.isfinite(est) & np.isfinite(err) & (est >= 0)
     found[i[keep]] = True
-    arc = np.vstack([a, c, rho0, rho1, ride])[:, keep]
-    names = [RADIAL_FAMILIES[k] for k in kind[keep]]
-    cand.append((i[keep], est[keep], err[keep], lambda k: ("arc", names[k]) + tuple(arc[:, k])))
+    for k in np.flatnonzero(keep):
+        cand.append((i[k], est[k], err[k], ("arc", RADIAL_FAMILIES[kind[k]], a[k], c[k],
+                                            rho0[k], rho1[k], ride[k])))
     return found
 
 

@@ -550,6 +550,23 @@ def test_turning_point_is_the_first_crossing_to_a_few_ulps():
     assert np.all(np.abs(ulps) <= 4)
 
 
+def test_turning_search_bisects_where_chords_stall():
+    # c / f = 1 at r0, f = 1 + 1e-3 expm1(-700 (r - r0)): w is nearly flat
+    # on one side and exponential on the other, and chords alone took 3,283
+    # steps to close the bracket
+    r0, calls = 0.5371, []
+
+    def prof(r):
+        calls.append(1)
+        return 1.0 + 1e-3 * np.expm1(-700.0 * (r - r0))
+    one = np.ones(1)
+    r = radial._turning(prof, 0.0, 0.0 * one, one, 0.1 * one, one)
+    assert r[0] == pytest.approx(r0, rel=0, abs=1e-15)
+    # one scan, then at most four steps per halving of a bracket under 1 wide
+    # down to 2 ulps
+    assert len(calls) <= 1 + 4 * 53
+
+
 # the circle-base warps of the tests and the benchmark, with their circles
 CIRCLE_WARPS = [("2 + abs(t - pi)", 2 * math.pi), ("0.3 + 0.1*cos(t)", 2 * math.pi),
                 ("2 + cos(t)", 2 * math.pi), ("2.0 + sin(t)", 2 * math.pi),
