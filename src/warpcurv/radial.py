@@ -15,8 +15,8 @@ import numpy as np
 
 from . import model, spaces
 from .warped import (CLAIRAUT_NODES, ZERO_THRESHOLD, ClairautSolution, ConvergenceError,
-                     WarpedTriple, _contest, _cos_map_rule, clairaut_solve, zero_runs,
-                     zero_set)
+                     WarpedTriple, _bracket_root, _contest, _cos_map_rule, clairaut_solve,
+                     zero_runs, zero_set)
 
 
 # Gauss-Legendre nodes per piece of a radial arc in the bracket scan; a
@@ -56,13 +56,10 @@ def _turning(prof, kappa, a, c, start, stop):
 
     sn and f are scanned once per distinct (start, stop): at start + (stop
     - start) (j / 16)^2, j < 16, at 24 radii each 4x nearer stop, where V
-    may have a pole, and at stop.  The first crossing is solved by the
-    Anderson-Bjorck method on w = V^(-1/2) - 1, finite at a pole and about
-    linear in sn or f next to one, bisecting where a chord's root is not
-    strictly inside the bracket or three chords in a row have not halved
-    it, so the bracket halves at least every fourth step.  A row stops at its
-    bracket's end of least |w| once that is at most eps (V within about 2
-    ulps of 1) or the bracket is at most 2 ulps wide: no step count caps it.
+    may have a pole, and at stop.  The first crossing is solved by
+    _bracket_root on w = V^(-1/2) - 1, finite at a pole and about linear
+    in sn or f next to one, to the end of least |w| once that is at most
+    eps (V within about 2 ulps of 1) or the bracket is at most 2 ulps wide.
     """
     ends, k = np.unique(start + 1j * stop, return_inverse=True)
     t0, t1 = ends.real[:, None], ends.imag[:, None]
@@ -77,32 +74,18 @@ def _turning(prof, kappa, a, c, start, stop):
     out = np.where(~(v[:, 0] < 1.0 - 1e-14), start, math.nan)
     live = np.flatnonzero(hit.any(axis=1) & np.isnan(out))
     j = np.argmax(hit[live], axis=1)
-    x0, x1, a2, c2 = r[k[live], j], r[k[live], j + 1], a2[live], c2[live]
-    slow = np.zeros(len(live))      # chords in a row that did not halve the bracket
+    a2, c2 = a2[live], c2[live]
+
+    def w(x, rows):
+        P, Q = _inverse_squares(model.sn(kappa, x), prof(x))
+        return 1.0 / np.sqrt(a2[rows] * P + c2[rows] * Q) - 1.0
     eps = np.finfo(float).eps
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         w0, w1 = 1.0 / np.sqrt(v[live, j]) - 1.0, 1.0 / np.sqrt(v[live, j + 1]) - 1.0
-        done = np.minimum(np.abs(w0), np.abs(w1)) <= eps
-        while True:
-            if done.any():
-                out[live[done]] = np.where(np.abs(w0) < np.abs(w1), x0, x1)[done]
-                live, x0, x1, w0, w1, a2, c2, slow = (
-                    t[~done] for t in (live, x0, x1, w0, w1, a2, c2, slow))
-            if not len(live):
-                return out
-            width = np.abs(x1 - x0)
-            x = x1 - w1 * (x1 - x0) / (w1 - w0)
-            x = np.where(((x - x0) * (x - x1) < 0) & (slow < 3), x, 0.5 * (x0 + x1))
-            P, Q = _inverse_squares(model.sn(kappa, x), prof(x))
-            w = 1.0 / np.sqrt(a2 * P + c2 * Q) - 1.0
-            # keep the end across the root from x; where that is x0 again,
-            # scale its w by 1 - w / w1 (or 1/2) so the next chord moves it
-            m = 1.0 - w / w1
-            flip = (w > 0) != (w1 > 0)
-            x0, w0 = np.where(flip, x1, x0), np.where(flip, w1, np.where(m > 0, m, 0.5) * w0)
-            x1, w1 = x, w
-            slow = np.where(np.abs(x1 - x0) > 0.5 * width, slow + 1, 0)
-            done = (np.abs(w) <= eps) | (np.abs(x1 - x0) <= 2.0 * np.spacing(x1))
+    (out[live], _), _ = _bracket_root(
+        w, r[k[live], j], r[k[live], j + 1], w0[None], w1[None],
+        lambda y0, y1: np.minimum(np.abs(y0[0]), np.abs(y1[0])) <= eps)
+    return out
 
 
 def _fiber_angle(y):

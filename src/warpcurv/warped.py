@@ -252,7 +252,12 @@ class WarpedTriple:
     def _validate(self):
         if isinstance(self.fiber, spaces.PointSpace):
             raise ValueError("fiber must not be a single point")
-        _, vals = warp_profile(self.warp, self.base, VALIDATION_POINTS)
+        with np.errstate(all="ignore"):
+            pts, vals = warp_profile(self.warp, self.base, VALIDATION_POINTS)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            raise ValueError("warping function is %r at base coordinate %s" % (
+                float(vals[bad[0]]), ", ".join("%.12g" % x for x in np.atleast_1d(pts[bad[0]]))))
         if np.min(vals) < -1e-9:
             raise ValueError("warping function is negative on the base")
         if np.max(vals) <= ZERO_THRESHOLD:
@@ -263,9 +268,10 @@ class WarpedTriple:
 
         Every declared zero must have f <= ZERO_THRESHOLD, and the declared
         Lipschitz constant, with relative slack 1e-9, must bound every
-        difference quotient of f on the validation grid.  On a circle f(L)
-        must be f(0) within 1e-9 max(1, |f(0)|), as 0 and L are one point.
-        Any other base raises ValueError.
+        difference quotient of f on the validation grid once the quotient's
+        own roundoff, 4 ulps of |f| at either end over the spacing, is taken
+        off.  On a circle f(L) must be f(0) within 1e-9 max(1, |f(0)|), as 0
+        and L are one point.  Any other base raises ValueError.
         """
         if not _one_dim(self.base):
             raise ValueError("hints are checked on 1-D bases only, not on %r" % (self.base,))
@@ -280,10 +286,12 @@ class WarpedTriple:
                 raise ValueError("declared zero %.12g is not a zero of the warp (f = %.6g)"
                                  % (z, fz))
         ts, vals = warp_profile(self.warp, self.base, VALIDATION_POINTS)
-        slope = float(np.max(np.abs(np.diff(vals)) / np.diff(ts)))
-        if slope > self.warp.lipschitz * (1.0 + 1e-9):
+        dt, df = np.diff(ts), np.abs(np.diff(vals))
+        roundoff = 4.0 * np.finfo(float).eps * (np.abs(vals[1:]) + np.abs(vals[:-1]))
+        i = np.argmax((df - roundoff) / dt)
+        if df[i] - roundoff[i] > self.warp.lipschitz * (1.0 + 1e-9) * dt[i]:
             raise ValueError("declared Lipschitz constant %.12g is below the slope %.12g "
-                             "of the warp" % (self.warp.lipschitz, slope))
+                             "of the warp" % (self.warp.lipschitz, df[i] / dt[i]))
 
 
 def domain(base):
@@ -512,40 +520,6 @@ def _family_point(feval, p, turn, xm):
     return x, np.where(turn, feval(x), p)
 
 
-def _illinois(evaluate, a, b, goal):
-    """Regula falsi with the Illinois rule on every bracket at once.
-
-    a and b are lists [p, h, c, L] of arrays at the two ends of each
-    bracket, h = ell(p) - ell of opposite signs (inf counts as positive).
-    evaluate(p, rows) gives (h, c, L) at parameters p of the given rows.
-    A bracket stops once |c_a - c_b| * min(|h_a|, |h_b|), which bounds
-    the error of the linearised value at the better end, is at most goal;
-    while an end has an infinite h the step bisects.  At most 100 steps.
-    """
-    wa, wb = a[1].copy(), b[1].copy()
-    last = np.zeros(len(a[0]), int)
-    for _ in range(100):
-        bound = np.abs(a[2] - b[2]) * np.minimum(np.abs(a[1]), np.abs(b[1]))
-        rows = np.flatnonzero(~(bound <= goal))
-        if not len(rows):
-            break
-        pa, pb, ha, hb = a[0][rows], b[0][rows], wa[rows], wb[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = (pa * hb - pb * ha) / (hb - ha)
-        p = np.where(np.isfinite(p) & ((p - pa) * (p - pb) < 0), p, 0.5 * (pa + pb))
-        new = evaluate(p, rows)
-        to_a = (new[0] <= 0) == (a[1][rows] <= 0)
-        for end, own, other, side, sel in ((a, wa, wb, 1, to_a), (b, wb, wa, -1, ~to_a)):
-            r = rows[sel]
-            for arr, val in zip(end, (p,) + tuple(new)):
-                arr[r] = val[sel]
-            own[r] = new[0][sel]
-            # Illinois: the end that stays put twice in a row has its weight halved
-            other[r] *= np.where(last[r] == side, 0.5, 1.0)
-            last[r] = side
-    return a, b
-
-
 class _Profile:
     """The scan profile f(lo + i h), i < n, in blocks with their minima.
 
@@ -619,38 +593,74 @@ def _argmin_zoom(feval, lo, hi):
     return xs[r, j], fx[r, j]
 
 
-def _crossing(feval, above, below, level):
-    """48 bisection steps between above (f >= level) and below (f < level):
-    the last ends below and above."""
-    for _ in range(48):
-        mid = 0.5 * (above + below)
-        low = feval(mid) < level
-        below = np.where(low, mid, below)
-        above = np.where(low, above, mid)
-    return below, above
+def _root_at_an_end(y0, y1):
+    return (y0[0] == 0) | (y1[0] == 0)
+
+
+def _bracket_root(fn, x0, x1, y0, y1, stop=_root_at_an_end):
+    """Roots in the brackets [x0, x1] of all rows at once, by the
+    Anderson-Bjorck method (BIT 13, 1973).
+
+    fn(x, rows) gives a stack (w, ...) at the points x of the given rows;
+    y0 and y1 are the stacks at the ends, w of opposite signs there (nan
+    and inf count as positive).  A step takes the chord's root, one ulp
+    inside where it rounds onto an end, or the midpoint where that is not
+    strictly inside, an end's w is not finite or three chords in a row
+    have not halved the bracket, so the bracket halves at least every
+    fourth step.  The end across the root from the new point stays; where
+    that is the old end again, its w in the chord is scaled by 1 - w / w1
+    (1/2 if that is not positive).  A row stops once stop(y0, y1) holds
+    (by default, once w is 0 at an end) or its bracket is at most 2 ulps
+    wide: no step count caps it.  Returns (x, y) at the end of least |w|
+    of each last bracket, and at its other end.
+    """
+    x0, x1, y0, y1 = (np.array(v, float) for v in (x0, x1, y0, y1))
+    rows = np.flatnonzero(~stop(y0, y1))
+    a, b, ya, yb = x0[rows], x1[rows], y0[:, rows], y1[:, rows]
+    wa = ya[0]
+    slow = np.zeros(len(rows))      # chords in a row that did not halve the bracket
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(rows):
+            d, mid = b - a, 0.5 * (a + b)
+            x = b - yb[0] * d / (yb[0] - wa)
+            x = np.where((x == a) | (x == b), np.nextafter(x, mid), x)
+            x = np.where(((x - a) * (x - b) < 0) & np.isfinite(wa) & (slow < 3), x, mid)
+            y = np.reshape(fn(x, rows), (len(y0), -1))
+            m = 1.0 - y[0] / yb[0]
+            flip = (y[0] <= 0) != (yb[0] <= 0)
+            a, ya = np.where(flip, b, a), np.where(flip, yb, ya)
+            wa = np.where(flip, yb[0], np.where(m > 0, m, 0.5) * wa)
+            b, yb = x, y
+            gap = np.abs(b - a)
+            slow = np.where(gap > 0.5 * np.abs(d), slow + 1, 0)
+            done = stop(ya, yb) | (gap <= 2.0 * np.spacing(np.abs(b)))
+            if done.any():
+                r = rows[done]
+                x0[r], x1[r], y0[:, r], y1[:, r] = a[done], b[done], ya[:, done], yb[:, done]
+                rows, a, b, wa, slow = (t[~done] for t in (rows, a, b, wa, slow))
+                ya, yb = ya[:, ~done], yb[:, ~done]
+    near = (np.abs(y1[0]) <= np.abs(y0[0])) | np.isnan(y0[0])
+    return ((np.where(near, x1, x0), np.where(near, y1, y0)),
+            (np.where(near, x0, x1), np.where(near, y0, y1)))
 
 
 @functools.lru_cache(maxsize=64)
 def _switch_roots(warp, lo, h, n):
     """Kinks of the warp on the grid lo + i h, i < n: each sign change of a
-    switch (see WarpFunction) between neighbouring grid points, bisected by
-    _crossing to the end of its last bracket where the switch is nearer 0;
-    sorted, without repeats.  Cached, as every solve on the grid needs them."""
+    switch (see WarpFunction) between neighbouring grid points, solved by
+    _bracket_root to the end of its last bracket where the switch is
+    nearer 0; sorted, without repeats.  Cached, as every solve on the grid
+    needs them."""
     if warp.switches is None:
         return np.empty(0)
     x = lo + h * np.arange(n)
-    below = warp.switches(x) < 0
-    k, i = np.nonzero(below[:, 1:] != below[:, :-1])
+    sw = warp.switches(x)
+    k, i = np.nonzero((sw[:, 1:] < 0) != (sw[:, :-1] < 0))
     if not len(k):
         return np.empty(0)
-    cols = np.arange(len(k))
-
-    def switch(y):
-        return warp.switches(y)[k, cols]
-    lo_below = below[k, i]
-    b, a = _crossing(switch, np.where(lo_below, x[i + 1], x[i]),
-                     np.where(lo_below, x[i], x[i + 1]), 0.0)
-    return np.unique(np.where(np.abs(switch(a)) < np.abs(switch(b)), a, b))
+    (root, _), _ = _bracket_root(lambda y, rows: warp.switches(y)[k[rows], np.arange(len(rows))],
+                                 x[i], x[i + 1], sw[None, k, i], sw[None, k, i + 1])
+    return np.unique(root)
 
 
 def _eval_f(f, base, pts):
@@ -726,8 +736,10 @@ def clairaut_solve(triple, bp, bq, ell, tol=1e-3):
         and then the leaf over x for the rest of ell.
     A circle base unwraps bq to bq + kL, k in {-1, 0, 1}.  Arcs are split
     at the kinks of f (_scan_levels).  Each family is
-    scanned for sign changes of ell(c) - ell, all brackets are refined
-    together, and a root or ride is valued L + c (ell - ell(c)), with an
+    scanned for sign changes of ell(c) - ell, all brackets are solved
+    together by _bracket_root until |c_a - c_b| min(|h_a|, |h_b|), h =
+    ell(c) - ell at the ends, is at most CLAIRAUT_FLOOR, and a root (the
+    end of least |h|) or ride is valued L + c (ell - ell(c)), with an
     error bar: the change from 2x the quadrature nodes, the bracket bound
     and a floating-point floor.  A pair raises ConvergenceError with the
     bracket best -+ bar when no family solves it, when a ride is not
@@ -912,8 +924,8 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
     picks = np.flatnonzero(pick)
     pick_st, pick_r = np.searchsorted(s0, picks, side="right") - 1, rpos[picks]
     # a stretch starts where f falls to the minimum before it: m at e
-    # itself, or at a crossing found by bisection below the grid point
-    # before its first record (e for the first point of a scan)
+    # itself, or at a crossing of that level by f between its first record
+    # and the grid point before it (e for the first point of a scan)
     e = np.where(side == 0, x_lo[sprob], x_hi[sprob])
     head = np.where(r0 == 0, e, lo + (g0[srun] + s * (r0 - 1)) * h)
     fe = np.where(side == 0, f_lo[sprob], f_hi[sprob])
@@ -947,8 +959,12 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
     if len(crossed):
         end_u = (u0[srun] + s * r1)[crossed - 1]
         level = np.where(leading[crossed], m[sprob[crossed]], scan.values[end_u])
-        p[slot[nm + crossed]] = _crossing(feval, head[crossed],
-                                          lo + (g0[srun] + s * r0)[crossed] * h, level)[0]
+        x0, x1 = head[crossed], lo + (g0[srun] + s * r0)[crossed] * h
+        w = feval(np.stack([x0, x1])) - level
+        near, far = _bracket_root(lambda x, r: feval(x) - level[r], x0, x1, w[:1], w[1:])
+        # the head is the end where f is at most level: above it, c = f(head)
+        # would exceed the least f that the family's arcs pass
+        p[slot[nm + crossed]] = np.where(near[1][0] <= 0, near[0], far[0])
     if ns:
         # a stretch ends at a boundary leaf (an Interval's ends, a Ray's 0),
         # or else at the minimum of f within one grid step of its last
@@ -983,17 +999,22 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
     if len(p):
         hv, cv, Lv = evaluate(p, turn, prob)
         br = np.flatnonzero((node_seg[:-1] == node_seg[1:]) & ((hv[:-1] <= 0) != (hv[1:] <= 0)))
-        a, b = _illinois(lambda q, r: evaluate(q, turn[br[r]], prob[br[r]]),
-                         [p[br], hv[br], cv[br], Lv[br]],
-                         [p[br + 1], hv[br + 1], cv[br + 1], Lv[br + 1]], CLAIRAUT_FLOOR)
+        # the end of least |h| is the first chord's newer end, so that the
+        # other is the end whose weight the next chords scale down
+        e1 = br + (np.abs(hv[br + 1]) <= np.abs(hv[br]))
+        e0 = 2 * br + 1 - e1
+        (q, yq), (_, yf) = _bracket_root(
+            lambda x, r: evaluate(x, turn[br[r]], prob[br[r]]), p[e0], p[e1],
+            [hv[e0], cv[e0], Lv[e0]], [hv[e1], cv[e1], Lv[e1]],
+            lambda y0, y1: (np.abs(y0[1] - y1[1]) * np.minimum(np.abs(y0[0]), np.abs(y1[0]))
+                            <= CLAIRAUT_FLOOR))
         # each root, taken at the bracket end nearer to it, and each limit
         # whose family falls short of ell: that curve rides the leaf over
         # its limit point for the rest of ell.  Both are valued
         # L + c (ell - ell(c)), and ride the ell - ell(c) that this charges
-        near_a = np.abs(a[1]) <= np.abs(b[1])
         rides = np.flatnonzero(limit & (hv < 0))
-        q, hq, cq, Lq = (np.concatenate([np.where(near_a, u, v), w[rides]])
-                         for u, v, w in zip(a, b, (p, hv, cv, Lv)))
+        q, hq, cq, Lq = (np.concatenate([u, w[rides]])
+                         for u, w in zip((q,) + tuple(yq), (p, hv, cv, Lv)))
         at_node = np.concatenate([br, rides])
         turn_q, prob_q = turn[at_node], prob[at_node]
         h2, _, L2 = evaluate(q, turn_q, prob_q, 2 * CLAIRAUT_NODES)
@@ -1001,7 +1022,7 @@ def _solve_chunk(triple, feval, scan, lo, h, zeros, kinks, rows, bp, bq, ell, d_
             est = L2 - cq * h2
             err = np.abs(Lq - cq * hq - est)
         nb = len(br)
-        err[:nb] += np.abs(a[2] - b[2]) * np.abs(hq[:nb])
+        err[:nb] += np.abs(yq[1] - yf[1]) * np.abs(hq[:nb])
         # a root's ride is what its end falls short of ell, 0 where the end
         # overshoots or c * ride is within the root's error bar; where ell(c)
         # jumps across the bracket (arcs turning at a maximum of f) it is the

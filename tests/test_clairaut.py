@@ -44,6 +44,18 @@ def product(b1, b2, ell):
     return math.hypot(b1 - b2, 0.8 * ell)
 
 
+def fermi(t1, t2, ell):
+    """cosh(t) is H^2 in Fermi coordinates about a geodesic; a band is convex."""
+    return math.acosh(max(1.0, math.cosh(t1) * math.cosh(t2) * math.cosh(ell)
+                          - math.sinh(t1) * math.sinh(t2)))
+
+
+def horoball(t1, t2, ell):
+    """exp(-t) on a Ray is the horoball y >= 1 of the upper half-plane, y = e^t."""
+    y1, y2 = math.exp(t1), math.exp(t2)
+    return math.acosh(1.0 + (ell * ell + (y1 - y2) ** 2) / (2.0 * y1 * y2))
+
+
 EXACT = [
     ("spherical", triple(spaces.Interval(0.0, math.pi), "sin(t)", 1.0, (0.0, math.pi)),
      spherical, (0.05, math.pi - 0.05)),
@@ -52,6 +64,9 @@ EXACT = [
     ("hyperbolic", triple(spaces.Ray(3.0), "sinh(t)", math.cosh(3.0), (0.0,)),
      hyperbolic, (0.05, 2.9)),
     ("product", triple(spaces.Interval(0.0, 2.0), "0.8", 0.0), product, (0.0, 2.0)),
+    # warps with no zero and no closed form in certify: the engine serves them
+    ("fermi", triple(spaces.Interval(-1.0, 1.2), "cosh(t)", math.sinh(1.2)), fermi, (-1.0, 1.2)),
+    ("horoball", triple(spaces.Ray(2.5), "exp(-t)", 1.0), horoball, (0.0, 2.4)),
 ]
 
 

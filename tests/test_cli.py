@@ -214,7 +214,10 @@ def test_small_samples(capsys, tmp_path):
 @pytest.mark.parametrize("warp, message", [
     ("{expr: sin(t), lipschitz: 1.0, zeros: [0.0, 1.0]}", "declared zero 1 is not a zero"),
     ("{expr: sin(t), lipschitz: 0.5, zeros: [0.0]}", "declared Lipschitz constant 0.5 is below"),
-], ids=["zero", "lipschitz"])
+    # nan below t = 1: no verdict may rest on it
+    ("{expr: sqrt(t - 1), lipschitz: 1.0, zeros: [1.0]}",
+     "warping function is nan at base coordinate 0"),
+], ids=["zero", "lipschitz", "nan"])
 def test_declared_hints_are_checked(capsys, tmp_path, warp, message):
     spec = tmp_path / "hint.yaml"
     spec.write_text(SUSP_SPEC.replace(

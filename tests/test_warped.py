@@ -567,6 +567,93 @@ def test_turning_search_bisects_where_chords_stall():
     assert len(calls) <= 1 + 4 * 53
 
 
+def _bracket_steps(fn, x0, x1, stop=warped._root_at_an_end):
+    """warped._bracket_root on one bracket of fn: its ends (near, far) and
+    the points it evaluated; more than 200 evaluations fail the test."""
+    pts = []
+
+    def traced(x, rows):
+        pts.append(float(x[0]))
+        assert len(pts) <= 200
+        return fn(x)
+    w0, w1 = fn(np.array([x0])), fn(np.array([x1]))
+    near, far = warped._bracket_root(traced, [x0], [x1], [w0], [w1], stop)
+    return near, far, pts
+
+
+def _between_floats(x):
+    """The root x + 0.3 ulp of x, and x - root, which is never 0 on floats."""
+    lo = 0.3 * np.spacing(abs(x))
+    return x + lo, lambda y: (y - x) - lo
+
+
+@pytest.mark.parametrize("x", [-1.0 / 3.0, -1000.0 / 7.0, -5e-8 / 3.0, 2.0 / 3.0])
+def test_bracket_root_stops_within_two_ulps_at_either_sign(x):
+    # np.spacing is negative below 0: the width test takes it of |x|
+    _, fn = _between_floats(x)
+    near, far, pts = _bracket_steps(lambda y: np.expm1(fn(y)), x - 0.75, x + 1.25)
+    assert abs(near[0][0] - far[0][0]) <= 2.0 * np.spacing(abs(x))
+    assert near[0][0] == x
+
+
+def test_bracket_root_steps_one_ulp_off_an_end_that_a_chord_rounds_onto():
+    # the first chord lands on a float next to the root of a linear w, and
+    # the next rounds onto it again: one ulp over closes the bracket, where
+    # midpoints would take 50 steps
+    _, fn = _between_floats(0.7)
+    near, far, pts = _bracket_steps(fn, 0.0, 1.0)
+    assert sorted(pts) == [0.7, np.nextafter(0.7, 1.0)]
+    assert (near[0][0], far[0][0]) == (0.7, np.nextafter(0.7, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_bracket_root_bisects_from_a_bad_end_and_never_returns_it(bad):
+    # w is bad below 0.25 and 0.6 - x above it
+    near, far, pts = _bracket_steps(lambda x: np.where(x < 0.25, bad, 0.6 - x), 0.0, 1.0)
+    assert pts[0] == 0.5
+    assert abs(near[0][0] - 0.6) <= 2.0 * np.spacing(0.6)
+    assert np.isfinite(near[1][0, 0])
+    # w jumps from bad to -1 at 0.6, either way: the bad end lasts to the
+    # last bracket but is never returned as the root
+    for jump in (lambda x: x < 0.6, lambda x: x > 0.6):
+        near, far, pts = _bracket_steps(lambda x: np.where(jump(x), bad, -1.0), 0.0, 1.0)
+        assert pts[0] == 0.5
+        assert abs(near[0][0] - 0.6) <= 2.0 * np.spacing(0.6) and near[1][0, 0] == -1.0
+        assert np.isnan(far[1][0, 0]) or far[1][0, 0] == bad
+
+
+def test_bracket_root_stops_where_the_caller_says():
+    def fn(x):
+        return np.sin(x) - 0.5
+
+    def stop(y0, y1):
+        return np.minimum(np.abs(y0[0]), np.abs(y1[0])) <= 1e-3
+    near, far, pts = _bracket_steps(fn, 0.0, 1.0, stop)
+    assert abs(near[1][0, 0]) <= 1e-3 and abs(near[0][0] - far[0][0]) > 1e-6
+    _, _, full = _bracket_steps(fn, 0.0, 1.0)
+    assert len(pts) < len(full)
+    # a row whose ends already meet the test takes no step
+    near, _, pts = _bracket_steps(fn, 0.0, math.pi / 6 + 1e-4, stop)
+    assert pts == [] and near[0][0] == math.pi / 6 + 1e-4
+
+
+@pytest.mark.parametrize("x, ratio", [(0.3, 1e-8), (0.7, 1e8), (1.0 / 3.0, 1e-3)])
+def test_bracket_root_halves_a_kinked_bracket_every_fourth_step(x, ratio):
+    # slopes ratio and 1 on either side of the root
+    root, d = _between_floats(x)
+
+    def fn(y):
+        return np.where(d(y) < 0, ratio * d(y), d(y))
+    _, _, pts = _bracket_steps(fn, 0.0, 1.0)
+    # each bracket is the newest point and the last one across the root from it
+    xs = np.array([0.0, 1.0] + pts)
+    side = fn(xs) <= 0
+    width = [1.0] + [abs(xs[k] - xs[np.flatnonzero(side[:k] != side[k])[-1]])
+                     for k in range(2, len(xs))]
+    assert all(width[k + 4] <= 0.5 * width[k] for k in range(len(width) - 4))
+    assert width[-1] <= 2.0 * np.spacing(root)
+
+
 # the circle-base warps of the tests and the benchmark, with their circles
 CIRCLE_WARPS = [("2 + abs(t - pi)", 2 * math.pi), ("0.3 + 0.1*cos(t)", 2 * math.pi),
                 ("2 + cos(t)", 2 * math.pi), ("2.0 + sin(t)", 2 * math.pi),
@@ -592,6 +679,17 @@ def test_check_hints_rejects_a_disk_base():
     warp = WarpFunction.from_expression("0.8 + 0*r", 0.0, arity=2)
     t = WarpedTriple(spaces.ModelDisk(-1.0, 1.0), warp, spaces.Circle(2 * math.pi))
     with pytest.raises(ValueError, match="1-D bases"):
+        t.check_hints()
+
+
+@pytest.mark.parametrize("b", [1e-9, 1.0])
+def test_exact_lipschitz_constant_is_accepted(b):
+    # on [0, 1e-9] the grid spacing is 4.9e-13, and the roundoff of 1 + t
+    # alone makes a difference quotient 1.00044
+    base, fiber = spaces.Interval(0.0, b), spaces.Circle(3.0)
+    WarpedTriple(base, WarpFunction.from_expression("1 + t", 1.0), fiber).check_hints()
+    t = WarpedTriple(base, WarpFunction.from_expression("1 + t", 0.99), fiber)
+    with pytest.raises(ValueError, match="declared Lipschitz constant 0.99 is below"):
         t.check_hints()
 
 
